@@ -4,14 +4,13 @@ evaluation, and a receding-horizon planner bridge."""
 
 __version__ = "0.1.0"
 
-from . import bench, cli, kinematics, motion, retarget, rotations, simtrack, stream, synthetic, vlabridge
+from . import bench, kinematics, motion, retarget, rotations, simtrack, stream, synthetic, vlabridge
 from .errors import OmniCloneError
 
 __all__ = [
     "OmniCloneError",
     "__version__",
     "bench",
-    "cli",
     "kinematics",
     "motion",
     "retarget",

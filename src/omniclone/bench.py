@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .kinematics import HumanoidModel
-from .motion import BENCH_STRATA, Frame, MotionClip, derive_body_kinematics
+from .motion import BENCH_STRATA, MotionClip, derive_body_kinematics
 from .rotations import quat_from_yaw, quat_rotate, quat_yaw
-from .simtrack import RobotState, TrackerSpec, track_clip
+from .simtrack import TrackerSpec, track_clip
 
 
 @dataclass(frozen=True)
@@ -106,46 +106,34 @@ def planar_alignment(
     return q, t
 
 
-def check_failure(
-    state: RobotState, ref: Frame, thresholds: FailureThresholds = FailureThresholds()
-) -> str | None:
-    """Failure reason for one frame, or None.
-
-    Checks, in order: key-body deviation beyond deviation_m; root below
-    fall_root_z_m while the reference root stays above it by 0.1 m (so
-    commanded deep squats do not read as falls); planar root drift beyond
-    root_drift_m (reported as deviation).
-    """
-    if ref.body_pos is None:
-        raise InputError("reference frame lacks body positions")
-    dev = np.linalg.norm(state.body_pos - ref.body_pos, axis=1)
-    if np.any(dev > thresholds.deviation_m):
-        return "deviation"
-    root_z = state.root.position[2]
-    ref_z = ref.root.position[2]
-    if root_z < thresholds.fall_root_z_m and ref_z >= thresholds.fall_root_z_m + 0.1:
-        return "fall"
-    drift = np.linalg.norm(state.root.position[:2] - ref.root.position[:2])
-    if drift > thresholds.root_drift_m:
-        return "deviation"
-    return None
-
-
-def _failure_reason_arrays(
+def first_failure(
     pred_bodies: np.ndarray,
     ref_bodies: np.ndarray,
-    pred_root: np.ndarray,
-    ref_root: np.ndarray,
-    thresholds: FailureThresholds,
-) -> str | None:
-    dev = np.linalg.norm(pred_bodies - ref_bodies, axis=1)
-    if np.any(dev > thresholds.deviation_m):
-        return "deviation"
-    if pred_root[2] < thresholds.fall_root_z_m and ref_root[2] >= thresholds.fall_root_z_m + 0.1:
-        return "fall"
-    if np.linalg.norm(pred_root[:2] - ref_root[:2]) > thresholds.root_drift_m:
-        return "deviation"
-    return None
+    pred_roots: np.ndarray,
+    ref_roots: np.ndarray,
+    thresholds: FailureThresholds = FailureThresholds(),
+) -> tuple[int, str] | None:
+    """Index and reason of the first failed frame, or None.
+
+    Takes (T, K, 3) key-body positions and (T, 3) root positions. A frame
+    fails on key-body deviation beyond deviation_m; on the root below
+    fall_root_z_m while the reference root stays above it by 0.1 m (so
+    commanded deep squats do not read as falls); or on planar root drift
+    beyond root_drift_m. Deviation and drift report "deviation", and a
+    frame that both deviates and falls reports "deviation".
+    """
+    deviation = np.any(
+        np.linalg.norm(pred_bodies - ref_bodies, axis=-1) > thresholds.deviation_m, axis=-1
+    )
+    fall = (pred_roots[:, 2] < thresholds.fall_root_z_m) & (
+        ref_roots[:, 2] >= thresholds.fall_root_z_m + 0.1
+    )
+    drift = np.linalg.norm(pred_roots[:, :2] - ref_roots[:, :2], axis=-1) > thresholds.root_drift_m
+    failed = deviation | fall | drift
+    if not failed.any():
+        return None
+    i = int(np.argmax(failed))
+    return i, "fall" if fall[i] and not deviation[i] else "deviation"
 
 
 def run_episode(
@@ -155,7 +143,7 @@ def run_episode(
     thresholds: FailureThresholds = FailureThresholds(),
     alignment: str = "global",
 ) -> EpisodeResult:
-    """Drive the tracker tick-by-tick against the clip.
+    """Track the clip and score the realised motion against it.
 
     The episode terminates at the first failed frame; MPJPE covers frames
     up to and including termination. alignment="root_relative" measures
@@ -165,20 +153,14 @@ def run_episode(
         raise InputError("empty clip")
     if alignment not in ("global", "root_relative"):
         raise InputError(f"unknown alignment {alignment!r}")
-    ref_clip = derive_body_kinematics(clip, model)
-    states = track_clip(tracker, ref_clip, model)
-    T = len(ref_clip.frames)
-    ref_bodies = ref_clip.body_pos_array()
-    ref_roots = ref_clip.root_pos_array()
-    pred_bodies = np.stack([s.body_pos for s in states])
-    pred_roots = np.stack([s.root.position for s in states])
+    ref = derive_body_kinematics(clip, model)
+    realised = track_clip(tracker, ref, model)
+    ref_bodies, ref_roots = ref.body_pos, ref.root_pos
+    pred_bodies, pred_roots = realised.body_pos, realised.root_pos
 
     if alignment == "global":
         q, t = planar_alignment(
-            pred_roots[0],
-            states[0].root.orientation,
-            ref_roots[0],
-            ref_clip.frames[0].root.orientation,
+            pred_roots[0], realised.root_quat[0], ref_roots[0], ref.root_quat[0]
         )
         pred_bodies = quat_rotate(q, pred_bodies) + t
         pred_roots = quat_rotate(q, pred_roots) + t
@@ -189,27 +171,14 @@ def run_episode(
     per_frame = 1000.0 * np.mean(
         np.linalg.norm(pred_bodies - ref_bodies, axis=-1), axis=-1
     )
-    failure = "none"
-    evaluated = T
-    for t_idx in range(T):
-        reason = _failure_reason_arrays(
-            pred_bodies[t_idx],
-            ref_bodies[t_idx],
-            pred_roots[t_idx],
-            ref_roots[t_idx],
-            thresholds,
-        )
-        if reason is not None:
-            failure = reason
-            evaluated = t_idx + 1
-            break
-    success = failure == "none"
+    first = first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots, thresholds)
+    evaluated, failure = (len(per_frame), "none") if first is None else (first[0] + 1, first[1])
     per_frame = per_frame[:evaluated]
     return EpisodeResult(
         clip_name=clip.name,
         category=clip.category,
         level=clip.level,
-        success=success,
+        success=first is None,
         failure_reason=failure,
         mpjpe_mm=float(np.mean(per_frame)),
         per_frame_error_mm=per_frame,
@@ -253,13 +222,6 @@ def aggregate(
     covered = {(r.category, r.level) for r in rows}
     partial = any(s not in covered for s in BENCH_STRATA)
     return BenchReport(rows=tuple(rows), method=method, partial=partial)
-
-
-def merge_reports(parts: Sequence[Sequence[EpisodeResult]], method: str = "") -> BenchReport:
-    merged: list[EpisodeResult] = []
-    for part in parts:
-        merged.extend(part)
-    return aggregate(merged, method=method)
 
 
 def _fmt(x: float | None) -> str:

@@ -281,14 +281,8 @@ def cmd_bench_run(args, cfg: RunConfig) -> int:
             path = base / path
         clip = motion.load_clip(path)
         if entry.category or entry.level:
-            clip = motion.MotionClip(
-                name=clip.name,
-                fps=clip.fps,
-                category=entry.category or clip.category,
-                level=entry.level or clip.level,
-                frames=clip.frames,
-                dof_names=clip.dof_names,
-                key_bodies=clip.key_bodies,
+            clip = clip.replace(
+                category=entry.category or clip.category, level=entry.level or clip.level
             )
         results.append(
             bench_mod.run_episode(tracker, clip, model, thresholds, alignment=args.alignment)

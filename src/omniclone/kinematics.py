@@ -74,9 +74,6 @@ class RigidPose:
         inv_q = quat_conjugate(self.orientation)
         return RigidPose(-quat_rotate(inv_q, self.position), inv_q)
 
-    def transform_point(self, p: np.ndarray) -> np.ndarray:
-        return self.position + quat_rotate(self.orientation, np.asarray(p, dtype=float))
-
 
 @dataclass(frozen=True)
 class LinkSpec:

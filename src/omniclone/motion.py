@@ -7,16 +7,23 @@ seconds on a uniform 1/fps grid. A clip's duration is frame_count / fps
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ClipParseError, ConfigError, InputError
-from .kinematics import HumanoidModel, RigidPose, forward_kinematics_arrays
-from .rotations import quat_slerp
+from .kinematics import (
+    _QUAT_TOL,
+    HumanoidModel,
+    RigidPose,
+    forward_kinematics_arrays,
+    key_body_poses,
+)
+from .rotations import quat_canonical, quat_slerp
 
 CATEGORIES = ("loco_manip", "manip", "squat", "walk", "run", "jump", "other")
 HEIGHT_LEVELS = ("high", "medium", "low")
@@ -88,79 +95,253 @@ class Frame:
             raise InputError("t: non-finite")
 
 
-@dataclass(frozen=True, eq=False)
+_REQUIRED = ("t", "root_pos", "root_quat", "root_lin_vel", "root_ang_vel", "joint_pos")
+_BODY = ("body_pos", "body_quat", "body_lin_vel", "body_ang_vel")
+_OPTIONAL = ("joint_vel",) + _BODY
+#: clip columns, in the order of a frame's fields in the clip file
+COLUMNS = _REQUIRED + _OPTIONAL
+
+# a root quaternion within this of unit norm keeps its bits, so a clip
+# rebuilt from its own columns does not move them
+_UNIT_EPS = 4 * np.finfo(float).eps
+
+
+def _frame_shapes(n: int, k: int) -> dict[str, tuple[int, ...]]:
+    """Per-frame shape of every column for n joints and k key bodies."""
+    return dict(
+        t=(), root_pos=(3,), root_quat=(4,), root_lin_vel=(3,), root_ang_vel=(3,),
+        joint_pos=(n,), joint_vel=(n,),
+        body_pos=(k, 3), body_quat=(k, 4), body_lin_vel=(k, 3), body_ang_vel=(k, 3),
+    )
+
+
+def _stack_rows(rows: Sequence[Mapping], n: int, k: int) -> dict[str, np.ndarray | None]:
+    """Per-frame field mappings, such as a clip file's frames, as columns."""
+    shapes = _frame_shapes(n, k)
+    return {key: _stack_column(key, [row.get(key) for row in rows], shapes[key]) for key in COLUMNS}
+
+
+def _stack_column(key: str, values: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:
+    """One field's per-frame values as a (T, *shape) array, or None for an
+    optional field that no frame carries.
+
+    Errors name the first frame that lacks a required field, that differs
+    from frame 0 in carrying an optional one, or whose value has another
+    shape.
+    """
+    present = [v is not None for v in values]
+    if not all(present):
+        if key in _REQUIRED:
+            raise InputError(f"frames[{present.index(False)}]: missing field {key!r}")
+        if any(present):
+            raise InputError(
+                f"frames[{present.index(not present[0])}].{key}: present on some frames"
+                " only (an optional field is on every frame or on none)"
+            )
+        return None
+    try:
+        column = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        column = None
+    if column is not None and column.shape[1:] == shape:
+        return column
+    for i, value in enumerate(values):
+        if np.shape(value) != shape:
+            raise InputError(f"frames[{i}].{key}: expected shape {shape}, got {np.shape(value)}")
+    raise InputError(f"frames: {key} holds a value that is not a number")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class MotionClip:
+    """A reference trajectory held as one read-only array per field.
+
+    Columns, T frames long: t (T,) seconds on a 1/fps grid; root_pos (T, 3);
+    root_quat (T, 4), unit with canonical sign; root_lin_vel and
+    root_ang_vel (T, 3); joint_pos (T, n). Optional columns are present for
+    every frame or None: joint_vel (T, n); body_pos (T, K, 3); body_quat
+    (T, K, 4); body_lin_vel and body_ang_vel (T, K, 3).
+
+    The constructor stacks a sequence of Frame once; `from_arrays` takes the
+    columns themselves. `frames` views the clip frame by frame.
+    """
+
     name: str
     fps: float
     category: str
     level: str
-    frames: tuple[Frame, ...]
-    dof_names: tuple[str, ...] = ()
-    key_bodies: tuple[str, ...] = ()
+    dof_names: tuple[str, ...]
+    key_bodies: tuple[str, ...]
+    t: np.ndarray
+    root_pos: np.ndarray
+    root_quat: np.ndarray
+    root_lin_vel: np.ndarray
+    root_ang_vel: np.ndarray
+    joint_pos: np.ndarray
+    joint_vel: np.ndarray | None
+    body_pos: np.ndarray | None
+    body_quat: np.ndarray | None
+    body_lin_vel: np.ndarray | None
+    body_ang_vel: np.ndarray | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        object.__setattr__(self, "dof_names", tuple(self.dof_names))
-        object.__setattr__(self, "key_bodies", tuple(self.key_bodies))
-        if self.fps <= 0:
-            raise InputError("fps must be positive")
-        if not self.frames:
+    def __init__(
+        self,
+        name: str,
+        fps: float,
+        category: str,
+        level: str,
+        frames: Sequence[Frame],
+        dof_names: Sequence[str] = (),
+        key_bodies: Sequence[str] = (),
+    ):
+        frames = tuple(frames)
+        if not frames:
             raise InputError("frames must be non-empty")
-        if self.category not in CATEGORIES:
-            raise InputError(f"unknown category {self.category!r}")
-        if self.level not in CATEGORY_LEVELS[self.category]:
+        rows = [dict(vars(f), root_pos=f.root.position, root_quat=f.root.orientation) for f in frames]
+        k = 0 if frames[0].body_pos is None else frames[0].body_pos.shape[0]
+        columns = _stack_rows(rows, frames[0].joint_pos.shape[0], k)
+        self._set(name, fps, category, level, dof_names, key_bodies, columns)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        name: str,
+        fps: float,
+        category: str,
+        level: str,
+        dof_names: Sequence[str] = (),
+        key_bodies: Sequence[str] = (),
+        **columns: np.ndarray | None,
+    ) -> "MotionClip":
+        """A clip from its columns; optional columns may be omitted or None."""
+        clip = cls.__new__(cls)
+        clip._set(name, fps, category, level, dof_names, key_bodies, columns)
+        return clip
+
+    def replace(self, **changes) -> "MotionClip":
+        """A copy with metadata fields or columns replaced."""
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return MotionClip.from_arrays(**{**fields, **changes})
+
+    def _set(self, name, fps, category, level, dof_names, key_bodies, columns) -> None:
+        if fps <= 0:
+            raise InputError("fps must be positive")
+        if category not in CATEGORIES:
+            raise InputError(f"unknown category {category!r}")
+        if level not in CATEGORY_LEVELS[category]:
+            raise InputError(f"level {level!r} not allowed for category {category!r}")
+        unknown = sorted(set(columns) - set(COLUMNS))
+        missing = [key for key in _REQUIRED if columns.get(key) is None]
+        if unknown or missing:
+            raise InputError(f"clip columns: unknown {unknown}, missing {missing}")
+        cols = {
+            key: None if columns.get(key) is None else np.asarray(columns[key], dtype=float)
+            for key in COLUMNS
+        }
+        t, joint_pos = cols["t"], cols["joint_pos"]
+        if t.ndim != 1 or not t.size or joint_pos.ndim != 2:
+            raise InputError(f"need t (T,) and joint_pos (T, n), T > 0: {t.shape}, {joint_pos.shape}")
+        T, n = joint_pos.shape
+        bodies = [cols[key] for key in _BODY if cols[key] is not None]
+        k = bodies[0].shape[1] if bodies and bodies[0].ndim == 3 else 0
+        for key, shape in _frame_shapes(n, k).items():
+            column = cols[key]
+            if column is None:
+                continue
+            if column.shape != (T,) + shape:
+                raise InputError(f"{key}: expected shape {(T,) + shape}, got {column.shape}")
+            finite = np.isfinite(column.reshape(T, -1)).all(axis=1)
+            if not finite.all():
+                raise InputError(f"frames[{np.argmin(finite)}].{key}: non-finite values")
+        quat = cols["root_quat"]
+        norm = np.linalg.norm(quat, axis=1)
+        off = np.abs(norm - 1.0)
+        if np.any(off > _QUAT_TOL):
+            i = np.argmax(off > _QUAT_TOL)
             raise InputError(
-                f"level {self.level!r} not allowed for category {self.category!r}"
+                f"frames[{i}].root_quat: norm {norm[i]:.9f} deviates beyond {_QUAT_TOL}"
             )
-        n = self.frames[0].joint_pos.shape[0]
-        if self.dof_names and len(self.dof_names) != n:
-            raise InputError(f"dof_names: {len(self.dof_names)} names for {n} joints")
-        period = 1.0 / self.fps
-        for i, f in enumerate(self.frames):
-            if f.joint_pos.shape[0] != n:
-                raise InputError(f"frames[{i}]: joint count {f.joint_pos.shape[0]} != {n}")
-            if i and abs((f.t - self.frames[i - 1].t) - period) > _TIME_TOL:
-                raise InputError(
-                    f"frames[{i}]: timestamp spacing {f.t - self.frames[i-1].t:.9f}"
-                    f" deviates from 1/fps={period:.9f}"
-                )
+        cols["root_quat"] = quat_canonical(
+            np.where((off > _UNIT_EPS)[:, None], quat / norm[:, None], quat)
+        )
+        spacing = np.diff(t)
+        if np.any(spacing <= 0.0):
+            i = np.argmax(spacing <= 0.0) + 1
+            raise InputError(f"frames[{i}].t: timestamps must be strictly increasing")
+        period = 1.0 / fps
+        off = np.abs(spacing - period) > _TIME_TOL
+        if np.any(off):
+            i = np.argmax(off)
+            raise InputError(
+                f"frames[{i + 1}]: timestamp spacing {spacing[i]:.9f}"
+                f" deviates from 1/fps={period:.9f}"
+            )
+        dof_names, key_bodies = tuple(dof_names), tuple(key_bodies)
+        if dof_names and len(dof_names) != n:
+            raise InputError(f"dof_names: {len(dof_names)} names for {n} joints")
+        meta = dict(name=name, fps=fps, category=category, level=level,
+                    dof_names=dof_names, key_bodies=key_bodies)
+        for key, value in meta.items():
+            object.__setattr__(self, key, value)
+        for key, column in cols.items():
+            if column is not None:
+                column = column.view()
+                column.flags.writeable = False
+            object.__setattr__(self, key, column)
+
+    @property
+    def frames(self) -> Sequence[Frame]:
+        """The clip frame by frame; each Frame is built when accessed."""
+        return _FrameView(self)
 
     @property
     def n_joints(self) -> int:
-        return self.frames[0].joint_pos.shape[0]
+        return self.joint_pos.shape[1]
 
     @property
     def n_key_bodies(self) -> int:
         if self.key_bodies:
             return len(self.key_bodies)
-        bp = self.frames[0].body_pos
-        return 0 if bp is None else bp.shape[0]
+        return 0 if self.body_pos is None else self.body_pos.shape[1]
 
     @property
     def duration_s(self) -> float:
-        return len(self.frames) / self.fps
+        return len(self.t) / self.fps
 
     def joint_pos_array(self) -> np.ndarray:
-        return np.stack([f.joint_pos for f in self.frames])
+        return self.joint_pos
 
     def root_pos_array(self) -> np.ndarray:
-        return np.stack([f.root.position for f in self.frames])
+        return self.root_pos
 
     def root_quat_array(self) -> np.ndarray:
-        return np.stack([f.root.orientation for f in self.frames])
+        return self.root_quat
 
     def root_lin_vel_array(self) -> np.ndarray:
-        return np.stack([f.root_lin_vel for f in self.frames])
+        return self.root_lin_vel
 
     def body_pos_array(self) -> np.ndarray | None:
-        if self.frames[0].body_pos is None:
-            return None
-        return np.stack([f.body_pos for f in self.frames])
+        return self.body_pos
 
     def body_quat_array(self) -> np.ndarray | None:
-        if self.frames[0].body_quat is None:
-            return None
-        return np.stack([f.body_quat for f in self.frames])
+        return self.body_quat
+
+
+class _FrameView(Sequence):
+    """A clip's frames, each built from the columns when it is accessed."""
+
+    def __init__(self, clip: MotionClip):
+        self._clip = clip
+
+    def __len__(self) -> int:
+        return len(self._clip.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        columns = {key: getattr(self._clip, key) for key in COLUMNS}
+        row = {key: None if c is None else c[index] for key, c in columns.items()}
+        root = RigidPose(row.pop("root_pos"), row.pop("root_quat"))
+        return Frame(t=float(row.pop("t")), root=root, **row)
 
 
 # ---------------------------------------------------------------------------
@@ -180,61 +361,28 @@ def _finite_difference(values: np.ndarray, fps: float) -> np.ndarray:
 
 
 def derive_joint_velocities(clip: MotionClip) -> MotionClip:
-    """Fill joint_vel by finite differences where missing."""
-    if all(f.joint_vel is not None for f in clip.frames):
+    """Fill joint_vel by finite differences when the clip has none."""
+    if clip.joint_vel is not None:
         return clip
-    q = clip.joint_pos_array()
-    vel = _finite_difference(q, clip.fps)
-    frames = tuple(
-        f if f.joint_vel is not None else replace(f, joint_vel=vel[i])
-        for i, f in enumerate(clip.frames)
-    )
-    return replace(clip, frames=frames)
+    return clip.replace(joint_vel=_finite_difference(clip.joint_pos, clip.fps))
 
 
 def derive_body_kinematics(clip: MotionClip, model: HumanoidModel) -> MotionClip:
-    """Fill key-body positions/orientations via FK where missing."""
-    if all(f.body_pos is not None for f in clip.frames):
+    """Fill key-body positions/orientations via FK when the clip has none."""
+    if clip.body_pos is not None:
         return clip
-    pos, quat = forward_kinematics_arrays(
-        model,
-        clip.joint_pos_array(),
-        clip.root_pos_array(),
-        clip.root_quat_array(),
-    )
-    idx = model.key_body_index
-    body_pos = pos[:, idx, :]
-    body_quat = quat[:, idx, :]
-    frames = tuple(
-        f
-        if f.body_pos is not None
-        else replace(f, body_pos=body_pos[i], body_quat=body_quat[i])
-        for i, f in enumerate(clip.frames)
-    )
-    return replace(clip, frames=frames, key_bodies=model.key_bodies)
+    body_pos, body_quat = key_body_poses(model, clip.joint_pos, clip.root_pos, clip.root_quat)
+    return clip.replace(body_pos=body_pos, body_quat=body_quat, key_bodies=model.key_bodies)
 
 
 # ---------------------------------------------------------------------------
 # Clip file I/O (canonical JSON serialization)
 # ---------------------------------------------------------------------------
 
-def _frame_to_dict(f: Frame) -> dict:
-    doc = {
-        "t": f.t,
-        "root_pos": f.root.position.tolist(),
-        "root_quat": f.root.orientation.tolist(),
-        "root_lin_vel": f.root_lin_vel.tolist(),
-        "root_ang_vel": f.root_ang_vel.tolist(),
-        "joint_pos": f.joint_pos.tolist(),
-    }
-    for key in ("joint_vel", "body_pos", "body_quat", "body_lin_vel", "body_ang_vel"):
-        val = getattr(f, key)
-        if val is not None:
-            doc[key] = val.tolist()
-    return doc
-
-
 def clip_to_dict(clip: MotionClip) -> dict:
+    columns = {
+        key: getattr(clip, key).tolist() for key in COLUMNS if getattr(clip, key) is not None
+    }
     return {
         "header": {
             "name": clip.name,
@@ -246,52 +394,8 @@ def clip_to_dict(clip: MotionClip) -> dict:
             "dof_names": list(clip.dof_names),
             "key_bodies": list(clip.key_bodies),
         },
-        "frames": [_frame_to_dict(f) for f in clip.frames],
+        "frames": [dict(zip(columns, row)) for row in zip(*columns.values())],
     }
-
-
-def _parse_frame(doc: Mapping, i: int, n: int, k: int) -> Frame:
-    def need(key, shape):
-        if key not in doc:
-            raise ClipParseError(f"frames[{i}]: missing field {key!r}")
-        arr = np.asarray(doc[key], dtype=float)
-        if arr.shape != shape:
-            raise ClipParseError(
-                f"frames[{i}].{key}: expected shape {shape}, got {arr.shape}"
-            )
-        return arr
-
-    def opt(key, shape):
-        if key not in doc:
-            return None
-        arr = np.asarray(doc[key], dtype=float)
-        if arr.shape != shape:
-            raise ClipParseError(
-                f"frames[{i}].{key}: expected shape {shape}, got {arr.shape}"
-            )
-        return arr
-
-    try:
-        root = RigidPose(need("root_pos", (3,)), need("root_quat", (4,)))
-    except InputError as exc:
-        raise ClipParseError(f"frames[{i}]: {exc}") from None
-    try:
-        return Frame(
-            t=float(doc["t"]),
-            root=root,
-            root_lin_vel=need("root_lin_vel", (3,)),
-            root_ang_vel=need("root_ang_vel", (3,)),
-            joint_pos=need("joint_pos", (n,)),
-            joint_vel=opt("joint_vel", (n,)),
-            body_pos=opt("body_pos", (k, 3)),
-            body_quat=opt("body_quat", (k, 4)),
-            body_lin_vel=opt("body_lin_vel", (k, 3)),
-            body_ang_vel=opt("body_ang_vel", (k, 3)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ClipParseError(f"frames[{i}]: {exc}") from None
-    except InputError as exc:
-        raise ClipParseError(f"frames[{i}]: {exc}") from None
 
 
 def clip_from_dict(doc: Mapping) -> MotionClip:
@@ -311,19 +415,19 @@ def clip_from_dict(doc: Mapping) -> MotionClip:
         raise ClipParseError(f"header: {exc}") from None
     if fps <= 0:
         raise ClipParseError("header.fps: fps must be positive")
-    frames = [_parse_frame(fd, i, n, k) for i, fd in enumerate(frames_doc)]
-    for i in range(1, len(frames)):
-        if frames[i].t <= frames[i - 1].t:
-            raise ClipParseError(f"frames[{i}].t: timestamps must be strictly increasing")
+    if not frames_doc:
+        raise ClipParseError("clip document: frames must be non-empty")
+    if not all(isinstance(fd, Mapping) for fd in frames_doc):
+        raise ClipParseError("frames: every frame must be an object")
     try:
-        return MotionClip(
-            name=name,
-            fps=fps,
-            category=category,
-            level=level,
-            frames=tuple(frames),
+        return MotionClip.from_arrays(
+            name,
+            fps,
+            category,
+            level,
             dof_names=tuple(header.get("dof_names", ())),
             key_bodies=tuple(header.get("key_bodies", ())),
+            **_stack_rows(frames_doc, n, k),
         )
     except InputError as exc:
         raise ClipParseError(f"clip document: {exc}") from None
@@ -348,30 +452,6 @@ def load_clip(path) -> MotionClip:
 # Resampling
 # ---------------------------------------------------------------------------
 
-def _interp_frame(a: Frame, b: Frame, u: float, t: float) -> Frame:
-    def lerp(x, y):
-        return None if x is None or y is None else (1.0 - u) * x + u * y
-
-    def slerp(x, y):
-        return None if x is None or y is None else quat_slerp(x, y, u)
-
-    return Frame(
-        t=t,
-        root=RigidPose(
-            lerp(a.root.position, b.root.position),
-            quat_slerp(a.root.orientation, b.root.orientation, u),
-        ),
-        root_lin_vel=lerp(a.root_lin_vel, b.root_lin_vel),
-        root_ang_vel=lerp(a.root_ang_vel, b.root_ang_vel),
-        joint_pos=lerp(a.joint_pos, b.joint_pos),
-        joint_vel=lerp(a.joint_vel, b.joint_vel),
-        body_pos=lerp(a.body_pos, b.body_pos),
-        body_quat=slerp(a.body_quat, b.body_quat),
-        body_lin_vel=lerp(a.body_lin_vel, b.body_lin_vel),
-        body_ang_vel=lerp(a.body_ang_vel, b.body_ang_vel),
-    )
-
-
 def resample(clip: MotionClip, target_fps: float) -> MotionClip:
     """Resample onto a 1/target_fps grid.
 
@@ -384,33 +464,34 @@ def resample(clip: MotionClip, target_fps: float) -> MotionClip:
         raise InputError("target_fps must be positive")
     if target_fps == clip.fps:
         return clip
-    src = clip.frames
-    if len(src) == 1:
+    T = len(clip.t)
+    if T == 1:
         raise InputError("cannot resample a single-frame clip to a different rate")
-    count = int(np.floor(len(src) * target_fps / clip.fps + 0.5))
-    count = max(count, 2)
-    t0 = src[0].t
-    span = src[-1].t - t0
-    out = []
-    for i in range(count):
-        rel = i / target_fps
-        t = t0 + rel
-        if rel <= 0.0:
-            out.append(replace(src[0], t=t))
-            continue
-        if rel >= span:
-            out.append(replace(src[-1], t=t))
-            continue
-        pos = rel * clip.fps
-        lo = min(int(np.floor(pos)), len(src) - 2)
-        u = pos - lo
-        if u <= 1e-12:
-            out.append(replace(src[lo], t=t))
-        elif u >= 1.0 - 1e-12:
-            out.append(replace(src[lo + 1], t=t))
+    count = max(int(np.floor(T * target_fps / clip.fps + 0.5)), 2)
+    rel = np.arange(count) / target_fps
+    span = clip.t[-1] - clip.t[0]
+    pos = rel * clip.fps
+    lo = np.minimum(np.floor(pos).astype(int), T - 2)
+    u = pos - lo
+    # outputs within 1e-12 of a source frame, or past either end, copy it
+    copy = (rel <= 0.0) | (rel >= span) | (u <= 1e-12) | (u >= 1.0 - 1e-12)
+    nearest = np.where(rel >= span, T - 1, np.where(u >= 1.0 - 1e-12, lo + 1, lo))
+
+    def interpolate(key):
+        column = getattr(clip, key)
+        if column is None:
+            return None
+        w = u.reshape((-1,) + (1,) * (column.ndim - 1))
+        a, b = column[lo], column[lo + 1]
+        if key in ("root_quat", "body_quat"):
+            out = quat_slerp(a, b, w[..., 0])
         else:
-            out.append(_interp_frame(src[lo], src[lo + 1], u, t))
-    return replace(clip, fps=target_fps, frames=tuple(out))
+            out = (1.0 - w) * a + w * b
+        out[copy] = column[nearest[copy]]
+        return out
+
+    columns = {key: interpolate(key) for key in COLUMNS if key != "t"}
+    return clip.replace(fps=target_fps, t=clip.t[0] + rel, **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +526,12 @@ class StatsRow:
 
 
 def _planar_speed(clip: MotionClip) -> np.ndarray:
-    v = clip.root_lin_vel_array()
+    v = clip.root_lin_vel
     return np.linalg.norm(v[:, :2], axis=1)
 
 
 def _hand_heights(clip: MotionClip, model: HumanoidModel) -> np.ndarray:
-    pos, _ = forward_kinematics_arrays(
-        model, clip.joint_pos_array(), clip.root_pos_array(), clip.root_quat_array()
-    )
+    pos, _ = forward_kinematics_arrays(model, clip.joint_pos, clip.root_pos, clip.root_quat)
     hands = [i for i, name in enumerate(model.link_names) if "wrist_yaw" in name]
     if not hands:
         raise ConfigError("model has no wrist_yaw links for hand-height statistics")
@@ -495,7 +574,7 @@ def clip_stats(
                 mean=fmean(all_speeds),
             )
         )
-        root_z = np.concatenate([c.root_pos_array()[:, 2] for c in members])
+        root_z = np.concatenate([c.root_pos[:, 2] for c in members])
         rows.append(
             StatsRow(
                 cat, lvl, "root_height",
@@ -600,8 +679,7 @@ class FilterCriteria:
 
 def joint_energy(clip: MotionClip) -> float:
     """Mean over frames of the summed squared joint velocities."""
-    clip = derive_joint_velocities(clip)
-    vel = np.stack([f.joint_vel for f in clip.frames])
+    vel = derive_joint_velocities(clip).joint_vel
     return float(np.mean(np.sum(vel**2, axis=1)))
 
 
@@ -615,7 +693,7 @@ def filter_clips(
     hi = np.asarray(criteria.root_pos_max)
     for clip in clips:
         reasons = []
-        root = clip.root_pos_array()
+        root = clip.root_pos
         if np.any(root < lo) or np.any(root > hi):
             reasons.append("root_pos")
         if np.any(_planar_speed(clip) > criteria.root_speed_max):

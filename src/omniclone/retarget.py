@@ -333,7 +333,7 @@ def retargeted_clip(
         fps=fps,
         category=category,
         level=level,
-        frames=tuple(frames),
+        frames=frames,
         dof_names=model.joint_names,
         key_bodies=model.key_bodies,
     )

@@ -9,7 +9,7 @@ jointly to state and reference.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,12 +19,18 @@ from .kinematics import (
     GRAVITY,
     HumanoidModel,
     RigidPose,
-    forward_kinematics_arrays,
+    key_body_poses,
     to_base_point,
     to_base_quat,
     to_base_vector,
 )
-from .motion import Frame, MotionClip, derive_body_kinematics, derive_joint_velocities
+from .motion import (
+    COLUMNS,
+    Frame,
+    MotionClip,
+    derive_body_kinematics,
+    derive_joint_velocities,
+)
 from .rotations import quat_angle, quat_conjugate, quat_mul, quat_rotate_inverse
 
 DEFAULT_FUTURE_WINDOW = 5  # f: queue depth and future-window length share one knob
@@ -87,6 +93,13 @@ class RobotState:
         return self.body_pos.shape[0]
 
 
+def _frame_key_bodies(frame: Frame, model: HumanoidModel) -> tuple[np.ndarray, np.ndarray]:
+    """Key-body positions and orientations the frame carries, else FK of its joints."""
+    if frame.body_pos is not None and frame.body_quat is not None:
+        return frame.body_pos, frame.body_quat
+    return key_body_poses(model, frame.joint_pos, frame.root.position, frame.root.orientation)
+
+
 def state_from_frame(
     frame: Frame,
     model: HumanoidModel,
@@ -94,14 +107,7 @@ def state_from_frame(
 ) -> RobotState:
     """Robot state that exactly realizes the given reference frame."""
     joint_vel = frame.joint_vel if frame.joint_vel is not None else np.zeros(model.n_joints)
-    if frame.body_pos is not None and frame.body_quat is not None:
-        body_pos, body_quat = frame.body_pos, frame.body_quat
-    else:
-        pos, quat = forward_kinematics_arrays(
-            model, frame.joint_pos, frame.root.position, frame.root.orientation
-        )
-        idx = model.key_body_index
-        body_pos, body_quat = pos[idx], quat[idx]
+    body_pos, body_quat = _frame_key_bodies(frame, model)
     k = body_pos.shape[0]
     body_lin = frame.body_lin_vel if frame.body_lin_vel is not None else np.zeros((k, 3))
     body_ang = frame.body_ang_vel if frame.body_ang_vel is not None else np.zeros((k, 3))
@@ -159,18 +165,6 @@ def _assemble(blocks: Sequence[tuple[str, np.ndarray]]) -> ObservationVector:
     return ObservationVector(np.concatenate(parts), tuple(layout))
 
 
-def _ref_body_kinematics(
-    ref: Frame, model: HumanoidModel
-) -> tuple[np.ndarray, np.ndarray]:
-    if ref.body_pos is not None and ref.body_quat is not None:
-        return ref.body_pos, ref.body_quat
-    pos, quat = forward_kinematics_arrays(
-        model, ref.joint_pos, ref.root.position, ref.root.orientation
-    )
-    idx = model.key_body_index
-    return pos[idx], quat[idx]
-
-
 def build_teacher_obs(
     state: RobotState,
     ref: Frame,
@@ -190,7 +184,7 @@ def build_teacher_obs(
     if ref.joint_pos.shape[0] != model.n_joints:
         raise InputError("reference joint count does not match the model")
     root = state.root
-    ref_body_pos, ref_body_quat = _ref_body_kinematics(ref, model)
+    ref_body_pos, ref_body_quat = _frame_key_bodies(ref, model)
     blocks = [
         ("joint_pos", state.joint_pos),
         ("joint_vel", state.joint_vel),
@@ -243,7 +237,7 @@ def build_student_obs(
         ("last_action", state.last_action),
     ]
     for i, ref in enumerate(ref_window):
-        ref_body_pos, ref_body_quat = _ref_body_kinematics(ref, model)
+        ref_body_pos, ref_body_quat = _frame_key_bodies(ref, model)
         blocks.append((f"ref{i}_body_pos", to_base_point(root, ref_body_pos)))
         blocks.append((f"ref{i}_body_quat", to_base_quat(root, ref_body_quat)))
         blocks.append((f"ref{i}_root_lin_vel", to_base_vector(root, ref.root_lin_vel)))
@@ -388,7 +382,7 @@ def reward(
     ee = np.array([slots[b] for b in config.end_effectors])
     feet = np.array([slots[b] for b in config.feet])
 
-    ref_body_pos, ref_body_quat = _ref_body_kinematics(ref, model)
+    ref_body_pos, ref_body_quat = _frame_key_bodies(ref, model)
     k = model.n_key_bodies
     ref_body_lin = ref.body_lin_vel if ref.body_lin_vel is not None else np.zeros((k, 3))
     ref_body_ang = ref.body_ang_vel if ref.body_ang_vel is not None else np.zeros((k, 3))
@@ -631,8 +625,9 @@ def track_clip(
     clip: MotionClip,
     model: HumanoidModel,
     dr: DRConfig | None = None,
-) -> list[RobotState]:
-    """One state per clip frame under the configured tracking behaviour.
+) -> MotionClip:
+    """The motion realised under the configured tracking behaviour, as a
+    MotionClip on the clip's time grid with joint velocities and key bodies.
 
     perfect replays the reference exactly; lag:k replays frame
     max(0, t - k); noise adds seeded zero-mean joint noise (bodies
@@ -642,81 +637,53 @@ def track_clip(
     """
     clip = derive_joint_velocities(clip)
     clip = derive_body_kinematics(clip, model)
-    frames = clip.frames
-    T = len(frames)
+    T = len(clip.t)
     n = model.n_joints
 
     if spec.mode in ("perfect", "lag"):
         k = spec.lag if spec.mode == "lag" else 0
-        states = []
-        for t in range(T):
-            src = frames[max(0, t - k)]
-            states.append(state_from_frame(src, model))
-        return states
+        src = np.maximum(np.arange(T) - k, 0)
+        return clip.replace(
+            **{
+                key: getattr(clip, key)[src]
+                for key in COLUMNS
+                if key != "t" and getattr(clip, key) is not None
+            }
+        )
 
     if spec.mode == "noise":
         rng = np.random.default_rng(spec.seed)
-        joint_pos = clip.joint_pos_array() + rng.normal(0.0, spec.noise_std, (T, n))
-        root_pos = clip.root_pos_array()
-        root_quat = clip.root_quat_array()
-        pos, quat = forward_kinematics_arrays(model, joint_pos, root_pos, root_quat)
-        idx = model.key_body_index
-        states = []
+        joint_pos = clip.joint_pos + rng.normal(0.0, spec.noise_std, (T, n))
+        joint_vel = clip.joint_vel
+    else:
+        # pd double integrator
+        dt = spec.dt if spec.dt is not None else 1.0 / clip.fps
+        steps_per_tick = max(1, round((1.0 / clip.fps) / dt))
+        delay_ticks = 0
+        noise_amp = 0.0
+        rng = np.random.default_rng(spec.seed)
+        if dr is not None:
+            delay_ticks = int(round(dr.action_delay_s * clip.fps))
+            noise_amp = dr.action_noise_rad
+        targets = clip.joint_pos
+        q = targets[0].copy()
+        v = np.zeros(n)
+        joint_pos = np.empty((T, n))
+        joint_vel = np.empty((T, n))
         for t in range(T):
-            base = state_from_frame(frames[t], model)
-            states.append(
-                replace(
-                    base,
-                    joint_pos=joint_pos[t],
-                    body_pos=pos[t, idx],
-                    body_quat=quat[t, idx],
-                    last_action=joint_pos[t].copy(),
-                )
-            )
-        return states
-
-    # pd double integrator
-    dt = spec.dt if spec.dt is not None else 1.0 / clip.fps
-    steps_per_tick = max(1, round((1.0 / clip.fps) / dt))
-    delay_ticks = 0
-    noise_amp = 0.0
-    rng = np.random.default_rng(spec.seed)
-    if dr is not None:
-        delay_ticks = int(round(dr.action_delay_s * clip.fps))
-        noise_amp = dr.action_noise_rad
-    targets = clip.joint_pos_array()
-    q = targets[0].copy()
-    v = np.zeros(n)
-    joint_pos = np.empty((T, n))
-    joint_vel = np.empty((T, n))
-    for t in range(T):
-        target = targets[max(0, t - delay_ticks)]
-        if noise_amp > 0.0:
-            target = target + rng.uniform(-noise_amp, noise_amp, n)
-        for _ in range(steps_per_tick):
-            acc = spec.kp * (target - q) - spec.kd * v
-            v = v + dt * acc
-            q = q + dt * v
-        joint_pos[t] = q
-        joint_vel[t] = v
-    pos, quat = forward_kinematics_arrays(
-        model, joint_pos, clip.root_pos_array(), clip.root_quat_array()
+            target = targets[max(0, t - delay_ticks)]
+            if noise_amp > 0.0:
+                target = target + rng.uniform(-noise_amp, noise_amp, n)
+            for _ in range(steps_per_tick):
+                acc = spec.kp * (target - q) - spec.kd * v
+                v = v + dt * acc
+                q = q + dt * v
+            joint_pos[t] = q
+            joint_vel[t] = v
+    body_pos, body_quat = key_body_poses(model, joint_pos, clip.root_pos, clip.root_quat)
+    return clip.replace(
+        joint_pos=joint_pos, joint_vel=joint_vel, body_pos=body_pos, body_quat=body_quat
     )
-    idx = model.key_body_index
-    states = []
-    for t in range(T):
-        base = state_from_frame(frames[t], model)
-        states.append(
-            replace(
-                base,
-                joint_pos=joint_pos[t],
-                joint_vel=joint_vel[t],
-                body_pos=pos[t, idx],
-                body_quat=quat[t, idx],
-                last_action=targets[max(0, t - delay_ticks)].copy(),
-            )
-        )
-    return states
 
 
 # ---------------------------------------------------------------------------

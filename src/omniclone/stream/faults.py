@@ -139,10 +139,3 @@ class FaultInjector:
         with self._lock:
             self._closed = True
             self._wake.notify_all()
-
-
-def fault_injector(
-    send: Callable[[bytes], None], config: FaultConfig, seed: int
-) -> FaultInjector:
-    """Deterministic transport wrapper around a datagram send callable."""
-    return FaultInjector(send, config, seed)

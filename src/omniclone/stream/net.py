@@ -22,11 +22,11 @@ from .jitter import DEFAULT_WINDOW, FrameQueue, RateLoop, Stamped
 from .packet import (
     MSG_FRAMES,
     MSG_HEARTBEAT,
+    PacketFrame,
     StreamPacket,
     decode_packet,
     encode_packet,
     heartbeat,
-    packet_frame_from_motion,
 )
 
 
@@ -53,12 +53,13 @@ def udp_sender(addr: tuple[str, int]) -> Callable[[bytes], None]:
 def clip_packets(clip: MotionClip, model, start_seq: int = 1):
     """Generate one single-frame packet per clip frame."""
     clip = derive_body_kinematics(clip, model)
-    for i, frame in enumerate(clip.frames):
+    rows = zip(clip.root_lin_vel, clip.body_pos, clip.body_quat, clip.joint_pos)
+    for i, row in enumerate(rows):
         yield StreamPacket(
             msg_type=MSG_FRAMES,
             seq=start_seq + i,
             send_ts_us=0,  # stamped at send time
-            frames=(packet_frame_from_motion(frame, model),),
+            frames=(PacketFrame(*row),),
         )
 
 
@@ -278,20 +279,29 @@ def echo_latency(
     server_addr: tuple[str, int], n_samples: int, rate_hz: float = 100.0
 ) -> LatencyStats:
     """Two-way heartbeat echo against a PolicyServer; reports RTT/2 (an
-    approximation when clocks are not shared)."""
+    approximation when clocks are not shared).
+
+    Each sample waits up to 0.2 s for the echo of its own seq; echoes of
+    other seqs, such as a late one from an earlier sample, are discarded.
+    """
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.settimeout(0.2)
     latencies: list[float] = []
     period = 1.0 / rate_hz
     for seq in range(1, n_samples + 1):
         start = now_us()
         sock.sendto(encode_packet(heartbeat(seq, start)), server_addr)
-        try:
-            data, _ = sock.recvfrom(65536)
-            decode_packet(data)
-            latencies.append((now_us() - start) / 2000.0)
-        except (socket.timeout, ProtocolError):
-            pass
+        deadline = time.monotonic() + 0.2
+        while (remaining := deadline - time.monotonic()) > 0:
+            sock.settimeout(remaining)
+            try:
+                echoed = decode_packet(sock.recvfrom(65536)[0]).seq
+            except socket.timeout:
+                break
+            except ProtocolError:
+                continue
+            if echoed == seq:
+                latencies.append((now_us() - start) / 2000.0)
+                break
         time.sleep(period)
     sock.close()
     return summarize_latencies(latencies, sent=n_samples)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kinematics import HumanoidModel, RigidPose
-from .motion import BENCH_STRATA, Frame, MotionClip, derive_body_kinematics
+from .kinematics import HumanoidModel
+from .motion import BENCH_STRATA, MotionClip, derive_body_kinematics
 from .rotations import IDENTITY_QUAT, quat_from_yaw
 
 DEFAULT_ROOT_Z = 0.75
@@ -50,30 +50,22 @@ def constant_velocity_clip(
     """Root translates at a constant planar velocity; joints are static."""
     n = model.n_joints
     q = np.zeros(n) if joint_pose is None else np.asarray(joint_pose, dtype=float)
-    direction = np.array([np.cos(heading), np.sin(heading), 0.0])
-    vel = speed * direction
-    quat = quat_from_yaw(heading)
-    frames = []
-    for i in range(n_frames):
-        t = i / fps
-        frames.append(
-            Frame(
-                t=t,
-                root=RigidPose(np.array([0.0, 0.0, root_z]) + vel * t, quat),
-                root_lin_vel=vel.copy(),
-                root_ang_vel=np.zeros(3),
-                joint_pos=q.copy(),
-                joint_vel=np.zeros(n),
-            )
-        )
-    clip = MotionClip(
-        name=name,
-        fps=fps,
-        category=category,
-        level=level,
-        frames=tuple(frames),
+    vel = speed * np.array([np.cos(heading), np.sin(heading), 0.0])
+    t = np.arange(n_frames) / fps
+    clip = MotionClip.from_arrays(
+        name,
+        fps,
+        category,
+        level,
         dof_names=model.joint_names,
         key_bodies=model.key_bodies,
+        t=t,
+        root_pos=np.array([0.0, 0.0, root_z]) + vel * t[:, None],
+        root_quat=np.tile(quat_from_yaw(heading), (n_frames, 1)),
+        root_lin_vel=np.tile(vel, (n_frames, 1)),
+        root_ang_vel=np.zeros((n_frames, 3)),
+        joint_pos=np.tile(q, (n_frames, 1)),
+        joint_vel=np.zeros((n_frames, n)),
     )
     return derive_body_kinematics(clip, model) if with_bodies else clip
 
@@ -114,33 +106,27 @@ def sine_joint_clip(
     """One joint follows amplitude * sin(2 pi f t); everything else static."""
     n = model.n_joints
     omega = 2.0 * np.pi * frequency_hz
-    frames = []
-    for i in range(n_frames):
-        t = i / fps
-        q = np.zeros(n)
-        q[joint] = amplitude * np.sin(omega * t)
-        vel = None
-        if with_joint_vel:
-            vel = np.zeros(n)
-            vel[joint] = amplitude * omega * np.cos(omega * t)
-        frames.append(
-            Frame(
-                t=t,
-                root=RigidPose(np.array([0.0, 0.0, DEFAULT_ROOT_Z]), IDENTITY_QUAT.copy()),
-                root_lin_vel=np.zeros(3),
-                root_ang_vel=np.zeros(3),
-                joint_pos=q,
-                joint_vel=vel,
-            )
-        )
-    return MotionClip(
-        name=name,
-        fps=fps,
-        category="other",
-        level="none",
-        frames=tuple(frames),
+    t = np.arange(n_frames) / fps
+    joint_pos = np.zeros((n_frames, n))
+    joint_pos[:, joint] = amplitude * np.sin(omega * t)
+    joint_vel = None
+    if with_joint_vel:
+        joint_vel = np.zeros((n_frames, n))
+        joint_vel[:, joint] = amplitude * omega * np.cos(omega * t)
+    return MotionClip.from_arrays(
+        name,
+        fps,
+        "other",
+        "none",
         dof_names=model.joint_names,
         key_bodies=model.key_bodies,
+        t=t,
+        root_pos=np.tile([0.0, 0.0, DEFAULT_ROOT_Z], (n_frames, 1)),
+        root_quat=np.tile(IDENTITY_QUAT, (n_frames, 1)),
+        root_lin_vel=np.zeros((n_frames, 3)),
+        root_ang_vel=np.zeros((n_frames, 3)),
+        joint_pos=joint_pos,
+        joint_vel=joint_vel,
     )
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, PlannerContractError, PlannerTimeout
-from .kinematics import HumanoidModel, RigidPose, forward_kinematics_arrays
+from .kinematics import HumanoidModel, RigidPose, key_body_poses
 from .motion import Frame
 
 DEFAULT_CHUNK_LEN = 16
@@ -132,10 +132,9 @@ def joints_to_command(
     planner outputs are joint-space only.
     """
     joint_targets = np.asarray(joint_targets, dtype=float)
-    pos, quat = forward_kinematics_arrays(
+    body_pos, body_quat = key_body_poses(
         model, joint_targets, assumed_root.position, assumed_root.orientation
     )
-    idx = model.key_body_index
     return Frame(
         t=t,
         root=assumed_root,
@@ -143,8 +142,8 @@ def joints_to_command(
         root_ang_vel=np.zeros(3),
         joint_pos=joint_targets,
         joint_vel=np.zeros(model.n_joints),
-        body_pos=pos[idx],
-        body_quat=quat[idx],
+        body_pos=body_pos,
+        body_quat=body_quat,
     )
 
 

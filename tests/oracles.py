@@ -143,6 +143,19 @@ def double_loop_mpjpe(pred, ref):
     return 1000.0 * total / count
 
 
+def first_failure_loop(pred_bodies, ref_bodies, pred_roots, ref_roots, deviation_m, fall_z_m, drift_m):
+    """Frame-by-frame scan: (index, reason) of the first failed frame, or None."""
+    for t in range(len(pred_roots)):
+        for k in range(len(pred_bodies[t])):
+            if math.dist(pred_bodies[t][k], ref_bodies[t][k]) > deviation_m:
+                return t, "deviation"
+        if pred_roots[t][2] < fall_z_m and ref_roots[t][2] >= fall_z_m + 0.1:
+            return t, "fall"
+        if math.dist(pred_roots[t][:2], ref_roots[t][:2]) > drift_m:
+            return t, "deviation"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Wire protocol reference encoder
 # ---------------------------------------------------------------------------

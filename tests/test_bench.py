@@ -1,7 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
-from oracles import double_loop_mpjpe
+from oracles import double_loop_mpjpe, first_failure_loop
 
 from omniclone.bench import (
     BenchReport,
@@ -10,10 +12,10 @@ from omniclone.bench import (
     ManifestEntry,
     StratumRow,
     aggregate,
-    check_failure,
     emit_report,
     episode_from_dict,
     episode_to_dict,
+    first_failure,
     load_manifest,
     mpjpe,
     parse_report_csv,
@@ -25,8 +27,8 @@ from omniclone.bench import (
 )
 from omniclone.errors import InputError
 from omniclone.kinematics import RigidPose
-from omniclone.motion import BENCH_STRATA, derive_body_kinematics
-from omniclone.simtrack import TrackerSpec, state_from_frame
+from omniclone.motion import BENCH_STRATA, Frame, derive_body_kinematics, load_clip, save_clip
+from omniclone.simtrack import RobotState, TrackerSpec, parse_tracker
 from omniclone.synthetic import constant_velocity_clip, static_clip
 
 
@@ -76,60 +78,63 @@ class TestMpjpe:
         assert joined == pytest.approx(expected, abs=1e-9)
 
 
-class TestCheckFailure:
-    def test_perfect_tracking_none(self, ref_model):
-        clip = derive_body_kinematics(static_clip(ref_model, n_frames=3), ref_model)
-        frame = clip.frames[0]
-        state = state_from_frame(frame, ref_model)
-        assert check_failure(state, frame) is None
+def _static_kinematics(model, root_z):
+    """(T=1, K, 3) key bodies and (1, 3) root of a static pose at root_z."""
+    clip = derive_body_kinematics(static_clip(model, n_frames=1, root_z=root_z), model)
+    return np.array(clip.body_pos), np.array(clip.root_pos)
 
-    def test_deviation_threshold(self, ref_model):
-        clip = derive_body_kinematics(static_clip(ref_model, n_frames=3), ref_model)
-        frame = clip.frames[0]
-        state = state_from_frame(frame, ref_model)
-        moved = state.body_pos.copy()
-        moved[3] += np.array([0.6, 0.0, 0.0])
-        from dataclasses import replace
 
-        assert check_failure(replace(state, body_pos=moved), frame) == "deviation"
+class TestFirstFailure:
+    @pytest.mark.parametrize(
+        "pred_z, ref_z, body_shift, rigid_shift, thresholds, expected",
+        [
+            # perfect tracking
+            (0.75, 0.75, 0.0, 0.0, FailureThresholds(), None),
+            # one key body 0.6 m away
+            (0.75, 0.75, 0.6, 0.0, FailureThresholds(), "deviation"),
+            # root at 0.25 m while the reference squats to 0.26 m: not a fall
+            (0.25, 0.26, 0.0, 0.0, FailureThresholds(), None),
+            # whole state dropped rigidly to 0.28 m under a standing reference
+            (0.28, 0.75, 0.0, 0.0, FailureThresholds(), "fall"),
+            # planar drift beyond root_drift_m reports deviation
+            (0.75, 0.75, 0.0, 1.2, FailureThresholds(deviation_m=5.0, root_drift_m=1.0), "deviation"),
+        ],
+        ids=["perfect", "deviation", "squat_guard", "fall", "drift"],
+    )
+    def test_cases(self, ref_model, pred_z, ref_z, body_shift, rigid_shift, thresholds, expected):
+        pred_bodies, pred_roots = _static_kinematics(ref_model, pred_z)
+        ref_bodies, ref_roots = _static_kinematics(ref_model, ref_z)
+        pred_bodies[0, 3, 0] += body_shift
+        pred_bodies[..., 0] += rigid_shift
+        pred_roots[..., 0] += rigid_shift
+        got = first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots, thresholds)
+        assert got == (None if expected is None else (0, expected))
 
-    def test_reference_relative_fall_guard(self, ref_model):
-        # root at 0.25 m while the reference squats to 0.26 m: not a fall
-        ref_clip = derive_body_kinematics(
-            static_clip(ref_model, n_frames=2, root_z=0.26), ref_model
-        )
-        frame = ref_clip.frames[0]
-        state_clip = derive_body_kinematics(
-            static_clip(ref_model, n_frames=2, root_z=0.25), ref_model
-        )
-        state = state_from_frame(state_clip.frames[0], ref_model)
-        assert check_failure(state, frame) is None
+    def test_reports_first_failed_frame(self, ref_model):
+        bodies, roots = _static_kinematics(ref_model, 0.75)
+        ref_bodies, ref_roots = np.repeat(bodies, 8, axis=0), np.repeat(roots, 8, axis=0)
+        pred_bodies, pred_roots = ref_bodies.copy(), ref_roots.copy()
+        pred_roots[6:, 2] = 0.2  # falls from frame 6 on
+        pred_bodies[5:, 2, 0] += 0.6  # deviates from frame 5 on
+        assert first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots) == (5, "deviation")
+        assert first_failure(pred_bodies[6:], ref_bodies[6:], pred_roots[6:], ref_roots[6:]) == (
+            0, "deviation")
+        pred_bodies[5:, 2, 0] -= 0.6
+        assert first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots) == (6, "fall")
 
-    def test_fall_when_reference_stands(self, ref_model):
-        ref_clip = derive_body_kinematics(
-            static_clip(ref_model, n_frames=2, root_z=0.75), ref_model
-        )
-        frame = ref_clip.frames[0]
-        # drop the whole state rigidly so body deviation stays within 0.5 m
-        state_clip = derive_body_kinematics(
-            static_clip(ref_model, n_frames=2, root_z=0.28), ref_model
-        )
-        state = state_from_frame(state_clip.frames[0], ref_model)
-        assert check_failure(state, frame) == "fall"
-
-    def test_drift_reports_deviation(self, ref_model):
-        thresholds = FailureThresholds(deviation_m=5.0, root_drift_m=1.0)
-        ref_clip = derive_body_kinematics(static_clip(ref_model, n_frames=2), ref_model)
-        frame = ref_clip.frames[0]
-        state = state_from_frame(frame, ref_model)
-        from dataclasses import replace
-
-        moved = replace(
-            state,
-            root=RigidPose(state.root.position + np.array([1.2, 0, 0]), state.root.orientation),
-            body_pos=state.body_pos + np.array([1.2, 0.0, 0.0]),
-        )
-        assert check_failure(moved, frame, thresholds) == "deviation"
+    def test_matches_frame_by_frame_oracle(self, rng):
+        thresholds = FailureThresholds(deviation_m=0.5, fall_root_z_m=0.3, root_drift_m=0.8)
+        for _ in range(300):
+            T, K = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            ref_bodies = rng.uniform(-1, 1, (T, K, 3))
+            ref_roots = rng.uniform([-1, -1, 0.2], [1, 1, 0.9], (T, 3))
+            pred_bodies = ref_bodies + rng.normal(0, 0.15, (T, K, 3))
+            pred_roots = ref_roots + rng.normal(0, [0.3, 0.3, 0.1], (T, 3))
+            expected = first_failure_loop(
+                pred_bodies, ref_bodies, pred_roots, ref_roots, 0.5, 0.3, 0.8
+            )
+            got = first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots, thresholds)
+            assert got == expected
 
 
 class TestRunEpisode:
@@ -161,12 +166,44 @@ class TestRunEpisode:
         expected_frame = int(np.ceil(0.5 / (1.2 / 30.0)))
         assert abs(result.frames_evaluated - (expected_frame + 1)) <= 1
 
+    def test_first_failure_mid_clip_ends_scoring(self, ref_model):
+        # a frozen tracker on a 1.2 m/s walk falls 0.04 m further behind each
+        # frame: 0.48 m at frame 12, 0.52 m (> 0.5 m) at frame 13
+        clip = constant_velocity_clip(ref_model, 1.2, n_frames=60, name="walk1.2")
+        result = run_episode(TrackerSpec(mode="lag", lag=10_000), clip, ref_model)
+        assert result.failure_reason == "deviation"
+        assert result.frames_evaluated == 14
+        expected = 40.0 * np.arange(14)  # mm, frames 0..13 inclusive
+        assert np.allclose(result.per_frame_error_mm, expected, atol=1e-6)
+        assert result.mpjpe_mm == pytest.approx(float(np.mean(expected)), abs=1e-6)
+
     def test_root_relative_variant_ignores_drift(self, ref_model):
         clip = constant_velocity_clip(ref_model, 1.2, n_frames=30)
         frozen = TrackerSpec(mode="lag", lag=10_000)
         result = run_episode(frozen, clip, ref_model, alignment="root_relative")
         # frozen tracker keeps the same pose, so root-relative error is zero
         assert result.mpjpe_mm == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("tracker", ["perfect", "pd:400,40"])
+    def test_no_per_frame_objects(self, ref_model, tmp_path, monkeypatch, tracker):
+        # Frame, RigidPose and RobotState constructions while loading and
+        # scoring a clip do not grow with the clip's length
+        counts = collections.Counter()
+        for cls in (Frame, RigidPose, RobotState):
+            def counted(self, post=cls.__post_init__, name=cls.__name__):
+                counts[name] += 1
+                post(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        def constructions(n_frames):
+            path = tmp_path / f"walk{n_frames}.json"
+            save_clip(constant_velocity_clip(ref_model, 1.0, n_frames=n_frames, with_bodies=False), path)
+            counts.clear()
+            run_episode(parse_tracker(tracker), load_clip(path), ref_model)
+            return dict(counts)
+
+        assert constructions(30) == constructions(90)
 
     def test_empty_clip_rejected(self, ref_model):
         class Stub:

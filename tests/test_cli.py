@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 
@@ -63,6 +67,18 @@ class TestDispatch:
             text = capsys.readouterr().out
             for flag in flags:
                 assert flag in text, f"{parts}: {flag} missing from --help"
+
+    def test_module_entry_point_without_runtime_warning(self):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "omniclone.cli", "--help"],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code = cli.main(

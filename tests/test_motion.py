@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,42 @@ class TestClipModel:
         assert len(BENCH_STRATA) == 18
         assert ("walk", "fast") in BENCH_STRATA
         assert ("jump", "low") in BENCH_STRATA
+
+
+class TestColumns:
+    def test_array_accessors_return_stored_read_only_column(self, ref_model):
+        clip = constant_velocity_clip(ref_model, 1.0, n_frames=5)
+        for accessor in ("joint_pos_array", "root_pos_array", "root_quat_array",
+                         "root_lin_vel_array", "body_pos_array", "body_quat_array"):
+            column = getattr(clip, accessor)()
+            assert getattr(clip, accessor)() is column
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+        assert constant_velocity_clip(ref_model, 1.0, n_frames=5, with_bodies=False).body_pos_array() is None
+
+    def test_partial_optional_field_rejected_from_frames(self):
+        frames = list(simple_clip(n_frames=4, joint_vel=np.array([0.05, -0.01])).frames)
+        frames[2] = replace(frames[2], joint_vel=None)
+        with pytest.raises(InputError, match=r"frames\[2\]\.joint_vel: present on some frames only"):
+            MotionClip("x", 30.0, "other", "none", frames)
+
+    def test_partial_optional_field_rejected_from_file(self):
+        doc = clip_to_dict(simple_clip(n_frames=4))
+        doc["frames"][3]["joint_vel"] = [0.0, 0.0]
+        with pytest.raises(ClipParseError, match=r"frames\[3\]\.joint_vel: present on some frames only"):
+            clip_from_dict(doc)
+
+    def test_frames_view(self, ref_model):
+        clip = constant_velocity_clip(ref_model, 1.0, n_frames=6)
+        frames = clip.frames
+        assert len(frames) == 6
+        assert frames[-1].t == clip.t[5]
+        assert [f.t for f in frames[1:5:2]] == [clip.t[1], clip.t[3]]
+        assert np.array_equal(np.stack([f.joint_pos for f in frames]), clip.joint_pos)
+        assert np.array_equal(frames[2].body_pos, clip.body_pos[2])
+        with pytest.raises(IndexError):
+            frames[6]
 
 
 class TestClipFile:

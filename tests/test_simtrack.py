@@ -30,7 +30,7 @@ from omniclone.simtrack import (
     teacher_obs_length,
     track_clip,
 )
-from omniclone.synthetic import constant_velocity_clip, static_clip
+from omniclone.synthetic import constant_velocity_clip, sine_joint_clip, static_clip
 
 
 def random_state(rng, model):
@@ -435,34 +435,34 @@ class TestTrackers:
 
     def test_perfect_replays_reference(self, ref_model):
         clip = constant_velocity_clip(ref_model, 1.2, n_frames=10)
-        states = track_clip(TrackerSpec(mode="perfect"), clip, ref_model)
-        for state, frame in zip(states, clip.frames):
-            assert np.allclose(state.body_pos, frame.body_pos, atol=1e-12)
-            assert np.allclose(state.joint_pos, frame.joint_pos)
+        out = track_clip(TrackerSpec(mode="perfect"), clip, ref_model)
+        assert np.allclose(out.body_pos, clip.body_pos, atol=1e-12)
+        assert np.allclose(out.joint_pos, clip.joint_pos)
+        assert np.array_equal(out.t, clip.t)
 
     def test_lag_replays_shifted_frames(self, ref_model):
         clip = constant_velocity_clip(ref_model, 1.0, n_frames=12)
         k = 3
-        states = track_clip(TrackerSpec(mode="lag", lag=k), clip, ref_model)
-        for t, state in enumerate(states):
-            src = clip.frames[max(0, t - k)]
-            assert np.allclose(state.body_pos, src.body_pos, atol=1e-12)
+        out = track_clip(TrackerSpec(mode="lag", lag=k), clip, ref_model)
+        src = np.maximum(np.arange(12) - k, 0)
+        assert np.allclose(out.body_pos, clip.body_pos[src], atol=1e-12)
+        assert np.allclose(out.root_pos, clip.root_pos[src], atol=1e-12)
+        assert np.array_equal(out.t, clip.t)
 
     def test_lag_error_closed_form(self, ref_model):
         v, fps, k = 1.2, 30.0, 4
         clip = constant_velocity_clip(ref_model, v, n_frames=40, fps=fps)
-        states = track_clip(TrackerSpec(mode="lag", lag=k), clip, ref_model)
-        for t in range(k, 40):
-            err = np.linalg.norm(states[t].body_pos - clip.frames[t].body_pos, axis=1)
-            assert np.allclose(err, v * k / fps, atol=1e-9)
+        out = track_clip(TrackerSpec(mode="lag", lag=k), clip, ref_model)
+        err = np.linalg.norm(out.body_pos[k:] - clip.body_pos[k:], axis=-1)
+        assert np.allclose(err, v * k / fps, atol=1e-9)
 
     def test_noise_deterministic_per_seed(self, ref_model):
         clip = constant_velocity_clip(ref_model, 0.5, n_frames=8)
         a = track_clip(TrackerSpec(mode="noise", noise_std=0.05, seed=3), clip, ref_model)
         b = track_clip(TrackerSpec(mode="noise", noise_std=0.05, seed=3), clip, ref_model)
         c = track_clip(TrackerSpec(mode="noise", noise_std=0.05, seed=4), clip, ref_model)
-        assert np.allclose(a[5].joint_pos, b[5].joint_pos)
-        assert not np.allclose(a[5].joint_pos, c[5].joint_pos)
+        assert np.allclose(a.joint_pos[5], b.joint_pos[5])
+        assert not np.allclose(a.joint_pos[5], c.joint_pos[5])
 
     def test_pd_critical_damping_step(self, ref_model):
         # step target on one joint; critically damped double integrator must
@@ -489,8 +489,8 @@ class TestTrackers:
         kp = 400.0
         kd = 2.0 * math.sqrt(kp)  # critical damping
         dt = 1.0 / 600.0
-        states = track_clip(TrackerSpec(mode="pd", kp=kp, kd=kd, dt=dt), clip, ref_model)
-        q0 = np.array([s.joint_pos[0] for s in states])
+        out = track_clip(TrackerSpec(mode="pd", kp=kp, kd=kd, dt=dt), clip, ref_model)
+        q0 = out.joint_pos[:, 0]
         assert np.all(np.diff(q0) >= -1e-12)
         assert q0.max() <= target + 1e-6
         assert q0[-1] == pytest.approx(target, abs=1e-3)
@@ -503,7 +503,7 @@ class TestTrackers:
             assert q0[t_idx] == pytest.approx(expected, abs=0.02)
 
     def test_pd_with_dr_delay_shifts_targets(self, ref_model):
-        clip = constant_velocity_clip(ref_model, 1.0, n_frames=20)
+        clip = sine_joint_clip(ref_model, joint=3, amplitude=0.5, n_frames=20)
         dr = DRConfig(
             action_delay_s=2.0 / 30.0,
             action_noise_rad=0.0,
@@ -516,10 +516,14 @@ class TestTrackers:
             damping_scale=1.0,
             armature_scale=1.0,
         )
-        states = track_clip(
-            TrackerSpec(mode="pd", kp=100.0, kd=20.0), clip, ref_model, dr=dr
-        )
-        assert np.allclose(states[10].last_action, clip.frames[8].joint_pos)
+        spec = TrackerSpec(mode="pd", kp=100.0, kd=20.0)
+        delayed = track_clip(spec, clip, ref_model, dr=dr).joint_pos
+        undelayed = track_clip(spec, clip, ref_model).joint_pos
+        # two ticks of delay: the pd joints lag the undelayed run by two
+        # ticks and hold the first target until then
+        assert np.array_equal(delayed[2:], undelayed[:-2])
+        assert np.array_equal(delayed[:2], undelayed[[0, 0]])
+        assert not np.array_equal(delayed, undelayed)
 
 
 class TestArchShape:

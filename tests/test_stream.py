@@ -1,4 +1,5 @@
 import socket
+import threading
 import time
 
 import numpy as np
@@ -28,6 +29,7 @@ from omniclone.stream import (
     StreamPacket,
     decide,
     decode_packet,
+    echo_latency,
     encode_packet,
     fault_schedule,
     fixed_rate_loop,
@@ -38,6 +40,7 @@ from omniclone.stream import (
     send_clip,
     simulate_stream,
 )
+from omniclone.stream import net
 from omniclone.synthetic import constant_velocity_clip
 
 # frozen from the independent reference encoder: heartbeat {seq=1, ts=1000}
@@ -468,6 +471,38 @@ class TestLatency:
         assert stats.p95_ms >= expected - 0.5
         assert stats.p95_ms <= expected + 4.0
         assert 34.0 <= stats.p95_ms <= 41.0
+
+    def test_echo_matches_seq(self, monkeypatch):
+        # the echo server answers each heartbeat with the previous seq at
+        # once and with the matching seq 30 ms later
+        server = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        server.bind(("127.0.0.1", 0))
+        server.settimeout(0.05)
+        done = threading.Event()
+
+        def serve():
+            while not done.is_set():
+                try:
+                    data, sender = server.recvfrom(65536)
+                except socket.timeout:
+                    continue
+                server.sendto(encode_packet(heartbeat(decode_packet(data).seq - 1, 0)), sender)
+                time.sleep(0.03)
+                server.sendto(data, sender)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        reported = []
+        monkeypatch.setattr(net, "summarize_latencies", lambda lat, sent: reported.extend(lat))
+        try:
+            echo_latency(server.getsockname(), n_samples=12, rate_hz=100.0)
+        finally:
+            done.set()
+            thread.join(2.0)
+            server.close()
+        assert not thread.is_alive()
+        assert len(reported) == 12
+        assert min(reported) >= 15.0  # RTT/2 of the matching echo
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientDataError):
