@@ -15,7 +15,8 @@ import os
 import pathlib
 import sys
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +50,6 @@ class RunConfig:
     deviation_m: float = 0.5
     fall_root_z_m: float = 0.3
     root_drift_m: float = 1.0
-    system_config_path: str | None = None
     seed: int = 0
     log_level: str = "WARNING"
 
@@ -154,74 +154,69 @@ def _relay_passthrough(args, forward) -> int:
 
 
 class _LiveTrackerSink:
-    """Applies an oracle tracker to the popped command stream."""
+    """Applies an oracle tracker to the popped command stream and, given a
+    trace path, writes one JSONL line per tick as the tick happens."""
 
     def __init__(self, spec: simtrack.TrackerSpec, trace_path: str | None):
+        if spec.mode == "pd":
+            raise OmniCloneError(
+                "serve-policy supports the perfect|oracle, lag:k and noise:sigma trackers, not pd"
+            )
         self.spec = spec
         self.rng = np.random.default_rng(spec.seed)
-        self.history: list[np.ndarray] = []
-        self.records: list[dict] = []
-        self.trace_path = trace_path
+        # the lagged command is the oldest of the last lag + 1 joint vectors
+        self.history: deque[np.ndarray] = deque(maxlen=spec.lag + 1)
+        self.trace_file = open(trace_path, "w", encoding="utf-8", buffering=1) if trace_path else None
         self.tick = 0
 
     def __call__(self, frame: Stamped, held: bool) -> None:
-        frames = frame.data
-        joint = None
-        if frames:
-            joint = np.asarray(frames[0].joint_pos, dtype=float)
-        if joint is not None:
-            self.history.append(joint)
+        if frame.data:
+            self.history.append(np.asarray(frame.data[0].joint_pos, dtype=float))
         command = None
         if self.history:
-            if self.spec.mode == "lag":
-                command = self.history[max(0, len(self.history) - 1 - self.spec.lag)]
-            else:
-                command = self.history[-1]
+            command = self.history[0]
             if self.spec.mode == "noise":
                 command = command + self.rng.normal(0.0, self.spec.noise_std, command.shape)
-        self.records.append(
-            {
+        if self.trace_file is not None:
+            record = {
                 "tick": self.tick,
                 "seq": frame.seq,
                 "held": held,
                 "command": None if command is None else np.round(command, 6).tolist(),
             }
-        )
+            self.trace_file.write(json.dumps(record) + "\n")
         self.tick += 1
 
-    def flush(self) -> None:
-        if self.trace_path:
-            with open(self.trace_path, "w", encoding="utf-8") as fh:
-                for rec in self.records:
-                    fh.write(json.dumps(rec) + "\n")
+    def close(self) -> None:
+        if self.trace_file is not None:
+            self.trace_file.close()
 
 
 def cmd_serve_policy(args, cfg: RunConfig) -> int:
     spec = simtrack.parse_tracker(args.tracker)
     if args.seed is not None:
-        spec = simtrack.TrackerSpec(
-            mode=spec.mode, lag=spec.lag, noise_std=spec.noise_std,
-            kp=spec.kp, kd=spec.kd, dt=spec.dt, seed=args.seed,
-        )
+        spec = replace(spec, seed=args.seed)
     sink = _LiveTrackerSink(spec, args.trace)
-    server = PolicyServer(
-        listen=parse_addr(args.listen),
-        rate_hz=_resolve(args.rate, cfg.rate_hz, 50.0),
-        capacity=_resolve(args.window, cfg.window, DEFAULT_WINDOW),
-        sink=sink,
-    ).start()
-    log.info("policy server on %s", server.addr)
     try:
-        if args.duration:
-            time.sleep(args.duration)
-        else:
-            while True:
-                time.sleep(0.5)
-    except KeyboardInterrupt:
-        pass
+        server = PolicyServer(
+            listen=parse_addr(args.listen),
+            rate_hz=_resolve(args.rate, cfg.rate_hz, 50.0),
+            capacity=_resolve(args.window, cfg.window, DEFAULT_WINDOW),
+            sink=sink,
+        ).start()
+        log.info("policy server on %s", server.addr)
+        try:
+            if args.duration:
+                time.sleep(args.duration)
+            else:
+                while True:
+                    time.sleep(0.5)
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.stop()
     finally:
-        server.stop()
-        sink.flush()
+        sink.close()
     sys.stdout.write(server.summary_csv())
     return 0
 
@@ -431,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve-policy", help="receive a command stream and track it")
     p.add_argument("--listen", required=True, help="bind address host:port")
-    p.add_argument("--tracker", default="oracle", help="oracle|lag:k|noise:sigma|pd:kp,kd")
+    p.add_argument("--tracker", default="oracle", help="oracle|lag:k|noise:sigma")
     p.add_argument("--rate", type=float, default=None, help="consumer rate Hz (default 50)")
     p.add_argument("--window", type=int, default=None, help="jitter-buffer depth f")
     p.add_argument("--duration", type=float, default=None, help="run time (s); default: until interrupt")
@@ -522,11 +517,6 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(
             level=os.environ.get("OMNICLONE_LOG", cfg.log_level).upper()
         )
-        if cfg.system_config_path:
-            # validate reward/DR/arch tables up front so typos fail fast
-            doc = simtrack.load_system_config(cfg.system_config_path)
-            simtrack.reward_config_from_dict(doc.get("reward", {}))
-            simtrack.dr_ranges_from_dict(doc.get("domain_randomization", {}))
         return args.func(args, cfg)
     except OmniCloneError as exc:
         print(f"error: {exc}", file=sys.stderr)

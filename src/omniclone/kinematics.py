@@ -1,4 +1,5 @@
-"""Humanoid morphology, forward kinematics, and base-frame transforms.
+"""Humanoid morphology, forward kinematics on arrays, and world-to-base
+frame transforms.
 
 The kinematic model is a tree of links. Every link except the root is
 attached to its parent through a fixed offset (translation + rotation)
@@ -53,7 +54,7 @@ class RigidPose:
         if quat.shape != (4,):
             raise InputError(f"orientation: expected shape (4,), got {quat.shape}")
         norm = np.linalg.norm(quat)
-        if abs(norm - 1.0) > _QUAT_TOL:
+        if not abs(norm - 1.0) <= _QUAT_TOL:  # written so that NaN fails
             raise InputError(f"orientation: norm {norm:.9f} deviates beyond {_QUAT_TOL}")
         quat = quat_canonical(quat / norm)
         object.__setattr__(self, "position", pos)
@@ -62,13 +63,6 @@ class RigidPose:
     @staticmethod
     def identity() -> "RigidPose":
         return RigidPose(np.zeros(3), IDENTITY_QUAT.copy())
-
-    def compose(self, other: "RigidPose") -> "RigidPose":
-        """self ∘ other (apply other in self's frame)."""
-        return RigidPose(
-            self.position + quat_rotate(self.orientation, other.position),
-            quat_mul(self.orientation, other.orientation),
-        )
 
     def inverse(self) -> "RigidPose":
         inv_q = quat_conjugate(self.orientation)
@@ -143,12 +137,6 @@ class HumanoidModel:
             return self._index[name]
         except KeyError:
             raise ConfigError(f"unknown link {name!r}") from None
-
-    def key_body_slot(self, name: str) -> int:
-        try:
-            return self.key_bodies.index(name)
-        except ValueError:
-            raise ConfigError(f"{name!r} is not a key body") from None
 
     @staticmethod
     def _topological_order(links: Sequence[LinkSpec]) -> list[LinkSpec]:
@@ -238,7 +226,7 @@ def forward_kinematics_arrays(
     if joint_pos.shape[-1] != n:
         raise InputError(f"joint_pos: expected {n} joints, got {joint_pos.shape[-1]}")
     if not (np.all(np.isfinite(joint_pos)) and np.all(np.isfinite(root_pos))):
-        raise InputError("forward_kinematics: non-finite input")
+        raise InputError("forward_kinematics_arrays: non-finite input")
     batch = joint_pos.shape[:-1]
     L = len(model.links)
     pos = np.empty(batch + (L, 3))
@@ -261,18 +249,6 @@ def forward_kinematics_arrays(
     return pos, quat
 
 
-def forward_kinematics(
-    model: HumanoidModel, joint_pos: np.ndarray, root: RigidPose
-) -> dict[str, RigidPose]:
-    """Pose of every link given joint angles and the root pose."""
-    pos, quat = forward_kinematics_arrays(
-        model, joint_pos, root.position, root.orientation
-    )
-    return {
-        name: RigidPose(pos[i], quat[i]) for i, name in enumerate(model.link_names)
-    }
-
-
 def key_body_poses(
     model: HumanoidModel,
     joint_pos: np.ndarray,
@@ -290,26 +266,14 @@ def to_base_point(root: RigidPose, p: np.ndarray) -> np.ndarray:
     return quat_rotate_inverse(root.orientation, np.asarray(p, dtype=float) - root.position)
 
 
-def from_base_point(root: RigidPose, p: np.ndarray) -> np.ndarray:
-    return root.position + quat_rotate(root.orientation, p)
-
-
 def to_base_vector(root: RigidPose, v: np.ndarray) -> np.ndarray:
     """Free vector (velocity, gravity) into the base frame."""
     return quat_rotate_inverse(root.orientation, v)
 
 
-def from_base_vector(root: RigidPose, v: np.ndarray) -> np.ndarray:
-    return quat_rotate(root.orientation, v)
-
-
 def to_base_quat(root: RigidPose, q: np.ndarray) -> np.ndarray:
     """World orientation -> base frame, canonical sign."""
     return quat_canonical(quat_mul(quat_conjugate(root.orientation), q))
-
-
-def from_base_quat(root: RigidPose, q: np.ndarray) -> np.ndarray:
-    return quat_canonical(quat_mul(root.orientation, q))
 
 
 def chain_height(model: HumanoidModel, joint_pos: np.ndarray) -> float:

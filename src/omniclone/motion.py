@@ -316,14 +316,8 @@ class MotionClip:
     def root_quat_array(self) -> np.ndarray:
         return self.root_quat
 
-    def root_lin_vel_array(self) -> np.ndarray:
-        return self.root_lin_vel
-
     def body_pos_array(self) -> np.ndarray | None:
         return self.body_pos
-
-    def body_quat_array(self) -> np.ndarray | None:
-        return self.body_quat
 
 
 class _FrameView(Sequence):

@@ -83,21 +83,6 @@ def quat_yaw(q: np.ndarray) -> np.ndarray:
     return np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
 
 
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    row0 = np.stack(
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1
-    )
-    row1 = np.stack(
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1
-    )
-    row2 = np.stack(
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1
-    )
-    return np.stack([row0, row1, row2], axis=-2)
-
-
 def quat_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geodesic angle (rad) between two unit quaternions, sign-agnostic."""
     d = quat_mul(quat_conjugate(a), b)

@@ -1,6 +1,6 @@
 """Policy-side machinery without the learned network: observation builders,
 reward evaluation, domain-randomization sampling, deterministic oracle
-trackers, and a transformer shape/parameter audit.
+trackers, and the default system-configuration tables.
 
 Every observed quantity is expressed in the robot's local base frame, so
 observation vectors are invariant to planar translations and yaw applied
@@ -8,7 +8,6 @@ jointly to state and reference.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -516,43 +515,13 @@ class DRConfig:
         inside(self.armature_scale, r.armature_scale, "armature_scale")
 
 
-def dr_config_to_dict(cfg: DRConfig) -> dict:
-    return {
-        "action_delay_s": cfg.action_delay_s,
-        "action_noise_rad": cfg.action_noise_rad,
-        "link_mass_scale": dict(cfg.link_mass_scale),
-        "torso_com_offset_m": list(cfg.torso_com_offset_m),
-        "torque_rfi_fraction": cfg.torque_rfi_fraction,
-        "static_friction": dict(cfg.static_friction),
-        "dynamic_friction": dict(cfg.dynamic_friction),
-        "stiffness_scale": cfg.stiffness_scale,
-        "damping_scale": cfg.damping_scale,
-        "armature_scale": cfg.armature_scale,
-    }
-
-
-def dr_config_from_dict(doc: Mapping) -> DRConfig:
-    return DRConfig(
-        action_delay_s=float(doc["action_delay_s"]),
-        action_noise_rad=float(doc["action_noise_rad"]),
-        link_mass_scale=dict(doc["link_mass_scale"]),
-        torso_com_offset_m=tuple(float(v) for v in doc["torso_com_offset_m"]),
-        torque_rfi_fraction=float(doc["torque_rfi_fraction"]),
-        static_friction=dict(doc["static_friction"]),
-        dynamic_friction=dict(doc["dynamic_friction"]),
-        stiffness_scale=float(doc["stiffness_scale"]),
-        damping_scale=float(doc["damping_scale"]),
-        armature_scale=float(doc["armature_scale"]),
-    )
-
-
 def sample_dr(
     seed: int | np.random.Generator, ranges: DRRanges | None = None
 ) -> DRConfig:
     """Uniform sample of every randomized field, in table order.
 
     Only the pd oracle tracker consumes action_delay and action_noise;
-    the physical fields are sampled, validated, and serialized but not
+    the physical fields are sampled and validated but not
     simulated (there is no physics engine at desk scale).
     """
     r = ranges or DRRanges()
@@ -687,82 +656,7 @@ def track_clip(
 
 
 # ---------------------------------------------------------------------------
-# Architecture shape audit
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ArchSpec:
-    d_model: int
-    d_ff: int
-    n_heads: int
-    n_tokens: int
-    n_layers: int
-    head_out_dim: int | None = None
-
-    def __post_init__(self):
-        for name in ("d_model", "d_ff", "n_heads", "n_tokens", "n_layers"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
-            )
-
-
-TEACHER_ARCH = ArchSpec(d_model=256, d_ff=512, n_heads=4, n_tokens=4, n_layers=4)
-STUDENT_ARCH = ArchSpec(d_model=512, d_ff=1024, n_heads=4, n_tokens=2, n_layers=4)
-
-
-@dataclass(frozen=True)
-class ArchShape:
-    token_sizes: tuple[int, ...]
-    token_offsets: tuple[int, ...]
-    input_projection_params: int
-    attention_params_per_layer: int
-    ffn_params_per_layer: int
-    norm_params_per_layer: int
-    per_layer_params: int
-    head_params: int
-    parameter_count: int
-
-
-def arch_shape(spec: ArchSpec, obs_len: int, action_len: int) -> ArchShape:
-    """Shape/parameter audit; no network is executed.
-
-    The observation is split into n_tokens contiguous slices whose sizes
-    differ by at most one. Per layer: 4*d^2 + 4*d attention projections
-    with bias, 2*d*d_ff + d + d_ff feed-forward, and 4*d for the two
-    normalizations.
-    """
-    if obs_len < spec.n_tokens:
-        raise ConfigError(f"obs_len={obs_len} shorter than n_tokens={spec.n_tokens}")
-    base, rem = divmod(obs_len, spec.n_tokens)
-    sizes = tuple(base + 1 if i < rem else base for i in range(spec.n_tokens))
-    offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(sizes)[:-1]]))
-    d, dff = spec.d_model, spec.d_ff
-    attention = 4 * d * d + 4 * d
-    ffn = 2 * d * dff + d + dff
-    norms = 4 * d
-    per_layer = attention + ffn + norms
-    input_proj = sum(sizes) * d + spec.n_tokens * d
-    head_out = spec.head_out_dim if spec.head_out_dim is not None else action_len
-    head = d * head_out + head_out
-    total = input_proj + spec.n_layers * per_layer + head
-    return ArchShape(
-        token_sizes=sizes,
-        token_offsets=offsets,
-        input_projection_params=input_proj,
-        attention_params_per_layer=attention,
-        ffn_params_per_layer=ffn,
-        norm_params_per_layer=norms,
-        per_layer_params=per_layer,
-        head_params=head,
-        parameter_count=total,
-    )
-
-
-# ---------------------------------------------------------------------------
-# System configuration file
+# System configuration tables
 # ---------------------------------------------------------------------------
 
 def default_system_config() -> dict:
@@ -792,79 +686,13 @@ def default_system_config() -> dict:
             "damping_scale": list(r.damping_scale),
             "armature_scale": list(r.armature_scale),
         },
+        # teacher/student transformer sizes, recorded only: no network runs here
         "arch": {
-            "teacher": {
-                "d_model": TEACHER_ARCH.d_model,
-                "d_ff": TEACHER_ARCH.d_ff,
-                "n_heads": TEACHER_ARCH.n_heads,
-                "n_tokens": TEACHER_ARCH.n_tokens,
-                "n_layers": TEACHER_ARCH.n_layers,
-            },
-            "student": {
-                "d_model": STUDENT_ARCH.d_model,
-                "d_ff": STUDENT_ARCH.d_ff,
-                "n_heads": STUDENT_ARCH.n_heads,
-                "n_tokens": STUDENT_ARCH.n_tokens,
-                "n_layers": STUDENT_ARCH.n_layers,
-            },
+            "teacher": {"d_model": 256, "d_ff": 512, "n_heads": 4, "n_tokens": 4, "n_layers": 4},
+            "student": {"d_model": 512, "d_ff": 1024, "n_heads": 4, "n_tokens": 2, "n_layers": 4},
         },
         "observation": {
             "include_ref_joint_vel": True,
             "future_window": DEFAULT_FUTURE_WINDOW,
         },
     }
-
-
-def reward_config_from_dict(doc: Mapping) -> RewardConfig:
-    return RewardConfig(
-        weights=dict(doc.get("weights", DEFAULT_REWARD_WEIGHTS)),
-        sigmas=dict(doc.get("sigmas", {t: 1.0 for t in TRACKING_TERMS})),
-        joint_vel_limit=float(doc.get("joint_vel_limit", 20.0)),
-        air_time_height_tol=float(doc.get("air_time_height_tol", 0.1)),
-        torso_body=str(doc.get("torso_body", "torso")),
-        end_effectors=tuple(doc.get("end_effectors", DEFAULT_END_EFFECTORS)),
-        feet=tuple(doc.get("feet", DEFAULT_FEET)),
-    )
-
-
-def dr_ranges_from_dict(doc: Mapping) -> DRRanges:
-    def band(key, default):
-        return tuple(float(v) for v in doc.get(key, default))
-
-    d = DRRanges()
-    return DRRanges(
-        action_delay_s=band("action_delay_s", d.action_delay_s),
-        action_noise_rad=band("action_noise_rad", d.action_noise_rad),
-        link_mass_scale=band("link_mass_scale", d.link_mass_scale),
-        mass_links=tuple(doc.get("mass_links", d.mass_links)),
-        torso_com_x_m=band("torso_com_x_m", d.torso_com_x_m),
-        torso_com_yz_m=band("torso_com_yz_m", d.torso_com_yz_m),
-        torque_rfi_fraction=float(doc.get("torque_rfi_fraction", d.torque_rfi_fraction)),
-        friction=band("friction", d.friction),
-        friction_joints=tuple(doc.get("friction_joints", d.friction_joints)),
-        stiffness_scale=band("stiffness_scale", d.stiffness_scale),
-        damping_scale=band("damping_scale", d.damping_scale),
-        armature_scale=band("armature_scale", d.armature_scale),
-    )
-
-
-def arch_spec_from_dict(doc: Mapping) -> ArchSpec:
-    return ArchSpec(
-        d_model=int(doc["d_model"]),
-        d_ff=int(doc["d_ff"]),
-        n_heads=int(doc["n_heads"]),
-        n_tokens=int(doc["n_tokens"]),
-        n_layers=int(doc["n_layers"]),
-        head_out_dim=doc.get("head_out_dim"),
-    )
-
-
-def load_system_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def save_system_config(doc: Mapping, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -50,11 +50,6 @@ class FrameQueue:
         with self._lock:
             return len(self._seqs)
 
-    @property
-    def last_emitted_seq(self) -> int | None:
-        with self._lock:
-            return None if self._last is None else self._last.seq
-
     def push(self, frame: Stamped) -> str:
         with self._lock:
             if self._last is not None and frame.seq <= self._last.seq:

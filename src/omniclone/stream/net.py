@@ -10,7 +10,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .packet import (
     decode_packet,
     encode_packet,
     heartbeat,
+    payload_finite,
 )
 
 
@@ -99,21 +100,19 @@ def send_clip(
 
 @dataclass
 class ServerStats:
+    """Receiver counters; the tick counters live on the server's RateLoop."""
+
     received: int = 0
     decode_errors: int = 0
     heartbeats: int = 0
-    ticks: int = 0
-    fresh: int = 0
-    held: int = 0
-    overruns: int = 0
-    latencies_ms: list[float] = field(default_factory=list)
 
 
 class PolicyServer:
     """Receives frame packets into a jitter buffer and drains it at a fixed
     rate through a tracker sink. Heartbeats are echoed back to the sender.
 
-    Decode errors are counted and never fatal to the receiver loop.
+    Decode errors, and frame packets whose payload is not finite, are
+    counted as decode_errors and never fatal to the receiver loop.
     """
 
     def __init__(
@@ -121,7 +120,7 @@ class PolicyServer:
         listen: tuple[str, int],
         rate_hz: float = 50.0,
         capacity: int = DEFAULT_WINDOW,
-        sink: Callable[[Stamped, bool], None] | None = None,
+        sink: Callable[[Stamped, bool], None] = lambda frame, held: None,
         max_ticks: int | None = None,
     ):
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -130,24 +129,14 @@ class PolicyServer:
         self.addr = self.sock.getsockname()
         self.queue = FrameQueue(capacity)
         self.stats = ServerStats()
-        self.trace: list[tuple[int, int, bool]] = []
-        self._user_sink = sink
         self._stop = threading.Event()
         self._rx = threading.Thread(target=self._receive_loop, daemon=True)
-        self.loop = RateLoop(self.queue, rate_hz, self._sink, max_ticks=max_ticks)
+        self.loop = RateLoop(self.queue, rate_hz, sink, max_ticks=max_ticks)
 
     def start(self) -> "PolicyServer":
         self._rx.start()
         self.loop.start()
         return self
-
-    def _sink(self, frame: Stamped, held: bool) -> None:
-        self.trace.append((self.stats.ticks, frame.seq, held))
-        self.stats.ticks += 1
-        self.stats.fresh += 0 if held else 1
-        self.stats.held += 1 if held else 0
-        if self._user_sink is not None:
-            self._user_sink(frame, held)
 
     def _receive_loop(self) -> None:
         while not self._stop.is_set():
@@ -162,6 +151,9 @@ class PolicyServer:
             except ProtocolError:
                 self.stats.decode_errors += 1
                 continue
+            if packet.msg_type == MSG_FRAMES and not payload_finite(data):
+                self.stats.decode_errors += 1
+                continue
             self.stats.received += 1
             if packet.msg_type == MSG_HEARTBEAT:
                 self.stats.heartbeats += 1
@@ -171,7 +163,6 @@ class PolicyServer:
                     pass
                 continue
             if packet.msg_type == MSG_FRAMES:
-                self.stats.latencies_ms.append((now_us() - packet.send_ts_us) / 1000.0)
                 self.queue.push(Stamped(packet.seq, packet.frames))
 
     def stop(self) -> None:
@@ -179,16 +170,18 @@ class PolicyServer:
         self.loop.stop()
         self.loop.join(2.0)
         self._rx.join(2.0)
-        self.stats.overruns = self.loop.overruns
         try:
             self.sock.close()
         except OSError:
             pass
 
     def summary_csv(self) -> str:
-        s = self.stats
+        s, loop = self.stats, self.loop
         header = "received,decode_errors,heartbeats,ticks,fresh,held,overruns"
-        return f"{header}\n{s.received},{s.decode_errors},{s.heartbeats},{s.ticks},{s.fresh},{s.held},{s.overruns}\n"
+        return (
+            f"{header}\n{s.received},{s.decode_errors},{s.heartbeats},"
+            f"{loop.ticks},{loop.fresh},{loop.held},{loop.overruns}\n"
+        )
 
 
 @dataclass(frozen=True)

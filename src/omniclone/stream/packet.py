@@ -182,6 +182,17 @@ def decode_packet(data: bytes) -> StreamPacket:
     )
 
 
+def payload_finite(data: bytes) -> bool:
+    """Whether every float32 payload value of a decodable datagram is finite.
+
+    decode_packet passes non-finite values through as sent; a receiver that
+    must reject them calls this once per datagram.
+    """
+    count = (len(data) - HEADER_LEN - CRC_LEN) // 4
+    payload = np.frombuffer(data, dtype="<f4", count=count, offset=HEADER_LEN)
+    return bool(np.isfinite(payload).all())
+
+
 def packet_frame_from_motion(frame, model) -> PacketFrame:
     """Project a motion Frame onto the wire schema (key bodies + joints)."""
     if frame.body_pos is None or frame.body_quat is None:

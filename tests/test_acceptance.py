@@ -23,7 +23,7 @@ from oracles import (
 
 from omniclone.bench import aggregate, emit_report, parse_report_csv, parse_report_json, run_episode
 from omniclone.bench import EpisodeResult
-from omniclone.kinematics import RigidPose, forward_kinematics
+from omniclone.kinematics import RigidPose, forward_kinematics_arrays
 from omniclone.motion import clip_stats, percentile
 from omniclone.retarget import CalibrationResult, calibrate, discrepancy_report, retarget_stream
 from omniclone.rotations import quat_distance, quat_from_yaw, quat_normalize
@@ -68,13 +68,13 @@ def test_fk_oracle_equivalence(rng):
         for _ in range(100):
             q = rng.uniform(-np.pi, np.pi, n_joints)
             root = RigidPose(rng.uniform(-1, 1, 3), quat_normalize(rng.normal(size=4)))
-            fk = forward_kinematics(model, q, root)
+            pos, quat = forward_kinematics_arrays(model, q, root.position, root.orientation)
             oracle = matrix_fk(links, q, root.position, root.orientation)
-            for name, pose in fk.items():
+            for i, name in enumerate(model.link_names):
                 T = oracle[name]
-                worst_pos = max(worst_pos, float(np.max(np.abs(pose.position - T[:3, 3]))))
+                worst_pos = max(worst_pos, float(np.max(np.abs(pos[i] - T[:3, 3]))))
                 worst_quat = max(
-                    worst_quat, float(quat_distance(pose.orientation, matrix_to_quat(T[:3, :3])))
+                    worst_quat, float(quat_distance(quat[i], matrix_to_quat(T[:3, :3])))
                 )
     elapsed = time.monotonic() - start
     assert worst_pos < 1e-9

@@ -9,10 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from omniclone import cli
+from omniclone import cli, simtrack
 from omniclone.bench import ManifestEntry, save_manifest
 from omniclone.motion import load_clip, save_clip
 from omniclone.retarget import save_mapping, save_subject_stream, subject_frame_to_dict
+from omniclone.stream import PacketFrame, Stamped
 from omniclone.synthetic import benchmark_suite, constant_velocity_clip
 from omniclone.vlabridge import ActionChunk, save_chunks
 
@@ -287,6 +288,30 @@ class TestServeRelayLive:
         assert len(records) >= 15
         assert any(not r["held"] for r in records)
 
+    def test_serve_policy_rejects_pd(self, capsys):
+        code = cli.main(["serve-policy", "--listen", "127.0.0.1:0", "--tracker", "pd:400,40",
+                         "--duration", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "lag:k" in err and "noise:sigma" in err
+
+    def test_lag_trace_written_per_tick(self, tmp_path):
+        trace_path = tmp_path / "trace.jsonl"
+        sink = cli._LiveTrackerSink(simtrack.parse_tracker("lag:2"), str(trace_path))
+        joints = [np.array([0.1 * i, -0.1 * i]) for i in range(6)]
+        try:
+            for tick, joint in enumerate(joints):
+                frame = PacketFrame(np.zeros(3), np.zeros((0, 3)), np.zeros((0, 4)), joint)
+                sink(Stamped(tick + 1, (frame,)), False)
+                lines = trace_path.read_text().splitlines()
+                assert len(lines) == tick + 1
+                record = json.loads(lines[-1])
+                assert (record["tick"], record["seq"], record["held"]) == (tick, tick + 1, False)
+                expected = joints[max(0, tick - 2)].astype(np.float32).astype(float)
+                assert record["command"] == np.round(expected, 6).tolist()
+        finally:
+            sink.close()
+
 
 class TestRunConfig:
     def test_config_file_overridden_by_flags(self, tmp_path, capsys):
@@ -304,19 +329,3 @@ class TestRunConfig:
         cfg.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
         code = cli.main(["--run-config", str(cfg), "print-layout"])
         assert code == 1
-
-    def test_system_config_validated_up_front(self, tmp_path, capsys):
-        from omniclone.simtrack import default_system_config
-
-        sys_path = tmp_path / "system.json"
-        doc = default_system_config()
-        sys_path.write_text(json.dumps(doc), encoding="utf-8")
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"system_config_path": str(sys_path)}), encoding="utf-8")
-        assert cli.main(["--run-config", str(cfg), "print-layout", "--policy", "teacher"]) == 0
-        # a broken reward table fails fast with exit 1
-        doc["reward"]["weights"].pop("action_rate")
-        sys_path.write_text(json.dumps(doc), encoding="utf-8")
-        code = cli.main(["--run-config", str(cfg), "print-layout", "--policy", "teacher"])
-        assert code == 1
-        assert "action_rate" in capsys.readouterr().err

@@ -14,11 +14,7 @@ from omniclone.kinematics import (
     LinkSpec,
     RigidPose,
     chain_height,
-    forward_kinematics,
     forward_kinematics_arrays,
-    from_base_point,
-    from_base_quat,
-    from_base_vector,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -28,9 +24,11 @@ from omniclone.kinematics import (
     to_base_vector,
 )
 from omniclone.rotations import (
+    IDENTITY_QUAT,
     quat_distance,
     quat_from_axis_angle,
     quat_from_yaw,
+    quat_mul,
     quat_normalize,
     quat_rotate,
 )
@@ -39,6 +37,15 @@ from omniclone.rotations import (
 def random_pose(rng):
     q = rng.normal(size=4)
     return RigidPose(rng.uniform(-2, 2, 3), q / np.linalg.norm(q))
+
+
+def fk_at_root(model, q, root):
+    return forward_kinematics_arrays(model, q, root.position, root.orientation)
+
+
+def world_point(root, p):
+    """Base-frame point -> world: the inverse of to_base_point."""
+    return root.position + quat_rotate(root.orientation, p)
 
 
 class TestRigidPose:
@@ -50,37 +57,46 @@ class TestRigidPose:
         with pytest.raises(InputError):
             RigidPose(np.zeros(3), np.array([1.0, 1.0, 0.0, 0.0]))
 
+    def test_rejects_nan_quaternion(self):
+        with pytest.raises(InputError, match="orientation"):
+            RigidPose(np.zeros(3), np.array([np.nan, 0.0, 0.0, 0.0]))
+
     def test_compose_inverse_roundtrip(self, rng):
+        # a^-1 (a b) == b, composing with quat_rotate/quat_mul directly
         for _ in range(20):
             a = random_pose(rng)
             b = random_pose(rng)
-            ab = a.compose(b)
-            back = a.inverse().compose(ab)
-            assert np.allclose(back.position, b.position, atol=1e-12)
-            assert quat_distance(back.orientation, b.orientation) < 1e-12
+            ab_pos = world_point(a, b.position)
+            ab_quat = quat_mul(a.orientation, b.orientation)
+            inv = a.inverse()
+            back_pos = world_point(inv, ab_pos)
+            back_quat = quat_mul(inv.orientation, ab_quat)
+            assert np.allclose(back_pos, b.position, atol=1e-12)
+            assert quat_distance(back_quat, b.orientation) < 1e-12
 
 
 class TestForwardKinematics:
     def test_zero_angles_pure_offset(self):
         model = make_chain_model([(0.0, 0.0, 0.5)])
-        fk = forward_kinematics(model, np.zeros(1), RigidPose.identity())
-        assert np.allclose(fk["link0"].position, [0.0, 0.0, 0.5])
-        assert np.allclose(fk["link0"].orientation, [1.0, 0.0, 0.0, 0.0])
+        pos, quat = fk_at_root(model, np.zeros(1), RigidPose.identity())
+        link0 = model.link_index("link0")
+        assert np.allclose(pos[link0], [0.0, 0.0, 0.5])
+        assert np.allclose(quat[link0], [1.0, 0.0, 0.0, 0.0])
 
     def test_two_link_planar_arm(self):
         # unit segments along +X, joint1 = 90 deg about +Z: elbow reaches
         # (0, 1, 0) relative to the root
         model = make_chain_model([1.0, 1.0])
-        fk = forward_kinematics(model, np.array([np.pi / 2, 0.0]), RigidPose.identity())
-        assert np.allclose(fk["link0"].position, [1.0, 0.0, 0.0], atol=1e-12)
-        assert np.allclose(fk["link1"].position, [1.0, 1.0, 0.0], atol=1e-12)
+        pos, _ = fk_at_root(model, np.array([np.pi / 2, 0.0]), RigidPose.identity())
+        assert np.allclose(pos[model.link_index("link0")], [1.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(pos[model.link_index("link1")], [1.0, 1.0, 0.0], atol=1e-12)
 
     def test_rejects_bad_dimensions(self):
         model = make_chain_model([1.0, 1.0])
         with pytest.raises(InputError):
-            forward_kinematics(model, np.zeros(3), RigidPose.identity())
+            forward_kinematics_arrays(model, np.zeros(3), np.zeros(3), IDENTITY_QUAT)
         with pytest.raises(InputError):
-            forward_kinematics(model, np.array([np.nan, 0.0]), RigidPose.identity())
+            forward_kinematics_arrays(model, np.array([np.nan, 0.0]), np.zeros(3), IDENTITY_QUAT)
 
     def test_matches_matrix_chain_oracle(self, rng):
         for _ in range(10):
@@ -89,24 +105,22 @@ class TestForwardKinematics:
             for _ in range(10):
                 q = rng.uniform(-np.pi, np.pi, model.n_joints)
                 root = random_pose(rng)
-                fk = forward_kinematics(model, q, root)
+                pos, quat = fk_at_root(model, q, root)
                 oracle = matrix_fk(links, q, root.position, root.orientation)
-                for name, pose in fk.items():
+                for i, name in enumerate(model.link_names):
                     T = oracle[name]
-                    assert np.allclose(pose.position, T[:3, 3], atol=1e-9)
-                    assert quat_distance(pose.orientation, matrix_to_quat(T[:3, :3])) < 1e-9
+                    assert np.allclose(pos[i], T[:3, 3], atol=1e-9)
+                    assert quat_distance(quat[i], matrix_to_quat(T[:3, :3])) < 1e-9
 
     def test_root_equivariance(self, rng):
         # FK with root g equals g composed with identity-root FK
         model = random_tree_model(rng, 6)
         q = rng.uniform(-np.pi, np.pi, model.n_joints)
         g = random_pose(rng)
-        fk_id = forward_kinematics(model, q, RigidPose.identity())
-        fk_g = forward_kinematics(model, q, g)
-        for name in model.link_names:
-            moved = g.compose(fk_id[name])
-            assert np.allclose(fk_g[name].position, moved.position, atol=1e-9)
-            assert quat_distance(fk_g[name].orientation, moved.orientation) < 1e-9
+        pos_id, quat_id = fk_at_root(model, q, RigidPose.identity())
+        pos_g, quat_g = fk_at_root(model, q, g)
+        assert np.allclose(pos_g, world_point(g, pos_id), atol=1e-9)
+        assert np.all(quat_distance(quat_g, quat_mul(g.orientation, quat_id)) < 1e-9)
 
     def test_batched_fk_matches_loop(self, rng):
         model = random_tree_model(rng, 4)
@@ -144,9 +158,9 @@ class TestBaseFrame:
             p = rng.normal(size=3)
             v = rng.normal(size=3)
             q = quat_normalize(rng.normal(size=4))
-            assert np.allclose(from_base_point(root, to_base_point(root, p)), p, atol=1e-9)
-            assert np.allclose(from_base_vector(root, to_base_vector(root, v)), v, atol=1e-9)
-            assert quat_distance(from_base_quat(root, to_base_quat(root, q)), q) < 1e-9
+            assert np.allclose(world_point(root, to_base_point(root, p)), p, atol=1e-9)
+            assert np.allclose(quat_rotate(root.orientation, to_base_vector(root, v)), v, atol=1e-9)
+            assert quat_distance(quat_mul(root.orientation, to_base_quat(root, q)), q) < 1e-9
 
     def test_free_vectors_preserve_norm(self, rng):
         for _ in range(20):
@@ -275,7 +289,7 @@ class TestModelFile:
 def test_base_frame_round_trip_property(yaw, px, py):
     root = RigidPose(np.array([px, py, 0.6]), quat_from_yaw(yaw))
     p = np.array([0.3, -0.7, 1.1])
-    assert np.allclose(from_base_point(root, to_base_point(root, p)), p, atol=1e-9)
+    assert np.allclose(world_point(root, to_base_point(root, p)), p, atol=1e-9)
 
 
 @settings(max_examples=50, deadline=None)

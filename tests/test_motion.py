@@ -113,8 +113,7 @@ class TestClipModel:
 class TestColumns:
     def test_array_accessors_return_stored_read_only_column(self, ref_model):
         clip = constant_velocity_clip(ref_model, 1.0, n_frames=5)
-        for accessor in ("joint_pos_array", "root_pos_array", "root_quat_array",
-                         "root_lin_vel_array", "body_pos_array", "body_quat_array"):
+        for accessor in ("joint_pos_array", "root_pos_array", "root_quat_array", "body_pos_array"):
             column = getattr(clip, accessor)()
             assert getattr(clip, accessor)() is column
             assert not column.flags.writeable

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omniclone.errors import CalibrationError, InputError
+from omniclone.errors import CalibrationError, ClipParseError, InputError
 from omniclone.retarget import (
     CalibrationResult,
     SubjectFrame,
@@ -265,3 +265,9 @@ class TestFiles:
         again = subject_frame_from_dict(subject_frame_to_dict(frame))
         assert np.allclose(again.root.position, frame.root.position)
         assert np.allclose(again.joint_pos, frame.joint_pos)
+
+    def test_nan_root_quat_rejected(self, walk_clip):
+        doc = subject_frame_to_dict(humanoid_as_subject(walk_clip, 1.0)[0])
+        doc["root_quat"] = [float("nan"), 0.0, 0.0, 0.0]
+        with pytest.raises(ClipParseError, match=r"frames\[3\]: orientation"):
+            subject_frame_from_dict(doc, 3)

@@ -402,20 +402,53 @@ class TestSimulatedPipeline:
 class TestLiveEndpoints:
     def test_clip_to_server_end_to_end(self, ref_model):
         clip = constant_velocity_clip(ref_model, 0.8, n_frames=25, fps=50.0)
-        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0, capacity=5).start()
+        ticks = []
+        server = PolicyServer(
+            ("127.0.0.1", 0), rate_hz=50.0, capacity=5,
+            sink=lambda frame, held: ticks.append((frame.seq, held)),
+        ).start()
         try:
             sent = send_clip(clip, ref_model, server.addr)
             deadline = time.monotonic() + 3.0
-            while server.stats.ticks < 20 and time.monotonic() < deadline:
+            while server.loop.ticks < 20 and time.monotonic() < deadline:
                 time.sleep(0.02)
         finally:
             server.stop()
         assert sent == 25
         assert server.stats.received >= 20  # loopback loss should be rare
-        assert server.stats.ticks >= 20
-        fresh_seqs = [s for _, s, h in server.trace if not h]
+        assert server.loop.ticks >= 20
+        fresh_seqs = [seq for seq, held in ticks if not held]
         assert all(a < b for a, b in zip(fresh_seqs, fresh_seqs[1:]))
-        assert "ticks" in server.summary_csv()
+        loop = server.loop
+        assert server.summary_csv().splitlines()[1].split(",")[3:] == [
+            str(v) for v in (loop.ticks, loop.fresh, loop.held, loop.overruns)
+        ]
+
+    def test_non_finite_payload_never_reaches_sink(self):
+        seqs = []
+        server = PolicyServer(
+            ("127.0.0.1", 0), rate_hz=50.0, sink=lambda frame, held: seqs.append(frame.seq)
+        ).start()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+
+        def frame_packet(seq, joint):
+            frame = PacketFrame(np.zeros(3), np.zeros((1, 3)), np.array([[1.0, 0, 0, 0]]),
+                                np.array([joint, 0.0]))
+            return encode_packet(StreamPacket(msg_type=MSG_FRAMES, seq=seq, send_ts_us=0,
+                                              frames=(frame,)))
+
+        try:
+            sock.sendto(frame_packet(1, np.nan), server.addr)
+            sock.sendto(frame_packet(2, 0.5), server.addr)
+            deadline = time.monotonic() + 2.0
+            while server.loop.ticks < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            server.stop()
+            sock.close()
+        assert server.stats.decode_errors == 1
+        assert server.stats.received == 1
+        assert seqs and set(seqs) == {2}
 
     def test_decode_errors_non_fatal(self):
         server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0).start()
