@@ -193,6 +193,7 @@ class _LiveTrackerSink:
 
 
 def cmd_serve_policy(args, cfg: RunConfig) -> int:
+    model = _load_model_arg(args.model or cfg.model_path)
     spec = simtrack.parse_tracker(args.tracker)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -203,6 +204,7 @@ def cmd_serve_policy(args, cfg: RunConfig) -> int:
             rate_hz=_resolve(args.rate, cfg.rate_hz, 50.0),
             capacity=_resolve(args.window, cfg.window, DEFAULT_WINDOW),
             sink=sink,
+            model=model,
         ).start()
         log.info("policy server on %s", server.addr)
         try:
@@ -432,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=None, help="run time (s); default: until interrupt")
     p.add_argument("--trace", help="write per-tick JSONL trace here")
     p.add_argument("--seed", type=int, default=None, help="tracker noise seed")
+    p.add_argument("--model", help="humanoid model file (default: bundled)")
     p.set_defaults(func=cmd_serve_policy)
 
     p = sub.add_parser("stream-test", help="fault-injection and latency diagnostics")

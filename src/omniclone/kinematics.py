@@ -69,6 +69,13 @@ class RigidPose:
         return RigidPose(-quat_rotate(inv_q, self.position), inv_q)
 
 
+def _as_slice(index: np.ndarray):
+    """The index array as a slice when it is one non-empty contiguous run."""
+    if index.size and np.all(np.diff(index) == 1):
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
 @dataclass(frozen=True)
 class LinkSpec:
     """One entry of the model file: a link plus the joint attaching it."""
@@ -115,6 +122,8 @@ class HumanoidModel:
         self.joint_limits = np.array(
             [l.limits for l in self.links if l.actuated], dtype=float
         )
+        self.root_index = int(np.flatnonzero(self.parent_index == -1)[0])
+        self.fk_levels = self._fk_levels()
         self.key_bodies: tuple[str, ...] = tuple(key_bodies)
         self.calibration_chain: tuple[str, ...] = tuple(calibration_chain)
         self._validate()
@@ -130,7 +139,7 @@ class HumanoidModel:
 
     @property
     def root_name(self) -> str:
-        return self.link_names[int(np.where(self.parent_index == -1)[0][0])]
+        return self.link_names[self.root_index]
 
     def link_index(self, name: str) -> int:
         try:
@@ -154,15 +163,44 @@ class HumanoidModel:
                 if l.parent not in by_name:
                     raise ConfigError(f"link {l.name!r}: unknown parent {l.parent!r}")
                 children[l.parent].append(l)
+        # breadth-first, so the links of one depth are contiguous in the
+        # order and every parent sits in an earlier depth (see _fk_levels)
         order: list[LinkSpec] = []
-        stack = [roots[0]]
-        while stack:
-            link = stack.pop(0)
+        queue = [roots[0]]
+        while queue:
+            link = queue.pop(0)
             order.append(link)
-            stack.extend(children[link.name])
+            queue.extend(children[link.name])
         if len(order) != len(links):
             raise ConfigError("model contains a cycle or unreachable links")
         return order
+
+    def _fk_levels(self) -> tuple:
+        """Per tree depth below the root: (its links, their parents, its
+        actuated links, their joint columns, their joint axes).
+
+        Each index set is a slice where it is one contiguous run, so that
+        indexing with it gives a view, and an index array otherwise.
+        """
+        depth = np.zeros(len(self.links), dtype=int)
+        for i, parent in enumerate(self.parent_index):
+            if parent >= 0:
+                depth[i] = depth[parent] + 1
+        assert np.all(np.diff(depth) >= 0), "links are not in breadth-first order"
+        levels = []
+        for d in range(1, int(depth.max()) + 1):
+            links = np.flatnonzero(depth == d)
+            actuated = links[self.joint_index[links] >= 0]
+            levels.append(
+                (
+                    _as_slice(links),
+                    _as_slice(self.parent_index[links]),
+                    _as_slice(actuated),
+                    _as_slice(self.joint_index[actuated]),
+                    self.axes[actuated],
+                )
+            )
+        return tuple(levels)
 
     def _validate(self) -> None:
         for i, l in enumerate(self.links):
@@ -231,21 +269,16 @@ def forward_kinematics_arrays(
     L = len(model.links)
     pos = np.empty(batch + (L, 3))
     quat = np.empty(batch + (L, 4))
-    for i in range(L):
-        parent = model.parent_index[i]
-        if parent == -1:
-            pos[..., i, :] = root_pos
-            quat[..., i, :] = root_quat
-            continue
-        p_pos = pos[..., parent, :]
-        p_quat = quat[..., parent, :]
-        pos[..., i, :] = p_pos + quat_rotate(p_quat, model.offsets_pos[i])
-        frame = quat_mul(p_quat, model.offsets_quat[i])
-        j = model.joint_index[i]
-        if j >= 0:
-            jq = quat_from_axis_angle(model.axes[i], joint_pos[..., j])
-            frame = quat_mul(frame, jq)
-        quat[..., i, :] = frame
+    pos[..., model.root_index, :] = root_pos
+    quat[..., model.root_index, :] = root_quat
+    # one tree depth at a time; per link this is the same arithmetic as a
+    # link-by-link walk: parent frame * offset, then * joint rotation
+    for links, parents, actuated, cols, axes in model.fk_levels:
+        q_parent = quat[..., parents, :]
+        pos[..., links, :] = pos[..., parents, :] + quat_rotate(q_parent, model.offsets_pos[links])
+        quat[..., links, :] = quat_mul(q_parent, model.offsets_quat[links])
+        jq = quat_from_axis_angle(axes, joint_pos[..., cols])
+        quat[..., actuated, :] = quat_mul(quat[..., actuated, :], jq)
     return pos, quat
 
 

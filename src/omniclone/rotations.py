@@ -32,15 +32,15 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    w = aw * bw - ax * bx - ay * by - az * bz
+    # every component has the broadcast shape of a and b, so the first
+    # one sizes the output
+    out = np.empty(w.shape + (4,))
+    out[..., 0] = w
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
@@ -49,13 +49,23 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector(s) v by unit quaternion(s) q."""
+    """Rotate vector(s) v by unit quaternion(s) q: v + 2 (w t + u x t), t = u x v.
+
+    The cross products are written out with np.cross's own formulas
+    (a1*b2 - a2*b1, ...), so the result is bit-identical to it.
+    """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    w = q[..., :1]
-    u = q[..., 1:]
-    cross = np.cross(u, v)
-    return v + 2.0 * (w * cross + np.cross(u, cross))
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    tx = y * vz - z * vy
+    ty = z * vx - x * vz
+    tz = x * vy - y * vx
+    out = np.empty(tx.shape + (3,))
+    out[..., 0] = vx + 2.0 * (w * tx + (y * tz - z * ty))
+    out[..., 1] = vy + 2.0 * (w * ty + (z * tx - x * tz))
+    out[..., 2] = vz + 2.0 * (w * tz + (x * ty - y * tx))
+    return out
 
 
 def quat_rotate_inverse(q: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -235,11 +235,16 @@ def build_student_obs(
         ("root_ang_vel", state.root_ang_vel),
         ("last_action", state.last_action),
     ]
-    for i, ref in enumerate(ref_window):
-        ref_body_pos, ref_body_quat = _frame_key_bodies(ref, model)
-        blocks.append((f"ref{i}_body_pos", to_base_point(root, ref_body_pos)))
-        blocks.append((f"ref{i}_body_quat", to_base_quat(root, ref_body_quat)))
-        blocks.append((f"ref{i}_root_lin_vel", to_base_vector(root, ref.root_lin_vel)))
+    if ref_window:
+        # the whole window goes into the base frame at once: (f, K, 3), (f, K, 4), (f, 3)
+        key_bodies = [_frame_key_bodies(ref, model) for ref in ref_window]
+        body_pos = to_base_point(root, np.stack([p for p, _ in key_bodies]))
+        body_quat = to_base_quat(root, np.stack([q for _, q in key_bodies]))
+        lin_vel = to_base_vector(root, np.stack([ref.root_lin_vel for ref in ref_window]))
+        for i in range(len(ref_window)):
+            blocks.append((f"ref{i}_body_pos", body_pos[i]))
+            blocks.append((f"ref{i}_body_quat", body_quat[i]))
+            blocks.append((f"ref{i}_root_lin_vel", lin_vel[i]))
     return _assemble(blocks)
 
 

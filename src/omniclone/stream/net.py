@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import InputError, InsufficientDataError, ProtocolError
+from ..kinematics import HumanoidModel, load_reference_model
 from ..motion import MotionClip, derive_body_kinematics, percentile
 from .faults import FaultConfig, FaultInjector
 from .jitter import DEFAULT_WINDOW, FrameQueue, RateLoop, Stamped
@@ -111,8 +112,10 @@ class PolicyServer:
     """Receives frame packets into a jitter buffer and drains it at a fixed
     rate through a tracker sink. Heartbeats are echoed back to the sender.
 
-    Decode errors, and frame packets whose payload is not finite, are
-    counted as decode_errors and never fatal to the receiver loop.
+    Decode errors, frame packets whose key-body or joint count differs
+    from the model (default: the bundled one), and frame packets whose
+    payload is not finite are counted as decode_errors and never fatal to
+    the receiver loop.
     """
 
     def __init__(
@@ -122,7 +125,10 @@ class PolicyServer:
         capacity: int = DEFAULT_WINDOW,
         sink: Callable[[Stamped, bool], None] = lambda frame, held: None,
         max_ticks: int | None = None,
+        model: HumanoidModel | None = None,
     ):
+        model = load_reference_model() if model is None else model
+        self.frame_counts = (model.n_key_bodies, model.n_joints)
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.bind(listen)
         self.sock.settimeout(0.05)
@@ -151,7 +157,10 @@ class PolicyServer:
             except ProtocolError:
                 self.stats.decode_errors += 1
                 continue
-            if packet.msg_type == MSG_FRAMES and not payload_finite(data):
+            if packet.msg_type == MSG_FRAMES and (
+                (packet.n_bodies, packet.n_joints) != self.frame_counts
+                or not payload_finite(data)
+            ):
                 self.stats.decode_errors += 1
                 continue
             self.stats.received += 1

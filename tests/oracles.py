@@ -3,13 +3,18 @@
 Deliberately written with different machinery than the package (4x4
 homogeneous matrices instead of quaternion composition, struct-by-struct
 packet building, plain-list queue simulation) so agreement is evidence,
-not tautology.
+not tautology. The exception is per_link_fk: a link-by-link walk on the
+package's quaternion core that the level-wise FK must match bit for bit;
+that core is itself checked against numpy's cross product and stacking
+(cross_quat_rotate, stack_quat_mul).
 """
 import math
 import struct
 import zlib
 
 import numpy as np
+
+from omniclone.rotations import quat_from_axis_angle, quat_mul, quat_rotate
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +111,64 @@ def links_from_model(model):
         )
         for l in model.links
     ]
+
+
+def per_link_fk(model, joint_pos, root_pos, root_quat):
+    """Link-by-link FK walk in link order: (..., L, 3), (..., L, 4).
+
+    The package's FK goes one tree depth at a time with the same arithmetic
+    per link, so the two must agree bit for bit.
+    """
+    joint_pos = np.asarray(joint_pos, dtype=float)
+    batch = joint_pos.shape[:-1]
+    L = len(model.links)
+    pos = np.empty(batch + (L, 3))
+    quat = np.empty(batch + (L, 4))
+    for i in range(L):
+        parent = model.parent_index[i]
+        if parent == -1:
+            pos[..., i, :] = root_pos
+            quat[..., i, :] = root_quat
+            continue
+        p_pos = pos[..., parent, :]
+        p_quat = quat[..., parent, :]
+        pos[..., i, :] = p_pos + quat_rotate(p_quat, model.offsets_pos[i])
+        frame = quat_mul(p_quat, model.offsets_quat[i])
+        j = model.joint_index[i]
+        if j >= 0:
+            jq = quat_from_axis_angle(model.axes[i], joint_pos[..., j])
+            frame = quat_mul(frame, jq)
+        quat[..., i, :] = frame
+    return pos, quat
+
+
+# ---------------------------------------------------------------------------
+# Quaternion products through numpy's own cross product and stacking
+# ---------------------------------------------------------------------------
+
+def cross_quat_rotate(q, v):
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    w = q[..., :1]
+    u = q[..., 1:]
+    cross = np.cross(u, v)
+    return v + 2.0 * (w * cross + np.cross(u, cross))
+
+
+def stack_quat_mul(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ],
+        axis=-1,
+    )
 
 
 # ---------------------------------------------------------------------------

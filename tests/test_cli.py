@@ -23,7 +23,8 @@ from test_retarget import MARKERS, humanoid_as_subject
 DOCUMENTED_FLAGS = {
     ("retarget",): ["--calibration", "--mapping", "--in", "--out", "--model", "--fps", "--name"],
     ("relay",): ["--listen", "--forward", "--clip", "--stdin", "--model", "--rate", "--duration"],
-    ("serve-policy",): ["--listen", "--tracker", "--rate", "--window", "--duration", "--trace", "--seed"],
+    ("serve-policy",): ["--listen", "--tracker", "--rate", "--window", "--duration", "--trace", "--seed",
+                         "--model"],
     ("stream-test",): ["--packets", "--rate", "--drop", "--jitter", "--reorder",
                         "--duplicate", "--seed", "--window", "--live", "--samples", "--out"],
     ("bench", "run"): ["--manifest", "--tracker", "--out", "--model", "--method",

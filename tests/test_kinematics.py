@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chain_model, random_tree_model
-from oracles import links_from_model, matrix_fk, matrix_to_quat
+from oracles import (
+    cross_quat_rotate,
+    links_from_model,
+    matrix_fk,
+    matrix_to_quat,
+    per_link_fk,
+    stack_quat_mul,
+)
 
 from omniclone.errors import ClipParseError, ConfigError, InputError
 from omniclone.kinematics import (
@@ -122,17 +129,134 @@ class TestForwardKinematics:
         assert np.allclose(pos_g, world_point(g, pos_id), atol=1e-9)
         assert np.all(quat_distance(quat_g, quat_mul(g.orientation, quat_id)) < 1e-9)
 
-    def test_batched_fk_matches_loop(self, rng):
-        model = random_tree_model(rng, 4)
-        T = 7
-        qs = rng.uniform(-1, 1, (T, model.n_joints))
-        root_pos = rng.uniform(-1, 1, (T, 3))
-        root_quat = quat_normalize(rng.normal(size=(T, 4)))
-        pos, quat = forward_kinematics_arrays(model, qs, root_pos, root_quat)
-        for t in range(T):
-            p1, q1 = forward_kinematics_arrays(model, qs[t], root_pos[t], root_quat[t])
-            assert np.allclose(pos[t], p1, atol=1e-12)
-            assert np.allclose(quat[t], q1, atol=1e-12)
+    def test_batched_fk_matches_loop(self, ref_model, rng):
+        # every row of a batch is bit-identical to the single-configuration call
+        for model, T in ((random_tree_model(rng, 4), 7), (ref_model, 90)):
+            qs, root_pos, root_quat = random_batch(rng, model, (T,))
+            pos, quat = forward_kinematics_arrays(model, qs, root_pos, root_quat)
+            for t in range(T):
+                p1, q1 = forward_kinematics_arrays(model, qs[t], root_pos[t], root_quat[t])
+                assert np.array_equal(pos[t], p1)
+                assert np.array_equal(quat[t], q1)
+
+
+def random_batch(rng, model, batch):
+    """Joint angles, root positions and unit root quaternions of shape batch."""
+    return (
+        rng.uniform(-np.pi, np.pi, batch + (model.n_joints,)),
+        rng.uniform(-1, 1, batch + (3,)),
+        quat_normalize(rng.normal(size=batch + (4,))),
+    )
+
+
+def assert_matches_per_link(model, joint_pos, root_pos, root_quat):
+    pos, quat = forward_kinematics_arrays(model, joint_pos, root_pos, root_quat)
+    ref_pos, ref_quat = per_link_fk(model, joint_pos, root_pos, root_quat)
+    assert pos.shape == ref_pos.shape and quat.shape == ref_quat.shape
+    assert np.array_equal(pos, ref_pos)
+    assert np.array_equal(quat, ref_quat)
+
+
+class TestLevelwiseFK:
+    """FK goes one tree depth at a time; the link-by-link walk is the oracle."""
+
+    @pytest.mark.parametrize("batch", [(), (1,), (90,), (1024,)])
+    def test_reference_model_bit_identical(self, ref_model, rng, batch):
+        assert_matches_per_link(ref_model, *random_batch(rng, ref_model, batch))
+
+    def test_random_trees_bit_identical(self, rng):
+        for _ in range(100):
+            model = random_tree_model(rng, int(rng.integers(1, 13)))
+            for batch in ((), (5,)):
+                assert_matches_per_link(model, *random_batch(rng, model, batch))
+
+    def test_reference_model_levels(self, ref_model):
+        levels = ref_model.fk_levels
+        assert len(levels) == 10
+        link = np.arange(len(ref_model.links))
+        covered = [i for links, *_ in levels for i in link[links]]
+        assert covered == [i for i in link if i != ref_model.root_index]
+        head = ref_model.link_index("head")
+        for links, parents, actuated, cols, axes in levels:
+            assert list(ref_model.parent_index[links]) == list(link[parents])
+            assert np.all(link[parents] < link[links][0])
+            assert list(ref_model.joint_index[actuated]) == list(np.arange(29)[cols])
+            assert head not in link[actuated]
+            assert np.array_equal(axes, ref_model.axes[actuated])
+
+    def test_children_listed_before_parents_siblings(self, tmp_path, rng):
+        # the file lists a deep branch first, a fixed link mid-tree and the
+        # root last; link order is breadth-first whatever the file order
+        def joint(name, parent, limits=(-1.0, 1.0)):
+            axis = rng.normal(size=3)
+            quat = rng.normal(size=4)
+            return {
+                "name": name, "parent": parent,
+                "offset_pos": list(rng.uniform(-0.3, 0.3, 3)),
+                "offset_quat": list(quat / np.linalg.norm(quat)),
+                "axis": list(axis / np.linalg.norm(axis)), "limits": list(limits),
+            }
+
+        doc = {
+            "joints": [
+                joint("a", "root"), joint("a1", "a"), joint("a2", "a1"), joint("a3", "a2"),
+                joint("b", "root"), joint("b1", "b", limits=(0.0, 0.0)), joint("b2", "b1"),
+                joint("c", "root"), joint("c1", "c"), joint("root", None),
+            ],
+            "key_bodies": ["a3", "b2"],
+            "calibration_chain": [],
+        }
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        model = load_model(path)
+        assert model.link_names == ("root", "a", "b", "c", "a1", "b1", "c1", "a2", "b2", "a3")
+        assert model.n_joints == 8
+        for batch in ((), (4,)):
+            assert_matches_per_link(model, *random_batch(rng, model, batch))
+
+    def test_single_chain(self, rng):
+        model = make_chain_model(
+            rng.uniform(-0.3, 0.3, (11, 3)), axes=quat_normalize(rng.normal(size=(11, 3)))
+        )
+        assert len(model.links) == 12 and len(model.fk_levels) == 11
+        for batch in ((), (6,)):
+            assert_matches_per_link(model, *random_batch(rng, model, batch))
+
+    def test_root_only_model(self, rng):
+        model = HumanoidModel([LinkSpec("base", None)], ["base"], [])
+        assert model.fk_levels == () and model.n_joints == 0
+        for batch in ((), (3,)):
+            joint_pos, root_pos, root_quat = random_batch(rng, model, batch)
+            assert_matches_per_link(model, joint_pos, root_pos, root_quat)
+            pos, quat = forward_kinematics_arrays(model, joint_pos, root_pos, root_quat)
+            assert np.array_equal(pos[..., 0, :], root_pos)
+            assert np.array_equal(quat[..., 0, :], root_quat)
+
+
+class TestQuaternionCore:
+    """quat_rotate and quat_mul against numpy's cross product and stacking."""
+
+    @staticmethod
+    def shape_pairs(rng, width):
+        n, k = (int(v) for v in rng.integers(1, 9, 2))
+        return [((4,), (k, width)), ((n, 1, 4), (k, width)), ((n, k, 4), (n, k, width))]
+
+    def test_rotate_bit_identical_to_np_cross(self, rng):
+        for _ in range(50):
+            for q_shape, v_shape in self.shape_pairs(rng, 3):
+                q = quat_normalize(rng.normal(size=q_shape))
+                v = rng.normal(size=v_shape)
+                got, want = quat_rotate(q, v), cross_quat_rotate(q, v)
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_mul_bit_identical_to_np_stack(self, rng):
+        for _ in range(50):
+            for a_shape, b_shape in self.shape_pairs(rng, 4):
+                a = rng.normal(size=a_shape)
+                b = rng.normal(size=b_shape)
+                for x, y in ((a, b), (b, a)):
+                    got, want = quat_mul(x, y), stack_quat_mul(x, y)
+                    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestBaseFrame:

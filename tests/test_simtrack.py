@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from omniclone.errors import ConfigError, InputError
-from omniclone.kinematics import GRAVITY, RigidPose
+from omniclone.kinematics import GRAVITY, RigidPose, to_base_point, to_base_quat, to_base_vector
 from omniclone.motion import Frame, MotionClip, derive_joint_velocities
 from omniclone.rotations import quat_from_yaw, quat_mul, quat_normalize, quat_rotate
 from omniclone.simtrack import (
@@ -15,6 +15,7 @@ from omniclone.simtrack import (
     RobotState,
     TRACKING_TERMS,
     TrackerSpec,
+    _frame_key_bodies,
     build_student_obs,
     build_teacher_obs,
     default_system_config,
@@ -153,6 +154,32 @@ class TestObservationContent:
             build_teacher_obs(state, ref, ref_model)
         obs = build_teacher_obs(state, ref, ref_model, include_ref_joint_vel=False)
         assert "ref_joint_vel" not in [n for n, _, _ in obs.layout]
+
+    def test_student_window_matches_per_frame_transforms(self, ref_model, rng):
+        # the window is transformed in one call per kind; each block must be
+        # bit-identical to transforming its frame alone (float32 wire
+        # frames, frames without body data and a 0-frame window included)
+        state = random_state(rng, ref_model)
+        root = state.root
+        wire = random_ref(rng, ref_model)
+        wire = replace(
+            wire, body_pos=wire.body_pos.astype(np.float32),
+            body_quat=wire.body_quat.astype(np.float32),
+            root_lin_vel=wire.root_lin_vel.astype(np.float32),
+        )
+        no_bodies = replace(random_ref(rng, ref_model), body_pos=None, body_quat=None)
+        window = [random_ref(rng, ref_model), wire, no_bodies, wire, random_ref(rng, ref_model)]
+        obs = build_student_obs(state, window, ref_model, 5)
+        for i, ref in enumerate(window):
+            body_pos, body_quat = _frame_key_bodies(ref, ref_model)
+            assert np.array_equal(obs.slice(f"ref{i}_body_pos"), to_base_point(root, body_pos).ravel())
+            assert np.array_equal(obs.slice(f"ref{i}_body_quat"), to_base_quat(root, body_quat).ravel())
+            assert np.array_equal(
+                obs.slice(f"ref{i}_root_lin_vel"), to_base_vector(root, ref.root_lin_vel)
+            )
+        empty = build_student_obs(state, [], ref_model, 0)
+        assert empty.values.shape == (student_obs_length(ref_model, 0),)
+        assert np.array_equal(empty.values, obs.values[: empty.values.shape[0]])
 
     def test_se2_equivariance_both_policies(self, ref_model, rng):
         for _ in range(25):

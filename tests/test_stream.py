@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_chain_model
 from oracles import hold_pipeline_oracle, reference_encode, sorted_percentile
 
 from omniclone.errors import (
@@ -399,6 +400,42 @@ class TestSimulatedPipeline:
                 assert e.t - send_time[e.seq] <= bound
 
 
+def frame_datagram(seq, n_joints=29, n_bodies=7, joint0=0.0):
+    """An encoded one-frame packet; the defaults match the bundled model."""
+    joints = np.zeros(n_joints)
+    joints[0] = joint0
+    frame = PacketFrame(np.zeros(3), np.zeros((n_bodies, 3)),
+                        np.tile([1.0, 0.0, 0.0, 0.0], (n_bodies, 1)), joints)
+    return encode_packet(StreamPacket(msg_type=MSG_FRAMES, seq=seq, send_ts_us=0, frames=(frame,)))
+
+
+def serve_datagrams(datagrams, model=None):
+    """Send datagrams to a live PolicyServer; return it (stopped) and the
+    seqs its sink saw once every datagram was handled and two more ticks ran."""
+    seqs = []
+    server = PolicyServer(
+        ("127.0.0.1", 0), rate_hz=50.0, sink=lambda frame, held: seqs.append(frame.seq),
+        model=model,
+    ).start()
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        for data in datagrams:
+            sock.sendto(data, server.addr)
+        deadline = time.monotonic() + 2.0
+        while (
+            server.stats.received + server.stats.decode_errors < len(datagrams)
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        ticks = server.loop.ticks
+        while server.loop.ticks < ticks + 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        server.stop()
+        sock.close()
+    return server, seqs
+
+
 class TestLiveEndpoints:
     def test_clip_to_server_end_to_end(self, ref_model):
         clip = constant_velocity_clip(ref_model, 0.8, n_frames=25, fps=50.0)
@@ -425,30 +462,29 @@ class TestLiveEndpoints:
         ]
 
     def test_non_finite_payload_never_reaches_sink(self):
-        seqs = []
-        server = PolicyServer(
-            ("127.0.0.1", 0), rate_hz=50.0, sink=lambda frame, held: seqs.append(frame.seq)
-        ).start()
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-
-        def frame_packet(seq, joint):
-            frame = PacketFrame(np.zeros(3), np.zeros((1, 3)), np.array([[1.0, 0, 0, 0]]),
-                                np.array([joint, 0.0]))
-            return encode_packet(StreamPacket(msg_type=MSG_FRAMES, seq=seq, send_ts_us=0,
-                                              frames=(frame,)))
-
-        try:
-            sock.sendto(frame_packet(1, np.nan), server.addr)
-            sock.sendto(frame_packet(2, 0.5), server.addr)
-            deadline = time.monotonic() + 2.0
-            while server.loop.ticks < 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        finally:
-            server.stop()
-            sock.close()
+        server, seqs = serve_datagrams([frame_datagram(1, joint0=np.nan), frame_datagram(2)])
         assert server.stats.decode_errors == 1
         assert server.stats.received == 1
         assert seqs and set(seqs) == {2}
+
+    def test_wrong_joint_count_never_reaches_sink(self, ref_model):
+        # the server checks counts against the bundled model by default
+        assert (ref_model.n_key_bodies, ref_model.n_joints) == (7, 29)
+        server, seqs = serve_datagrams(
+            [frame_datagram(1), frame_datagram(2, n_joints=3), frame_datagram(3)]
+        )
+        assert server.stats.decode_errors == 1
+        assert server.stats.received == 2
+        assert set(seqs) == {1, 3}
+
+    def test_wrong_body_count_rejected_for_the_given_model(self):
+        model = make_chain_model([1.0, 1.0], key_bodies=["root"])
+        server, seqs = serve_datagrams(
+            [frame_datagram(1, n_joints=2, n_bodies=1), frame_datagram(2, n_joints=2)],
+            model=model,
+        )
+        assert server.stats.decode_errors == 1
+        assert seqs and set(seqs) == {1}
 
     def test_decode_errors_non_fatal(self):
         server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0).start()
