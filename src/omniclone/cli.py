@@ -268,8 +268,10 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
 def cmd_bench_run(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
     tracker = simtrack.parse_tracker(args.tracker)
-    entries = bench_mod.load_manifest(args.manifest)
     thresholds = _thresholds(args, cfg)
+    load_s = episodes_s = 0.0
+    start = time.perf_counter()
+    entries = bench_mod.load_manifest(args.manifest)
     base = pathlib.Path(args.manifest).parent
     results = []
     for entry in entries:
@@ -281,10 +283,19 @@ def cmd_bench_run(args, cfg: RunConfig) -> int:
             clip = clip.replace(
                 category=entry.category or clip.category, level=entry.level or clip.level
             )
+        loaded = time.perf_counter()
+        load_s += loaded - start
         results.append(
             bench_mod.run_episode(tracker, clip, model, thresholds, alignment=args.alignment)
         )
+        start = time.perf_counter()
+        episodes_s += start - loaded
     _write_text(args.out, bench_mod.results_to_json(results, method=args.method))
+    log.info(
+        "bench run: %d episodes; %.3f s loading clips, %.3f s running episodes,"
+        " %.3f s writing results",
+        len(results), load_s, episodes_s, time.perf_counter() - start,
+    )
     covered = {(r.category, r.level) for r in results}
     missing = [s for s in motion.BENCH_STRATA if s not in covered]
     if missing:

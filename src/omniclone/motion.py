@@ -7,6 +7,8 @@ seconds on a uniform 1/fps grid. A clip's duration is frame_count / fps
 """
 from __future__ import annotations
 
+import base64
+import binascii
 import dataclasses
 import json
 import math
@@ -374,9 +376,8 @@ def derive_body_kinematics(clip: MotionClip, model: HumanoidModel) -> MotionClip
 # ---------------------------------------------------------------------------
 
 def clip_to_dict(clip: MotionClip) -> dict:
-    columns = {
-        key: getattr(clip, key).tolist() for key in COLUMNS if getattr(clip, key) is not None
-    }
+    """The clip file document: the header, then each present column as
+    base64 of its little-endian float64 bytes in C order."""
     return {
         "header": {
             "name": clip.name,
@@ -388,16 +389,58 @@ def clip_to_dict(clip: MotionClip) -> dict:
             "dof_names": list(clip.dof_names),
             "key_bodies": list(clip.key_bodies),
         },
-        "frames": [dict(zip(columns, row)) for row in zip(*columns.values())],
+        "columns": {
+            key: base64.b64encode(column.astype("<f8", copy=False).tobytes()).decode("ascii")
+            for key in COLUMNS
+            if (column := getattr(clip, key)) is not None
+        },
     }
 
 
+def _decode_columns(encoded, n: int, k: int) -> dict[str, np.ndarray]:
+    """A clip document's base64 columns as (T, *shape) arrays, T from `t`.
+
+    Each array is a read-only view of its decoded bytes, not a copy.
+    """
+    if not isinstance(encoded, Mapping):
+        raise ClipParseError("columns: expected an object of base64 strings")
+    for key in encoded:
+        if key not in COLUMNS:
+            raise ClipParseError(f"columns.{key}: unknown column")
+    for key in _REQUIRED:
+        if key not in encoded:
+            raise ClipParseError(f"columns.{key}: missing")
+    raw = {}
+    for key, text in encoded.items():
+        try:
+            raw[key] = base64.b64decode(text, validate=True)
+        except (binascii.Error, TypeError, ValueError):
+            raise ClipParseError(f"columns.{key}: not base64 text") from None
+    T = len(raw["t"]) // 8
+    shapes = _frame_shapes(n, k)
+    columns = {}
+    for key, data in raw.items():
+        shape = (T,) + shapes[key]
+        if len(data) != 8 * math.prod(shape):
+            raise ClipParseError(
+                f"columns.{key}: {len(data)} bytes, expected {8 * math.prod(shape)}"
+                f" for float64 shape {shape}"
+            )
+        columns[key] = np.frombuffer(data, "<f8").reshape(shape)
+    return columns
+
+
 def clip_from_dict(doc: Mapping) -> MotionClip:
+    """A clip from its file document. Row documents, which hold a "frames"
+    list of per-frame objects instead of "columns", are read too."""
     try:
         header = doc["header"]
-        frames_doc = doc["frames"]
+        has_columns, has_frames = "columns" in doc, "frames" in doc
     except (KeyError, TypeError):
-        raise ClipParseError("clip document: missing 'header' or 'frames'") from None
+        raise ClipParseError("clip document: missing 'header'") from None
+    if has_columns == has_frames:
+        which = "has both" if has_columns else "needs one of"
+        raise ClipParseError(f"clip document: {which} 'columns' and 'frames'")
     try:
         fps = float(header["fps"])
         name = str(header["name"])
@@ -409,11 +452,14 @@ def clip_from_dict(doc: Mapping) -> MotionClip:
         raise ClipParseError(f"header: {exc}") from None
     if fps <= 0:
         raise ClipParseError("header.fps: fps must be positive")
-    if not frames_doc:
-        raise ClipParseError("clip document: frames must be non-empty")
-    if not all(isinstance(fd, Mapping) for fd in frames_doc):
-        raise ClipParseError("frames: every frame must be an object")
+    if has_frames:
+        frames_doc = doc["frames"]
+        if not frames_doc:
+            raise ClipParseError("clip document: frames must be non-empty")
+        if not all(isinstance(fd, Mapping) for fd in frames_doc):
+            raise ClipParseError("frames: every frame must be an object")
     try:
+        columns = _decode_columns(doc["columns"], n, k) if has_columns else _stack_rows(frames_doc, n, k)
         return MotionClip.from_arrays(
             name,
             fps,
@@ -421,7 +467,7 @@ def clip_from_dict(doc: Mapping) -> MotionClip:
             level,
             dof_names=tuple(header.get("dof_names", ())),
             key_bodies=tuple(header.get("key_bodies", ())),
-            **_stack_rows(frames_doc, n, k),
+            **columns,
         )
     except InputError as exc:
         raise ClipParseError(f"clip document: {exc}") from None

@@ -12,6 +12,8 @@ from typing import Any, Callable
 from ..errors import InputError, NeverFedError
 
 DEFAULT_WINDOW = 5  # queue depth f; the future-window length is a config knob
+#: longest a RateLoop waiting for its first frame goes without checking stop()
+_STOP_POLL_S = 0.05
 
 PUSH_ACCEPTED = "accepted"
 PUSH_STALE = "stale"
@@ -102,7 +104,6 @@ class RateLoop:
         rate_hz: float = 50.0,
         sink: Callable[[Stamped, bool], None] = lambda frame, held: None,
         max_ticks: int | None = None,
-        startup_timeout: float | None = None,
     ):
         if rate_hz <= 0:
             raise InputError("rate_hz must be positive")
@@ -110,7 +111,6 @@ class RateLoop:
         self.period = 1.0 / rate_hz
         self.sink = sink
         self.max_ticks = max_ticks
-        self.startup_timeout = startup_timeout
         self.ticks = 0
         self.fresh = 0
         self.held = 0
@@ -133,8 +133,9 @@ class RateLoop:
         return self._thread.is_alive()
 
     def _run(self) -> None:
-        if not self.queue.wait_first(self.startup_timeout):
-            return
+        while not self.queue.wait_first(_STOP_POLL_S):
+            if self._stop.is_set():
+                return
         deadline = time.monotonic()
         while not self._stop.is_set():
             if self.max_ticks is not None and self.ticks >= self.max_ticks:
@@ -160,7 +161,6 @@ def fixed_rate_loop(
     rate_hz: float = 50.0,
     sink: Callable[[Stamped, bool], None] = lambda frame, held: None,
     max_ticks: int | None = None,
-    startup_timeout: float | None = None,
 ) -> RateLoop:
     """Start a fixed-rate drain of the queue; returns the running handle."""
-    return RateLoop(queue, rate_hz, sink, max_ticks, startup_timeout).start()
+    return RateLoop(queue, rate_hz, sink, max_ticks).start()

@@ -6,7 +6,9 @@ packet building, plain-list queue simulation) so agreement is evidence,
 not tautology. The exception is per_link_fk: a link-by-link walk on the
 package's quaternion core that the level-wise FK must match bit for bit;
 that core is itself checked against numpy's cross product and stacking
-(cross_quat_rotate, stack_quat_mul).
+(cross_quat_rotate, stack_quat_mul). rows_clip_doc is no oracle: it
+writes the row layout of older clip files, which the package still reads
+but no longer writes.
 """
 import math
 import struct
@@ -14,6 +16,7 @@ import zlib
 
 import numpy as np
 
+from omniclone.motion import COLUMNS, clip_to_dict
 from omniclone.rotations import quat_from_axis_angle, quat_mul, quat_rotate
 
 
@@ -169,6 +172,23 @@ def stack_quat_mul(a, b):
         ],
         axis=-1,
     )
+
+
+# ---------------------------------------------------------------------------
+# Clip documents in the row layout
+# ---------------------------------------------------------------------------
+
+def rows_clip_doc(clip):
+    """The clip's file document in the row layout of older clip files: one
+    object per frame, under "frames", holding each present field as decimal
+    numbers."""
+    columns = {
+        key: getattr(clip, key).tolist() for key in COLUMNS if getattr(clip, key) is not None
+    }
+    return {
+        "header": clip_to_dict(clip)["header"],
+        "frames": [dict(zip(columns, row)) for row in zip(*columns.values())],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
+import logging
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -108,6 +110,19 @@ class TestBenchWorkflow:
         lines = report_path.read_text().strip().split("\n")
         assert lines[0] == "category,level,sr_percent,mpjpe_mm"
         assert len(lines) == 19
+
+    def test_stage_times_logged(self, tmp_path, ref_model, caplog):
+        manifest = write_suite(tmp_path, ref_model)
+        caplog.set_level(logging.INFO, logger="omniclone")
+        argv = ["bench", "run", "--manifest", str(manifest), "--tracker", "perfect",
+                "--out", str(tmp_path / "results.json")]
+        assert cli.main(argv) == 0
+        [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("bench run:")]
+        assert re.fullmatch(
+            r"bench run: 18 episodes; \d+\.\d{3} s loading clips, \d+\.\d{3} s running episodes,"
+            r" \d+\.\d{3} s writing results",
+            line,
+        )
 
     def test_partial_manifest_exit_nonzero(self, tmp_path, ref_model, capsys):
         clip = constant_velocity_clip(ref_model, 1.0, n_frames=10, category="walk", level="fast")

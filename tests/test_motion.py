@@ -1,16 +1,21 @@
+import base64
+import json
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import sorted_mean, sorted_percentile
+from oracles import rows_clip_doc, sorted_mean, sorted_percentile
 
 from omniclone.errors import ClipParseError, ConfigError, InputError
 from omniclone.kinematics import RigidPose
 from omniclone.motion import (
     BENCH_STRATA,
+    COLUMNS,
     FilterCriteria,
     Frame,
     MotionClip,
@@ -19,6 +24,7 @@ from omniclone.motion import (
     clip_stats,
     clip_to_dict,
     compose_recipe,
+    derive_body_kinematics,
     derive_joint_velocities,
     filter_clips,
     format_stats_markdown,
@@ -128,7 +134,7 @@ class TestColumns:
             MotionClip("x", 30.0, "other", "none", frames)
 
     def test_partial_optional_field_rejected_from_file(self):
-        doc = clip_to_dict(simple_clip(n_frames=4))
+        doc = rows_clip_doc(simple_clip(n_frames=4))
         doc["frames"][3]["joint_vel"] = [0.0, 0.0]
         with pytest.raises(ClipParseError, match=r"frames\[3\]\.joint_vel: present on some frames only"):
             clip_from_dict(doc)
@@ -174,15 +180,110 @@ class TestClipFile:
             clip_from_dict(doc)
 
     def test_dimension_mismatch_context(self):
-        doc = clip_to_dict(simple_clip(n=2))
+        doc = rows_clip_doc(simple_clip(n=2))
         doc["frames"][1]["joint_pos"] = [0.0, 0.0, 0.0]
         with pytest.raises(ClipParseError, match=r"frames\[1\].joint_pos"):
             clip_from_dict(doc)
 
     def test_non_monotone_timestamps(self):
-        doc = clip_to_dict(simple_clip())
+        doc = rows_clip_doc(simple_clip())
         doc["frames"][2]["t"] = doc["frames"][0]["t"]
         with pytest.raises(ClipParseError, match="strictly increasing"):
+            clip_from_dict(doc)
+
+
+def b64_column(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def column_doc():
+    return clip_to_dict(simple_clip(n_frames=4, joint_vel=np.array([0.05, -0.01])))
+
+
+# finite floats, with signed zeros, subnormals and the extremes drawn often
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestColumnFile:
+    def test_columns_are_little_endian_float64_in_c_order(self, ref_model):
+        clip = sine_joint_clip(ref_model, n_frames=7)
+        doc = clip_to_dict(clip)
+        assert set(doc) == {"header", "columns"}
+        assert list(doc["columns"]) == ["t", "root_pos", "root_quat", "root_lin_vel", "root_ang_vel",
+                                        "joint_pos", "joint_vel"]
+        values = clip.joint_pos.ravel().tolist()
+        assert base64.b64decode(doc["columns"]["joint_pos"]) == struct.pack(f"<{len(values)}d", *values)
+
+    def test_row_and_column_documents_load_equal(self, ref_model):
+        clip = derive_body_kinematics(sine_joint_clip(ref_model, n_frames=12), ref_model)
+        from_rows = clip_from_dict(json.loads(json.dumps(rows_clip_doc(clip))))
+        from_columns = clip_from_dict(json.loads(json.dumps(clip_to_dict(clip))))
+        for key in COLUMNS:
+            rows, columns = getattr(from_rows, key), getattr(from_columns, key)
+            assert (rows is None) == (columns is None) == (getattr(clip, key) is None), key
+            assert rows is None or np.array_equal(rows, columns), key
+        assert from_rows.body_pos is not None and from_rows.joint_vel is not None
+        assert clip_to_dict(from_rows) == clip_to_dict(from_columns) == clip_to_dict(clip)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), T=st.integers(1, 4), n=st.integers(1, 3), k=st.integers(0, 2))
+    def test_round_trip_keeps_every_bit(self, data, T, n, k):
+        def draw(*shape):
+            return data.draw(arrays(np.float64, (T,) + shape, elements=EDGE_FLOATS))
+
+        columns = dict(
+            t=np.arange(T) / 30.0, root_pos=draw(3), root_quat=np.tile([1.0, 0.0, 0.0, 0.0], (T, 1)),
+            root_lin_vel=draw(3), root_ang_vel=draw(3), joint_pos=draw(n), joint_vel=draw(n),
+        )
+        if k:
+            columns.update(body_pos=draw(k, 3), body_quat=draw(k, 4), body_lin_vel=draw(k, 3),
+                           body_ang_vel=draw(k, 3))
+        clip = MotionClip.from_arrays("edge", 30.0, "other", "none", **columns)
+        doc = json.loads(json.dumps(clip_to_dict(clip)))
+        for again in (clip_from_dict(doc), clip_from_dict(json.loads(json.dumps(rows_clip_doc(clip))))):
+            for key in COLUMNS:
+                column = getattr(clip, key)
+                assert (column is None) == (getattr(again, key) is None)
+                assert column is None or getattr(again, key).tobytes() == column.tobytes(), key
+            assert clip_to_dict(again) == doc
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["columns"].update(root_pos="*" + doc["columns"]["root_pos"]),
+             r"columns\.root_pos: not base64"),
+            (lambda doc: doc["columns"].update(root_pos="AAAAAAAAAAA"), r"columns\.root_pos: not base64"),
+            (lambda doc: doc["columns"].update(joint_vel=doc["columns"]["joint_vel"][:-4]),
+             r"columns\.joint_vel: 63 bytes, expected 64"),
+            (lambda doc: doc["columns"].update(t=doc["columns"]["t"][:-4]), r"columns\.t: 30 bytes, expected 24"),
+            (lambda doc: doc["columns"].update(joint_acc=doc["columns"]["joint_vel"]),
+             r"columns\.joint_acc: unknown column"),
+            (lambda doc: doc["columns"].pop("t"), r"columns\.t: missing"),
+            (lambda doc: doc["columns"].pop("joint_pos"), r"columns\.joint_pos: missing"),
+            (lambda doc: doc["columns"].update(dict.fromkeys(doc["columns"], "")),
+             r"clip document: need t \(T,\) .*T > 0"),
+            (lambda doc: doc.update(frames=rows_clip_doc(simple_clip())["frames"]),
+             r"clip document: has both 'columns' and 'frames'"),
+        ],
+        ids=["non-base64", "bad-padding", "truncated", "truncated-t", "unknown", "missing-t",
+             "missing-joint_pos", "no-frames", "both-layouts"],
+    )
+    def test_bad_column_document_rejected(self, edit, message):
+        doc = column_doc()
+        clip_from_dict(doc)
+        edit(doc)
+        with pytest.raises(ClipParseError, match=message):
+            clip_from_dict(doc)
+
+    def test_non_finite_column_rejected_naming_the_frame(self):
+        doc = column_doc()
+        vel = np.zeros((4, 3))
+        vel[2, 1] = np.nan
+        doc["columns"]["root_lin_vel"] = b64_column(vel)
+        with pytest.raises(ClipParseError, match=r"frames\[2\]\.root_lin_vel: non-finite values"):
             clip_from_dict(doc)
 
 

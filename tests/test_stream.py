@@ -514,6 +514,13 @@ class TestLiveEndpoints:
             server.stop()
             sock.close()
 
+    def test_stop_before_any_frame_ends_the_loop(self):
+        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0).start()
+        start = time.monotonic()
+        server.stop()
+        assert time.monotonic() - start < 0.5
+        assert not server.loop.running
+
 
 class TestLatency:
     def test_loopback_under_budget(self):
