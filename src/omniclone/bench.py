@@ -149,8 +149,6 @@ def run_episode(
     up to and including termination. alignment="root_relative" measures
     errors on root-relative body positions instead of aligned world frame.
     """
-    if not clip.frames:
-        raise InputError("empty clip")
     if alignment not in ("global", "root_relative"):
         raise InputError(f"unknown alignment {alignment!r}")
     ref = derive_body_kinematics(clip, model)

@@ -34,7 +34,6 @@ from .stream import (
     parse_addr,
     send_clip,
     simulate_stream,
-    udp_sender,
 )
 
 log = logging.getLogger("omniclone")
@@ -131,24 +130,22 @@ def _relay_passthrough(args, forward) -> int:
     import socket
 
     listen = parse_addr(args.listen)
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind(listen)
-    sock.settimeout(0.1)
-    send = udp_sender(forward)
     deadline = time.monotonic() + args.duration if args.duration else None
     forwarded = 0
-    try:
-        while deadline is None or time.monotonic() < deadline:
-            try:
-                data, _ = sock.recvfrom(65536)
-            except socket.timeout:
-                continue
-            send(data)
-            forwarded += 1
-    except KeyboardInterrupt:
-        pass
-    finally:
-        sock.close()
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock, \
+            socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+        sock.bind(listen)
+        sock.settimeout(0.1)
+        try:
+            while deadline is None or time.monotonic() < deadline:
+                try:
+                    data, _ = sock.recvfrom(65536)
+                except socket.timeout:
+                    continue
+                out.sendto(data, forward)
+                forwarded += 1
+        except KeyboardInterrupt:
+            pass
     print(f"forwarded,{forwarded}")
     return 0
 

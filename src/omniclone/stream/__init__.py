@@ -1,6 +1,7 @@
 """Real-time motion streaming: wire codec, jitter buffer with zero-order
-hold, fixed-rate consumer loop, fault injection, latency probes, and a
-virtual-time pipeline simulator."""
+hold, a policy server that receives and ticks at a fixed rate on one
+thread, fault injection, latency probes, and a virtual-time pipeline
+simulator."""
 
 from .faults import Decision, FaultConfig, FaultInjector, decide
 from .jitter import (
@@ -8,9 +9,7 @@ from .jitter import (
     PUSH_ACCEPTED,
     PUSH_STALE,
     FrameQueue,
-    RateLoop,
     Stamped,
-    fixed_rate_loop,
 )
 from .net import (
     LatencyStats,
@@ -22,7 +21,6 @@ from .net import (
     parse_addr,
     send_clip,
     summarize_latencies,
-    udp_sender,
 )
 from .packet import (
     HEADER_LEN,
@@ -61,7 +59,6 @@ __all__ = [
     "PUSH_STALE",
     "PacketFrame",
     "PolicyServer",
-    "RateLoop",
     "Stamped",
     "StreamPacket",
     "StreamTrace",
@@ -73,7 +70,6 @@ __all__ = [
     "echo_latency",
     "encode_packet",
     "fault_schedule",
-    "fixed_rate_loop",
     "frame_bytes",
     "heartbeat",
     "measure_latency",
@@ -85,5 +81,4 @@ __all__ = [
     "send_clip",
     "simulate_stream",
     "summarize_latencies",
-    "udp_sender",
 ]

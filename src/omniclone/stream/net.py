@@ -1,5 +1,5 @@
 """UDP endpoints: the retargeting relay (sender), the policy server
-(receiver + fixed-rate consumer), and latency probes.
+(receiver and fixed-rate consumer on one thread), and latency probes.
 
 Send timestamps are sender-local microseconds from time.monotonic_ns, so
 one-way latency is only meaningful on a shared clock (loopback). For a
@@ -7,6 +7,7 @@ remote server the heartbeat echo gives an RTT/2 approximation.
 """
 from __future__ import annotations
 
+import select
 import socket
 import threading
 import time
@@ -19,7 +20,7 @@ from ..errors import InputError, InsufficientDataError, ProtocolError
 from ..kinematics import HumanoidModel, load_reference_model
 from ..motion import MotionClip, derive_body_kinematics, percentile
 from .faults import FaultConfig, FaultInjector
-from .jitter import DEFAULT_WINDOW, FrameQueue, RateLoop, Stamped
+from .jitter import DEFAULT_WINDOW, FrameQueue, Stamped
 from .packet import (
     MSG_FRAMES,
     MSG_HEARTBEAT,
@@ -31,6 +32,9 @@ from .packet import (
     payload_finite,
 )
 
+#: longest the policy server's loop waits on its socket, so stop() is prompt
+_MAX_WAIT_S = 0.05
+
 
 def now_us() -> int:
     return time.monotonic_ns() // 1000
@@ -41,15 +45,6 @@ def parse_addr(text: str) -> tuple[str, int]:
     if not host or not port.isdigit():
         raise InputError(f"address {text!r} must be host:port")
     return host, int(port)
-
-
-def udp_sender(addr: tuple[str, int]) -> Callable[[bytes], None]:
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-
-    def send(payload: bytes) -> None:
-        sock.sendto(payload, addr)
-
-    return send
 
 
 def clip_packets(clip: MotionClip, model, start_seq: int = 1):
@@ -70,52 +65,44 @@ def send_clip(
     model,
     forward: tuple[str, int],
     rate_hz: float | None = None,
-    fault: FaultConfig | None = None,
-    seed: int = 0,
 ) -> int:
     """Stream a clip to the forward address at its fps (or rate_hz). Returns
     the number of packets handed to the transport."""
-    rate = rate_hz or clip.fps
-    raw_send = udp_sender(forward)
-    send = raw_send if fault is None or fault.passthrough else FaultInjector(raw_send, fault, seed)
-    period = 1.0 / rate
+    period = 1.0 / (rate_hz or clip.fps)
     deadline = time.monotonic()
     count = 0
-    for packet in clip_packets(clip, model):
-        now = time.monotonic()
-        if now < deadline:
-            time.sleep(deadline - now)
-        stamped = StreamPacket(
-            msg_type=packet.msg_type,
-            seq=packet.seq,
-            send_ts_us=now_us(),
-            frames=packet.frames,
-        )
-        send(encode_packet(stamped))
-        count += 1
-        deadline += period
-    if isinstance(send, FaultInjector):
-        send.drain()
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        for packet in clip_packets(clip, model):
+            now = time.monotonic()
+            if now < deadline:
+                time.sleep(deadline - now)
+            stamped = StreamPacket(
+                msg_type=packet.msg_type,
+                seq=packet.seq,
+                send_ts_us=now_us(),
+                frames=packet.frames,
+            )
+            sock.sendto(encode_packet(stamped), forward)
+            count += 1
+            deadline += period
     return count
-
-
-@dataclass
-class ServerStats:
-    """Receiver counters; the tick counters live on the server's RateLoop."""
-
-    received: int = 0
-    decode_errors: int = 0
-    heartbeats: int = 0
 
 
 class PolicyServer:
     """Receives frame packets into a jitter buffer and drains it at a fixed
-    rate through a tracker sink. Heartbeats are echoed back to the sender.
+    rate through a tracker sink, on the one thread that start() spawns.
+    Heartbeats are echoed back to the sender.
+
+    The first tick runs when the first frame is accepted, and later ticks
+    every 1/rate_hz seconds. Datagrams that are waiting when a tick is due
+    are ingested before it, up to the queue's capacity. A sink that
+    overruns its slot bumps `overruns`; the schedule then catches up by at
+    most one tick and never skips the next one.
 
     Decode errors, frame packets whose key-body or joint count differs
     from the model (default: the bundled one), and frame packets whose
     payload is not finite are counted as decode_errors and never fatal to
-    the receiver loop.
+    the loop. Held and stale frames are counted by the queue.
     """
 
     def __init__(
@@ -124,48 +111,77 @@ class PolicyServer:
         rate_hz: float = 50.0,
         capacity: int = DEFAULT_WINDOW,
         sink: Callable[[Stamped, bool], None] = lambda frame, held: None,
-        max_ticks: int | None = None,
         model: HumanoidModel | None = None,
     ):
+        if rate_hz <= 0:
+            raise InputError("rate_hz must be positive")
         model = load_reference_model() if model is None else model
         self.frame_counts = (model.n_key_bodies, model.n_joints)
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.bind(listen)
-        self.sock.settimeout(0.05)
-        self.addr = self.sock.getsockname()
+        self.period = 1.0 / rate_hz
+        self.sink = sink
         self.queue = FrameQueue(capacity)
-        self.stats = ServerStats()
+        self.received = self.decode_errors = self.heartbeats = 0
+        self.ticks = self.fresh = self.overruns = 0
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            self.sock.bind(listen)
+        except OSError:
+            self.sock.close()
+            raise
+        self.sock.setblocking(False)
+        self.addr = self.sock.getsockname()
         self._stop = threading.Event()
-        self._rx = threading.Thread(target=self._receive_loop, daemon=True)
-        self.loop = RateLoop(self.queue, rate_hz, sink, max_ticks=max_ticks)
+        self._thread = threading.Thread(target=self._run, daemon=True)
 
     def start(self) -> "PolicyServer":
-        self._rx.start()
-        self.loop.start()
+        self._thread.start()
         return self
 
-    def _receive_loop(self) -> None:
+    def _run(self) -> None:
+        deadline = time.monotonic() if len(self.queue) else None
         while not self._stop.is_set():
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
+                # arrivals that coincide with a tick are processed before it
+                self._receive()
+                frame, held = self.queue.pop()
+                self.sink(frame, held)
+                self.ticks += 1
+                self.fresh += not held
+                deadline += self.period
+                end = time.monotonic()
+                if end > deadline:
+                    self.overruns += 1
+                    # bound catch-up to a single immediate tick
+                    deadline = max(deadline, end - self.period)
+                continue
+            wait = _MAX_WAIT_S if deadline is None else min(_MAX_WAIT_S, deadline - now)
+            if select.select([self.sock], [], [], wait)[0]:
+                self._receive()
+                if deadline is None and len(self.queue):
+                    deadline = time.monotonic()
+
+    def _receive(self) -> None:
+        """Ingest the datagrams already waiting, at most the queue's capacity."""
+        for _ in range(self.queue.capacity):
             try:
                 data, sender = self.sock.recvfrom(65536)
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:  # BlockingIOError once nothing is waiting
                 return
             try:
                 packet = decode_packet(data)
             except ProtocolError:
-                self.stats.decode_errors += 1
+                self.decode_errors += 1
                 continue
             if packet.msg_type == MSG_FRAMES and (
                 (packet.n_bodies, packet.n_joints) != self.frame_counts
                 or not payload_finite(data)
             ):
-                self.stats.decode_errors += 1
+                self.decode_errors += 1
                 continue
-            self.stats.received += 1
+            self.received += 1
             if packet.msg_type == MSG_HEARTBEAT:
-                self.stats.heartbeats += 1
+                self.heartbeats += 1
                 try:
                     self.sock.sendto(data, sender)
                 except OSError:
@@ -176,20 +192,16 @@ class PolicyServer:
 
     def stop(self) -> None:
         self._stop.set()
-        self.loop.stop()
-        self.loop.join(2.0)
-        self._rx.join(2.0)
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        if self._thread.is_alive():
+            self._thread.join(2.0)
+        self.sock.close()
 
     def summary_csv(self) -> str:
-        s, loop = self.stats, self.loop
-        header = "received,decode_errors,heartbeats,ticks,fresh,held,overruns"
+        q = self.queue
+        header = "received,decode_errors,heartbeats,ticks,fresh,held,overruns,stale"
         return (
-            f"{header}\n{s.received},{s.decode_errors},{s.heartbeats},"
-            f"{loop.ticks},{loop.fresh},{loop.held},{loop.overruns}\n"
+            f"{header}\n{self.received},{self.decode_errors},{self.heartbeats},"
+            f"{self.ticks},{self.fresh},{q.held_count},{self.overruns},{q.stale_count}\n"
         )
 
 
@@ -225,55 +237,55 @@ def measure_latency(
     """One-way loopback latency probe: spins a local receiver, streams
     heartbeat-sized packets through the (optional) fault injector, and
     summarizes receive_time - send_ts per packet."""
-    rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    rx.bind(("127.0.0.1", 0))
-    rx.settimeout(0.05)
-    addr = rx.getsockname()
-    latencies: list[float] = []
-    done = threading.Event()
-
-    def receive():
-        while True:
-            try:
-                data, _ = rx.recvfrom(65536)
-            except socket.timeout:
-                if done.is_set():
-                    return
-                continue
-            except OSError:
-                return
-            try:
-                packet = decode_packet(data)
-            except ProtocolError:
-                continue
-            latencies.append((now_us() - packet.send_ts_us) / 1000.0)
-
-    thread = threading.Thread(target=receive, daemon=True)
-    thread.start()
-    raw_send = udp_sender(addr)
     if constant_delay_ms > 0:
         fault = FaultConfig(jitter_ms=(constant_delay_ms, constant_delay_ms))
-    injector = None
-    if fault is not None and not fault.passthrough:
-        injector = FaultInjector(raw_send, fault, seed)
-        send = injector
-    else:
-        send = raw_send
-    period = 1.0 / rate_hz
-    deadline = time.monotonic()
-    for seq in range(1, n_samples + 1):
-        now = time.monotonic()
-        if now < deadline:
-            time.sleep(deadline - now)
-        send(encode_packet(heartbeat(seq, now_us())))
-        deadline += period
-    if injector is not None:
-        injector.drain()
-        injector.close()
-    time.sleep(0.05)
-    done.set()
-    thread.join(1.0)
-    rx.close()
+    latencies: list[float] = []
+    done = threading.Event()
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as rx, \
+            socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as tx:
+        rx.bind(("127.0.0.1", 0))
+        rx.settimeout(0.05)
+        addr = rx.getsockname()
+
+        def receive():
+            while True:
+                try:
+                    data, _ = rx.recvfrom(65536)
+                except socket.timeout:
+                    if done.is_set():
+                        return
+                    continue
+                except OSError:
+                    return
+                try:
+                    packet = decode_packet(data)
+                except ProtocolError:
+                    continue
+                latencies.append((now_us() - packet.send_ts_us) / 1000.0)
+
+        def raw_send(payload: bytes) -> None:
+            tx.sendto(payload, addr)
+
+        thread = threading.Thread(target=receive, daemon=True)
+        thread.start()
+        injector = None
+        if fault is not None and not fault.passthrough:
+            injector = FaultInjector(raw_send, fault, seed)
+        send = raw_send if injector is None else injector
+        period = 1.0 / rate_hz
+        deadline = time.monotonic()
+        for seq in range(1, n_samples + 1):
+            now = time.monotonic()
+            if now < deadline:
+                time.sleep(deadline - now)
+            send(encode_packet(heartbeat(seq, now_us())))
+            deadline += period
+        if injector is not None:
+            injector.drain()
+            injector.close()
+        time.sleep(0.05)
+        done.set()
+        thread.join(1.0)
     return summarize_latencies(latencies, sent=n_samples)
 
 

@@ -27,7 +27,14 @@ from omniclone.bench import (
 )
 from omniclone.errors import InputError
 from omniclone.kinematics import RigidPose
-from omniclone.motion import BENCH_STRATA, Frame, derive_body_kinematics, load_clip, save_clip
+from omniclone.motion import (
+    BENCH_STRATA,
+    Frame,
+    MotionClip,
+    derive_body_kinematics,
+    load_clip,
+    save_clip,
+)
 from omniclone.simtrack import RobotState, TrackerSpec, parse_tracker
 from omniclone.synthetic import constant_velocity_clip, static_clip
 
@@ -206,11 +213,10 @@ class TestRunEpisode:
         assert constructions(30) == constructions(90)
 
     def test_empty_clip_rejected(self, ref_model):
-        class Stub:
-            frames = ()
-
+        # MotionClip refuses T = 0, so run_episode never sees an empty clip
         with pytest.raises(InputError):
-            run_episode(TrackerSpec(mode="perfect"), Stub(), ref_model)
+            run_episode(TrackerSpec(mode="perfect"), MotionClip("empty", 30.0, "walk", "slow", ()),
+                        ref_model)
 
 
 class TestAggregate:

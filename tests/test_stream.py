@@ -33,7 +33,6 @@ from omniclone.stream import (
     echo_latency,
     encode_packet,
     fault_schedule,
-    fixed_rate_loop,
     heartbeat,
     measure_latency,
     packet_bytes,
@@ -229,47 +228,86 @@ class TestFrameQueue:
         assert [i + 1 for i, (_, h) in enumerate(emitted) if h] == [3, 4]
 
 
+def wait_until(condition, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 class TestRateLoop:
+    """The fixed-rate tick loop of PolicyServer."""
+
     def test_saturated_queue_50hz(self):
-        q = FrameQueue(64)
-        for seq in range(1, 101):
-            q.push(Stamped(seq))
         ticks = []
-        loop = fixed_rate_loop(q, 50.0, lambda f, h: ticks.append((f.seq, h)), max_ticks=None)
+        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0, capacity=64,
+                              sink=lambda f, h: ticks.append((f.seq, h)))
+        for seq in range(1, 101):
+            server.queue.push(Stamped(seq))
+        server.start()
         time.sleep(1.0)
-        loop.stop()
-        loop.join()
+        server.stop()
         assert 45 <= len(ticks) <= 55  # 50 +- scheduling slop
         assert not any(h for _, h in ticks[: min(len(ticks), 50)])
 
     def test_prefilled_then_drained(self):
-        q = FrameQueue(5)
-        for seq in range(1, 6):
-            q.push(Stamped(seq))
         ticks = []
-        loop = fixed_rate_loop(q, 200.0, lambda f, h: ticks.append((f.seq, h)), max_ticks=12)
-        loop.join(2.0)
-        fresh = [s for s, h in ticks if not h]
-        held = [s for s, h in ticks if h]
+        server = PolicyServer(("127.0.0.1", 0), rate_hz=200.0, capacity=5,
+                              sink=lambda f, h: ticks.append((f.seq, h)))
+        for seq in range(1, 6):
+            server.queue.push(Stamped(seq))
+        server.start()
+        wait_until(lambda: server.ticks >= 12)
+        server.stop()
+        fresh = [s for s, h in ticks[:12] if not h]
+        held = [s for s, h in ticks[:12] if h]
         assert fresh == [1, 2, 3, 4, 5]
         assert held == [5] * 7
 
+    def test_datagrams_sent_before_start_tick_in_order_then_hold(self):
+        ticks = []
+        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0,
+                              sink=lambda f, h: ticks.append((f.seq, h)))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            for seq in (1, 2, 3):
+                sock.sendto(frame_datagram(seq), server.addr)
+        server.start()
+        wait_until(lambda: server.ticks >= 4)
+        server.stop()
+        assert ticks[:4] == [(1, False), (2, False), (3, False), (3, True)]
+
+    def test_datagram_waiting_at_a_due_tick_is_ingested_before_it(self):
+        ticks = []
+
+        def sink(frame, held):
+            ticks.append((frame.seq, held))
+            if len(ticks) == 1:
+                sock.sendto(frame_datagram(2), server.addr)
+                time.sleep(0.03)  # overruns the 20 ms slot: the next tick is due at once
+
+        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0, sink=sink)
+        server.queue.push(Stamped(1))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            server.start()
+            wait_until(lambda: server.ticks >= 2)
+            server.stop()
+        assert ticks[:2] == [(1, False), (2, False)]
+
     def test_producer_pause_produces_consecutive_holds(self):
-        q = FrameQueue(1)
         records = []
-        loop = fixed_rate_loop(q, 50.0, lambda f, h: records.append(h))
+        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0, capacity=1,
+                              sink=lambda f, h: records.append(h)).start()
         seq = 0
         end = time.monotonic() + 0.5
         pause_at = time.monotonic() + 0.15
         paused_until = pause_at + 0.14  # seven 20 ms periods of silence
-        while time.monotonic() < end:
-            now = time.monotonic()
-            if not pause_at < now < paused_until:
-                seq += 1
-                q.push(Stamped(seq))
-            time.sleep(0.02)
-        loop.stop()
-        loop.join()
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            while time.monotonic() < end:
+                now = time.monotonic()
+                if not pause_at < now < paused_until:
+                    seq += 1
+                    sock.sendto(frame_datagram(seq), server.addr)
+                time.sleep(0.02)
+        server.stop()
         best = run = 0
         for h in records:
             run = run + 1 if h else 0
@@ -277,17 +315,33 @@ class TestRateLoop:
         assert best >= 4
 
     def test_overrun_counted_without_skipping(self):
-        q = FrameQueue(8)
-        for seq in range(1, 30):
-            q.push(Stamped(seq))
+        overruns_before = []
 
         def slow_sink(frame, held):
+            overruns_before.append(server.overruns)
             time.sleep(0.03)  # exceeds the 10 ms period
 
-        loop = fixed_rate_loop(q, 100.0, slow_sink, max_ticks=6)
-        loop.join(3.0)
-        assert loop.ticks == 6
-        assert loop.overruns >= 4
+        server = PolicyServer(("127.0.0.1", 0), rate_hz=100.0, capacity=8, sink=slow_sink)
+        for seq in range(1, 30):
+            server.queue.push(Stamped(seq))
+        server.start()
+        wait_until(lambda: len(overruns_before) > 6, timeout=3.0)
+        server.stop()
+        assert len(overruns_before) > 6
+        assert overruns_before[6] >= 4  # counted over the first 6 ticks
+
+    def test_one_thread_while_running_none_when_stopped(self):
+        before = set(threading.enumerate())
+        server = PolicyServer(("127.0.0.1", 0), rate_hz=100.0)
+        server.queue.push(Stamped(1))
+        server.start()
+        try:
+            wait_until(lambda: server.ticks >= 2)
+            assert server.ticks >= 2
+            assert len(set(threading.enumerate()) - before) == 1
+        finally:
+            server.stop()
+        assert set(threading.enumerate()) - before == set()
 
 
 class TestFaultInjector:
@@ -423,12 +477,12 @@ def serve_datagrams(datagrams, model=None):
             sock.sendto(data, server.addr)
         deadline = time.monotonic() + 2.0
         while (
-            server.stats.received + server.stats.decode_errors < len(datagrams)
+            server.received + server.decode_errors < len(datagrams)
             and time.monotonic() < deadline
         ):
             time.sleep(0.01)
-        ticks = server.loop.ticks
-        while server.loop.ticks < ticks + 2 and time.monotonic() < deadline:
+        ticks = server.ticks
+        while server.ticks < ticks + 2 and time.monotonic() < deadline:
             time.sleep(0.01)
     finally:
         server.stop()
@@ -447,24 +501,24 @@ class TestLiveEndpoints:
         try:
             sent = send_clip(clip, ref_model, server.addr)
             deadline = time.monotonic() + 3.0
-            while server.loop.ticks < 20 and time.monotonic() < deadline:
+            while server.ticks < 20 and time.monotonic() < deadline:
                 time.sleep(0.02)
         finally:
             server.stop()
         assert sent == 25
-        assert server.stats.received >= 20  # loopback loss should be rare
-        assert server.loop.ticks >= 20
+        assert server.received >= 20  # loopback loss should be rare
+        assert server.ticks >= 20
         fresh_seqs = [seq for seq, held in ticks if not held]
         assert all(a < b for a, b in zip(fresh_seqs, fresh_seqs[1:]))
-        loop = server.loop
+        q = server.queue
         assert server.summary_csv().splitlines()[1].split(",")[3:] == [
-            str(v) for v in (loop.ticks, loop.fresh, loop.held, loop.overruns)
+            str(v) for v in (server.ticks, server.fresh, q.held_count, server.overruns, q.stale_count)
         ]
 
     def test_non_finite_payload_never_reaches_sink(self):
         server, seqs = serve_datagrams([frame_datagram(1, joint0=np.nan), frame_datagram(2)])
-        assert server.stats.decode_errors == 1
-        assert server.stats.received == 1
+        assert server.decode_errors == 1
+        assert server.received == 1
         assert seqs and set(seqs) == {2}
 
     def test_wrong_joint_count_never_reaches_sink(self, ref_model):
@@ -473,8 +527,8 @@ class TestLiveEndpoints:
         server, seqs = serve_datagrams(
             [frame_datagram(1), frame_datagram(2, n_joints=3), frame_datagram(3)]
         )
-        assert server.stats.decode_errors == 1
-        assert server.stats.received == 2
+        assert server.decode_errors == 1
+        assert server.received == 2
         assert set(seqs) == {1, 3}
 
     def test_wrong_body_count_rejected_for_the_given_model(self):
@@ -483,7 +537,7 @@ class TestLiveEndpoints:
             [frame_datagram(1, n_joints=2, n_bodies=1), frame_datagram(2, n_joints=2)],
             model=model,
         )
-        assert server.stats.decode_errors == 1
+        assert server.decode_errors == 1
         assert seqs and set(seqs) == {1}
 
     def test_decode_errors_non_fatal(self):
@@ -493,13 +547,13 @@ class TestLiveEndpoints:
             sock.sendto(b"garbage-data", server.addr)
             sock.sendto(encode_packet(heartbeat(1, 5)), server.addr)
             deadline = time.monotonic() + 2.0
-            while server.stats.heartbeats < 1 and time.monotonic() < deadline:
+            while server.heartbeats < 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
         finally:
             server.stop()
             sock.close()
-        assert server.stats.decode_errors == 1
-        assert server.stats.heartbeats == 1
+        assert server.decode_errors == 1
+        assert server.heartbeats == 1
 
     def test_heartbeat_echoed(self):
         server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0).start()
@@ -515,11 +569,12 @@ class TestLiveEndpoints:
             sock.close()
 
     def test_stop_before_any_frame_ends_the_loop(self):
+        before = set(threading.enumerate())
         server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0).start()
         start = time.monotonic()
         server.stop()
         assert time.monotonic() - start < 0.5
-        assert not server.loop.running
+        assert set(threading.enumerate()) - before == set()
 
 
 class TestLatency:
