@@ -15,6 +15,7 @@ import os
 import pathlib
 import sys
 import time
+import typing
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -54,12 +55,24 @@ class RunConfig:
 
     @staticmethod
     def load(path) -> "RunConfig":
+        """Read a JSON object of field values. A null value keeps the
+        default; an int is accepted for a float field."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise OmniCloneError("run config must be a JSON object")
+        types = typing.get_type_hints(RunConfig)
         cfg = RunConfig()
         for key, value in doc.items():
-            if not hasattr(cfg, key):
+            if key not in types:
                 raise OmniCloneError(f"run config: unknown key {key!r}")
+            if value is None:
+                continue
+            kind = types[key]
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                name = getattr(kind, "__name__", str(kind))
+                raise OmniCloneError(f"run config: {key!r} must be {name}, got {value!r}")
             setattr(cfg, key, value)
         return cfg
 
@@ -70,6 +83,13 @@ def _resolve(flag_value, config_value, default):
     if config_value is not None:
         return config_value
     return default
+
+
+def _number(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise OmniCloneError(f"{flag}: {text!r} is not a number") from None
 
 
 def _load_model_arg(path: str | None) -> HumanoidModel:
@@ -224,7 +244,7 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
     lo, _, hi = args.jitter.partition(":")
     fault = FaultConfig(
         drop_prob=args.drop,
-        jitter_ms=(float(lo), float(hi or lo)),
+        jitter_ms=(_number("--jitter", lo), _number("--jitter", hi or lo)),
         reorder_prob=args.reorder,
         duplicate_prob=args.duplicate,
     )
@@ -346,7 +366,7 @@ def cmd_recipe(args, cfg: RunConfig) -> int:
         label, _, value = part.partition("=")
         if not value:
             raise OmniCloneError(f"fraction {part!r} must be label=value")
-        fractions[label.strip()] = float(value)
+        fractions[label.strip()] = _number("--fractions", value)
     manifest = motion.compose_recipe(
         pools, fractions, args.total, seed=_resolve(args.seed, cfg.seed, 0)
     )

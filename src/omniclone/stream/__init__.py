@@ -1,9 +1,11 @@
 """Real-time motion streaming: wire codec, jitter buffer with zero-order
 hold, a policy server that receives and ticks at a fixed rate on one
-thread, fault injection, latency probes, and a virtual-time pipeline
-simulator."""
+thread, a seeded fault model, latency probes, and a virtual-time pipeline
+simulator. The one-way latency probe runs on one thread and takes its
+packet fates from the same `fault_schedule` as the simulator, so a given
+seed drops the same seqs in both."""
 
-from .faults import Decision, FaultConfig, FaultInjector, decide
+from .faults import Decision, FaultConfig, decide
 from .jitter import (
     DEFAULT_WINDOW,
     PUSH_ACCEPTED,
@@ -46,7 +48,6 @@ __all__ = [
     "DEFAULT_WINDOW",
     "Decision",
     "FaultConfig",
-    "FaultInjector",
     "FrameQueue",
     "HEADER_LEN",
     "LatencyStats",

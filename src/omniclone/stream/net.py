@@ -1,5 +1,7 @@
 """UDP endpoints: the retargeting relay (sender), the policy server
 (receiver and fixed-rate consumer on one thread), and latency probes.
+The one-way probe runs on the caller's thread and draws its packet fates
+from the same `fault_schedule` as the virtual simulator.
 
 Send timestamps are sender-local microseconds from time.monotonic_ns, so
 one-way latency is only meaningful on a shared clock (loopback). For a
@@ -19,7 +21,7 @@ import numpy as np
 from ..errors import InputError, InsufficientDataError, ProtocolError
 from ..kinematics import HumanoidModel, load_reference_model
 from ..motion import MotionClip, derive_body_kinematics, percentile
-from .faults import FaultConfig, FaultInjector
+from .faults import FaultConfig
 from .jitter import DEFAULT_WINDOW, FrameQueue, Stamped
 from .packet import (
     MSG_FRAMES,
@@ -31,6 +33,7 @@ from .packet import (
     heartbeat,
     payload_finite,
 )
+from .sim import fault_schedule
 
 #: longest the policy server's loop waits on its socket, so stop() is prompt
 _MAX_WAIT_S = 0.05
@@ -234,58 +237,53 @@ def measure_latency(
     seed: int = 0,
     constant_delay_ms: float = 0.0,
 ) -> LatencyStats:
-    """One-way loopback latency probe: spins a local receiver, streams
-    heartbeat-sized packets through the (optional) fault injector, and
-    summarizes receive_time - send_ts per packet."""
+    """One-way loopback latency probe, run on the caller's thread.
+
+    Heartbeat seq is stamped with now_us() at (seq - 1) / rate_hz, and its
+    copies leave after the delays that `fault_schedule` draws for it, so a
+    given seed drops the same seqs as the virtual simulator. Datagrams are
+    received while the loop waits for its next event, and for 50 ms after
+    the last; each decoded one adds receive_time - send_ts to the summary.
+    """
     if constant_delay_ms > 0:
         fault = FaultConfig(jitter_ms=(constant_delay_ms, constant_delay_ms))
+    arrivals, _, _ = fault_schedule(n_samples, rate_hz, fault or FaultConfig(), seed)
+    # (time, is_copy, seq): a seq is stamped before its copies that leave at once
+    events = sorted(
+        [((seq - 1) / rate_hz, False, seq) for seq in range(1, n_samples + 1)]
+        + [(t, True, seq) for t, _, seq in arrivals]
+    )
+    stamps = [0] * (n_samples + 1)
     latencies: list[float] = []
-    done = threading.Event()
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as rx, \
             socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as tx:
         rx.bind(("127.0.0.1", 0))
-        rx.settimeout(0.05)
+        rx.setblocking(False)
         addr = rx.getsockname()
 
-        def receive():
-            while True:
-                try:
-                    data, _ = rx.recvfrom(65536)
-                except socket.timeout:
-                    if done.is_set():
-                        return
+        def receive_until(due: float) -> None:
+            while (wait := due - time.monotonic()) > 0:
+                if not select.select([rx], [], [], wait)[0]:
                     continue
-                except OSError:
-                    return
-                try:
-                    packet = decode_packet(data)
-                except ProtocolError:
-                    continue
-                latencies.append((now_us() - packet.send_ts_us) / 1000.0)
+                while True:
+                    try:
+                        data = rx.recv(65536)
+                    except BlockingIOError:
+                        break
+                    try:
+                        packet = decode_packet(data)
+                    except ProtocolError:
+                        continue
+                    latencies.append((now_us() - packet.send_ts_us) / 1000.0)
 
-        def raw_send(payload: bytes) -> None:
-            tx.sendto(payload, addr)
-
-        thread = threading.Thread(target=receive, daemon=True)
-        thread.start()
-        injector = None
-        if fault is not None and not fault.passthrough:
-            injector = FaultInjector(raw_send, fault, seed)
-        send = raw_send if injector is None else injector
-        period = 1.0 / rate_hz
-        deadline = time.monotonic()
-        for seq in range(1, n_samples + 1):
-            now = time.monotonic()
-            if now < deadline:
-                time.sleep(deadline - now)
-            send(encode_packet(heartbeat(seq, now_us())))
-            deadline += period
-        if injector is not None:
-            injector.drain()
-            injector.close()
-        time.sleep(0.05)
-        done.set()
-        thread.join(1.0)
+        start = time.monotonic()
+        for t, is_copy, seq in events:
+            receive_until(start + t)
+            if is_copy:
+                tx.sendto(encode_packet(heartbeat(seq, stamps[seq])), addr)
+            else:
+                stamps[seq] = now_us()
+        receive_until(time.monotonic() + 0.05)
     return summarize_latencies(latencies, sent=n_samples)
 
 

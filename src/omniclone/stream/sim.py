@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InputError
 from .faults import FaultConfig, decide
 from .jitter import DEFAULT_WINDOW, FrameQueue, Stamped
 
@@ -61,6 +62,8 @@ def fault_schedule(
 ) -> tuple[list[tuple[float, int, int]], int, int]:
     """Arrival events (time, order, seq) for packets seq=1..n sent on a fixed
     cadence through the seeded fault model. Returns (arrivals, delivered, dropped)."""
+    if not producer_hz > 0:
+        raise InputError(f"producer rate must be positive, got {producer_hz}")
     rng = np.random.default_rng(seed)
     arrivals: list[tuple[float, int, int]] = []
     order = 0
@@ -92,6 +95,8 @@ def simulate_stream(
     The consumer blocks until the first arrival, then ticks every
     1/consumer_hz. With no deliveries at all the trace is empty.
     """
+    if not consumer_hz > 0:
+        raise InputError(f"consumer rate must be positive, got {consumer_hz}")
     arrivals, delivered, dropped = fault_schedule(n_packets, producer_hz, fault, seed)
     if n_ticks is None:
         n_ticks = n_packets

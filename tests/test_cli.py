@@ -169,6 +169,17 @@ class TestStreamTestCommand:
         out = capsys.readouterr().out
         assert out.startswith("mean_ms,p95_ms,sent,received")
 
+    @pytest.mark.parametrize("live", [[], ["--live"]])
+    def test_non_positive_rate_is_an_error(self, live, capsys):
+        assert cli.main(["stream-test", "--rate", "0", *live]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rate must be positive" in err
+
+    @pytest.mark.parametrize("jitter", ["abc", "0:x"])
+    def test_non_numeric_jitter_is_an_error(self, jitter, capsys):
+        assert cli.main(["stream-test", "--jitter", jitter]) == 1
+        assert capsys.readouterr().err.startswith("error: --jitter:")
+
 
 class TestStatsCommand:
     def test_csv_schema(self, tmp_path, ref_model, capsys):
@@ -222,6 +233,13 @@ class TestRecipeCommand:
         for row in doc["selected"]:
             counts[row["label"]] = counts.get(row["label"], 0) + 1
         assert counts == {"manip": 6, "dynamic": 2, "stable": 2}
+
+    def test_non_numeric_fraction_is_an_error(self, tmp_path, capsys):
+        pools_path = tmp_path / "pools.json"
+        pools_path.write_text(json.dumps({"a": ["x"]}), encoding="utf-8")
+        argv = ["recipe", "--pools", str(pools_path), "--fractions", "a=x", "--total", "1"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: --fractions:")
 
 
 class TestRetargetCommand:
@@ -345,3 +363,19 @@ class TestRunConfig:
         cfg.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
         code = cli.main(["--run-config", str(cfg), "print-layout"])
         assert code == 1
+
+    @pytest.mark.parametrize("doc", [{"window": "5"}, {"window": True}, {"rate_hz": "50"},
+                                     {"log_level": 3}, {"model_path": 1}])
+    def test_wrong_value_type_rejected(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["--run-config", str(cfg), "print-layout"]) == 1
+        (key,) = doc
+        assert capsys.readouterr().err.startswith(f"error: run config: {key!r}")
+
+    def test_int_for_float_and_null_for_default_accepted(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"rate_hz": 40, "window": None, "log_level": None}),
+                        encoding="utf-8")
+        cfg = cli.RunConfig.load(path)
+        assert (cfg.rate_hz, cfg.window, cfg.log_level) == (40, cli.RunConfig().window, "WARNING")

@@ -11,6 +11,7 @@ from conftest import make_chain_model
 from oracles import hold_pipeline_oracle, reference_encode, sorted_percentile
 
 from omniclone.errors import (
+    ConfigError,
     CorruptionError,
     InputError,
     InsufficientDataError,
@@ -20,7 +21,6 @@ from omniclone.errors import (
 )
 from omniclone.stream import (
     FaultConfig,
-    FaultInjector,
     FrameQueue,
     MSG_FRAMES,
     MSG_HEARTBEAT,
@@ -345,28 +345,21 @@ class TestRateLoop:
 
 
 class TestFaultInjector:
+    """The seeded fault model as `fault_schedule` applies it to a stream."""
+
     def test_zero_config_passthrough_identity(self):
-        out = []
-        inj = FaultInjector(out.append, FaultConfig(), seed=0)
-        payload = b"\x01\x02\x03"
-        inj(payload)
-        assert out == [payload]
+        arrivals, delivered, dropped = fault_schedule(5, 50.0, FaultConfig(), seed=0)
+        assert [(t, seq) for t, _, seq in arrivals] == [((seq - 1) / 50.0, seq) for seq in range(1, 6)]
+        assert (delivered, dropped) == (5, 0)
 
     def test_drop_all(self):
-        out = []
-        inj = FaultInjector(out.append, FaultConfig(drop_prob=1.0), seed=0)
-        for i in range(50):
-            inj(bytes([i]))
-        assert out == []
-        assert inj.dropped == 50
+        arrivals, delivered, dropped = fault_schedule(50, 50.0, FaultConfig(drop_prob=1.0), seed=0)
+        assert arrivals == []
+        assert (delivered, dropped) == (0, 50)
 
     def test_delivered_count_matches_replayed_generator(self):
         cfg = FaultConfig(drop_prob=0.1)
-        out = []
-        inj = FaultInjector(out.append, cfg, seed=77)
-        for i in range(1000):
-            inj(i.to_bytes(2, "little"))
-        inj.drain()
+        arrivals, delivered, dropped = fault_schedule(1000, 50.0, cfg, seed=77)
         # replay the identical draw protocol
         rng = np.random.default_rng(77)
         expected = 0
@@ -377,15 +370,30 @@ class TestFaultInjector:
             rng.random()
             rng.random()
             expected += 1
-        assert len(out) == expected
-        assert inj.dropped == 1000 - expected
+        assert len(arrivals) == delivered == expected
+        assert dropped == 1000 - expected
 
     def test_duplicates_delivered_twice(self):
-        out = []
-        inj = FaultInjector(out.append, FaultConfig(duplicate_prob=1.0), seed=0)
-        inj(b"x")
-        inj.drain()
-        assert out == [b"x", b"x"]
+        arrivals, delivered, _ = fault_schedule(3, 50.0, FaultConfig(duplicate_prob=1.0), seed=0)
+        assert [seq for _, _, seq in arrivals] == [1, 1, 2, 2, 3, 3]
+        assert delivered == 6
+        for first, second in zip(arrivals[::2], arrivals[1::2]):
+            assert second[0] - first[0] == pytest.approx(0.001)
+
+    @pytest.mark.parametrize("jitter", [(-1.0, 0.0), (5.0, 1.0), (0.0, float("inf")),
+                                        (float("nan"), float("nan"))])
+    def test_invalid_jitter_range_rejected(self, jitter):
+        with pytest.raises(ConfigError):
+            FaultConfig(jitter_ms=jitter)
+
+    def test_non_positive_rate_rejected(self):
+        for rate in (0.0, -50.0):
+            with pytest.raises(InputError):
+                fault_schedule(10, rate, FaultConfig(), seed=0)
+            with pytest.raises(InputError):
+                simulate_stream(10, consumer_hz=rate)
+            with pytest.raises(InputError):
+                measure_latency(n_samples=20, rate_hz=rate)
 
     def test_decision_determinism(self):
         cfg = FaultConfig(drop_prob=0.3, jitter_ms=(0, 10), reorder_prob=0.2, duplicate_prob=0.1)
@@ -638,3 +646,21 @@ class TestLatency:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientDataError):
             measure_latency(n_samples=5, rate_hz=200.0)
+
+    def test_probe_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("measure_latency started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        fault = FaultConfig(jitter_ms=(0.0, 5.0), duplicate_prob=0.2)
+        stats = measure_latency(n_samples=40, rate_hz=400.0, fault=fault, seed=3)
+        assert stats.received >= 10
+
+    def test_probe_delivers_the_fault_schedule(self, monkeypatch):
+        fault = FaultConfig(drop_prob=0.3, duplicate_prob=0.4, jitter_ms=(0.0, 2.0))
+        received = []
+        monkeypatch.setattr(net, "summarize_latencies", lambda lat, sent: received.extend(lat))
+        measure_latency(n_samples=120, rate_hz=400.0, fault=fault, seed=8)
+        _, delivered, dropped = fault_schedule(120, 400.0, fault, seed=8)
+        assert 0 < dropped < 120 and delivered > 120 - dropped  # both faults drawn
+        assert len(received) == delivered
