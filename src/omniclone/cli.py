@@ -77,12 +77,9 @@ class RunConfig:
         return cfg
 
 
-def _resolve(flag_value, config_value, default):
-    if flag_value is not None:
-        return flag_value
-    if config_value is not None:
-        return config_value
-    return default
+def _resolve(flag_value, config_value):
+    """An explicit flag wins over the run config (whose fields are never None)."""
+    return config_value if flag_value is None else flag_value
 
 
 def _number(flag: str, text: str) -> float:
@@ -105,9 +102,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _thresholds(args, cfg: RunConfig) -> bench_mod.FailureThresholds:
     return bench_mod.FailureThresholds(
-        deviation_m=_resolve(args.deviation, cfg.deviation_m, 0.5),
-        fall_root_z_m=_resolve(args.fall, cfg.fall_root_z_m, 0.3),
-        root_drift_m=_resolve(args.drift, cfg.root_drift_m, 1.0),
+        deviation_m=_resolve(args.deviation, cfg.deviation_m),
+        fall_root_z_m=_resolve(args.fall, cfg.fall_root_z_m),
+        root_drift_m=_resolve(args.drift, cfg.root_drift_m),
     )
 
 
@@ -218,22 +215,18 @@ def cmd_serve_policy(args, cfg: RunConfig) -> int:
     try:
         server = PolicyServer(
             listen=parse_addr(args.listen),
-            rate_hz=_resolve(args.rate, cfg.rate_hz, 50.0),
-            capacity=_resolve(args.window, cfg.window, DEFAULT_WINDOW),
+            rate_hz=_resolve(args.rate, cfg.rate_hz),
+            capacity=_resolve(args.window, cfg.window),
             sink=sink,
             model=model,
-        ).start()
+        )
         log.info("policy server on %s", server.addr)
         try:
-            if args.duration:
-                time.sleep(args.duration)
-            else:
-                while True:
-                    time.sleep(0.5)
+            server.run(args.duration)
         except KeyboardInterrupt:
             pass
         finally:
-            server.stop()
+            server.close()
     finally:
         sink.close()
     sys.stdout.write(server.summary_csv())
@@ -248,24 +241,23 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
         reorder_prob=args.reorder,
         duplicate_prob=args.duplicate,
     )
-    seed = _resolve(args.seed, cfg.seed, 0)
+    seed = _resolve(args.seed, cfg.seed)
+    rate = _resolve(args.rate, cfg.rate_hz)
     if args.live:
-        stats = measure_latency(
-            n_samples=args.samples, rate_hz=args.rate, fault=fault, seed=seed
-        )
+        stats = measure_latency(n_samples=args.samples, rate_hz=rate, fault=fault, seed=seed)
         print("mean_ms,p95_ms,sent,received")
         print(f"{stats.mean_ms:.3f},{stats.p95_ms:.3f},{stats.sent},{stats.received}")
         return 0
     trace = simulate_stream(
         n_packets=args.packets,
-        producer_hz=args.rate,
-        consumer_hz=args.rate,
-        capacity=_resolve(args.window, cfg.window, DEFAULT_WINDOW),
+        producer_hz=rate,
+        consumer_hz=rate,
+        capacity=_resolve(args.window, cfg.window),
         fault=fault,
         seed=seed,
     )
-    arrivals, _, _ = fault_schedule(args.packets, args.rate, fault, seed)
-    delays_ms = [1000.0 * (t - (seq - 1) / args.rate) for t, _, seq in arrivals]
+    arrivals, _, _ = fault_schedule(args.packets, rate, fault, seed)
+    delays_ms = [1000.0 * (t - (seq - 1) / rate) for t, _, seq in arrivals]
     mean_ms = sum(delays_ms) / len(delays_ms) if delays_ms else 0.0
     p95_ms = motion.percentile(delays_ms, 95.0) if delays_ms else 0.0
     print(
@@ -368,7 +360,7 @@ def cmd_recipe(args, cfg: RunConfig) -> int:
             raise OmniCloneError(f"fraction {part!r} must be label=value")
         fractions[label.strip()] = _number("--fractions", value)
     manifest = motion.compose_recipe(
-        pools, fractions, args.total, seed=_resolve(args.seed, cfg.seed, 0)
+        pools, fractions, args.total, seed=_resolve(args.seed, cfg.seed)
     )
     text = (
         motion.recipe_to_csv(manifest)
@@ -391,7 +383,7 @@ def cmd_vla_replay(args, cfg: RunConfig) -> int:
     planner = vlabridge.scripted_planner(chunks)
     trace = vlabridge.chunk_executor(planner, ticks=ticks, execute_len=args.execute_len)
     root = RigidPose(np.array([0.0, 0.0, synthetic.DEFAULT_ROOT_Z]), np.array([1.0, 0, 0, 0]))
-    rate = _resolve(args.rate, cfg.rate_hz, 50.0)
+    rate = _resolve(args.rate, cfg.rate_hz)
     frames = [
         vlabridge.joints_to_command(trace.actions[t], model, root, t=t / rate)
         for t in range(trace.actions.shape[0])
@@ -407,7 +399,7 @@ def cmd_vla_replay(args, cfg: RunConfig) -> int:
 
 def cmd_print_layout(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    window = _resolve(args.window, cfg.window, DEFAULT_WINDOW)
+    window = _resolve(args.window, cfg.window)
     zero = synthetic.static_clip(model, n_frames=max(2, window), fps=30.0)
     zero = motion.derive_joint_velocities(zero)
     state = simtrack.state_from_frame(zero.frames[0], model)
@@ -467,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stream-test", help="fault-injection and latency diagnostics")
     p.add_argument("--packets", type=int, default=1000, help="packets to simulate")
-    p.add_argument("--rate", type=float, default=50.0, help="producer/consumer rate Hz")
+    p.add_argument("--rate", type=float, default=None, help="producer/consumer rate Hz (default 50)")
     p.add_argument("--drop", type=float, default=0.0, help="drop probability")
     p.add_argument("--jitter", default="0:0", help="uniform delay range ms, LO:HI")
     p.add_argument("--reorder", type=float, default=0.0, help="reorder probability")
@@ -549,11 +541,11 @@ def main(argv: list[str] | None = None) -> int:
             level=os.environ.get("OMNICLONE_LOG", cfg.log_level).upper()
         )
         return args.func(args, cfg)
-    except OmniCloneError as exc:
+    except (OmniCloneError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except json.JSONDecodeError as exc:
+        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 1
 
 

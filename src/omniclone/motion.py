@@ -496,8 +496,9 @@ def resample(clip: MotionClip, target_fps: float) -> MotionClip:
     """Resample onto a 1/target_fps grid.
 
     Positions and velocities interpolate linearly, orientations by
-    shortest-arc slerp. The first/last source frames are preserved exactly;
-    output times past the source span hold the final frame, keeping
+    shortest-arc slerp. The first/last source frames are preserved exactly
+    (a clip too short for two output frames keeps only its first); output
+    times past the source span hold the final frame, keeping
     |duration_out - duration_in| <= 1/target_fps.
     """
     if target_fps <= 0:
@@ -507,7 +508,7 @@ def resample(clip: MotionClip, target_fps: float) -> MotionClip:
     T = len(clip.t)
     if T == 1:
         raise InputError("cannot resample a single-frame clip to a different rate")
-    count = max(int(np.floor(T * target_fps / clip.fps + 0.5)), 2)
+    count = max(int(np.floor(T * target_fps / clip.fps + 0.5)), 1)
     rel = np.arange(count) / target_fps
     span = clip.t[-1] - clip.t[0]
     pos = rel * clip.fps

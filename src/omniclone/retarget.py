@@ -89,7 +89,6 @@ def calibrate(
     humanoid: HumanoidModel,
     mapping: Mapping[str, str],
     subject_chain_lengths: Sequence[float] | None = None,
-    calibration_pose: np.ndarray | None = None,
 ) -> CalibrationResult:
     """Estimate the session scale from a calibration frame.
 
@@ -106,9 +105,7 @@ def calibrate(
     unknown = [b for b in targets if b not in humanoid.key_bodies]
     if unknown:
         raise CalibrationError(f"mapping targets outside the key-body set: {unknown}")
-    if calibration_pose is None:
-        calibration_pose = np.zeros(humanoid.n_joints)
-    humanoid_metric = chain_height(humanoid, calibration_pose)
+    humanoid_metric = chain_height(humanoid, np.zeros(humanoid.n_joints))
     if subject_chain_lengths is not None:
         subject_metric = float(np.sum(np.asarray(subject_chain_lengths, dtype=float)))
     else:

@@ -1,9 +1,10 @@
 """Real-time motion streaming: wire codec, jitter buffer with zero-order
-hold, a policy server that receives and ticks at a fixed rate on one
-thread, a seeded fault model, latency probes, and a virtual-time pipeline
-simulator. The one-way latency probe runs on one thread and takes its
-packet fates from the same `fault_schedule` as the simulator, so a given
-seed drops the same seqs in both."""
+hold, a policy server that receives and ticks at a fixed rate, a seeded
+fault model, latency probes, and a virtual-time pipeline simulator. The
+server and the one-way latency probe each run on the caller's thread, and
+nothing here starts a thread. The probe takes its packet fates from the
+same `fault_schedule` as the simulator, so a given seed drops the same
+seqs in both."""
 
 from .faults import Decision, FaultConfig, decide
 from .jitter import (

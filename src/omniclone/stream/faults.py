@@ -16,6 +16,11 @@ import numpy as np
 
 from ..errors import ConfigError
 
+#: extra delay of a packet drawn for reordering, and of a duplicate copy
+#: behind its original
+REORDER_EXTRA_MS = 20.0
+DUPLICATE_DELAY_MS = 1.0
+
 
 @dataclass(frozen=True)
 class FaultConfig:
@@ -23,8 +28,6 @@ class FaultConfig:
     jitter_ms: tuple[float, float] = (0.0, 0.0)
     reorder_prob: float = 0.0
     duplicate_prob: float = 0.0
-    reorder_extra_ms: float = 20.0
-    duplicate_delay_ms: float = 1.0
 
     def __post_init__(self):
         for name in ("drop_prob", "reorder_prob", "duplicate_prob"):
@@ -50,8 +53,8 @@ def decide(config: FaultConfig, rng: np.random.Generator) -> Decision:
     lo, hi = config.jitter_ms
     delay_ms = float(rng.uniform(lo, hi))
     if rng.random() < config.reorder_prob:
-        delay_ms += config.reorder_extra_ms
+        delay_ms += REORDER_EXTRA_MS
     delays = [delay_ms / 1000.0]
     if rng.random() < config.duplicate_prob:
-        delays.append((delay_ms + config.duplicate_delay_ms) / 1000.0)
+        delays.append((delay_ms + DUPLICATE_DELAY_MS) / 1000.0)
     return Decision(dropped=False, delays_s=tuple(delays))

@@ -1,7 +1,7 @@
 """UDP endpoints: the retargeting relay (sender), the policy server
-(receiver and fixed-rate consumer on one thread), and latency probes.
-The one-way probe runs on the caller's thread and draws its packet fates
-from the same `fault_schedule` as the virtual simulator.
+(receiver and fixed-rate consumer), and latency probes. The server and the
+one-way probe each run as one loop on the caller's thread; the probe draws
+its packet fates from the same `fault_schedule` as the virtual simulator.
 
 Send timestamps are sender-local microseconds from time.monotonic_ns, so
 one-way latency is only meaningful on a shared clock (loopback). For a
@@ -9,9 +9,9 @@ remote server the heartbeat echo gives an RTT/2 approximation.
 """
 from __future__ import annotations
 
+import math
 import select
 import socket
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,9 +35,6 @@ from .packet import (
 )
 from .sim import fault_schedule
 
-#: longest the policy server's loop waits on its socket, so stop() is prompt
-_MAX_WAIT_S = 0.05
-
 
 def now_us() -> int:
     return time.monotonic_ns() // 1000
@@ -50,14 +47,14 @@ def parse_addr(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def clip_packets(clip: MotionClip, model, start_seq: int = 1):
-    """Generate one single-frame packet per clip frame."""
+def clip_packets(clip: MotionClip, model):
+    """Generate one single-frame packet per clip frame, seq 1 first."""
     clip = derive_body_kinematics(clip, model)
     rows = zip(clip.root_lin_vel, clip.body_pos, clip.body_quat, clip.joint_pos)
     for i, row in enumerate(rows):
         yield StreamPacket(
             msg_type=MSG_FRAMES,
-            seq=start_seq + i,
+            seq=i + 1,
             send_ts_us=0,  # stamped at send time
             frames=(PacketFrame(*row),),
         )
@@ -93,14 +90,16 @@ def send_clip(
 
 class PolicyServer:
     """Receives frame packets into a jitter buffer and drains it at a fixed
-    rate through a tracker sink, on the one thread that start() spawns.
-    Heartbeats are echoed back to the sender.
+    rate through a tracker sink, in one loop that run() drives on the
+    caller's thread. Heartbeats are echoed back to the sender. The
+    counters are final once run() returns; close() releases the socket.
 
-    The first tick runs when the first frame is accepted, and later ticks
-    every 1/rate_hz seconds. Datagrams that are waiting when a tick is due
-    are ingested before it, up to the queue's capacity. A sink that
-    overruns its slot bumps `overruns`; the schedule then catches up by at
-    most one tick and never skips the next one.
+    The first tick runs when the first frame is accepted, or at once when
+    the queue holds frames as run() begins, and later ticks every
+    1/rate_hz seconds. Datagrams that are waiting when a tick is due are
+    ingested before it, up to the queue's capacity. A sink that overruns
+    its slot bumps `overruns`; the schedule then catches up by at most one
+    tick and never skips the next one.
 
     Decode errors, frame packets whose key-body or joint count differs
     from the model (default: the bundled one), and frame packets whose
@@ -133,18 +132,15 @@ class PolicyServer:
             raise
         self.sock.setblocking(False)
         self.addr = self.sock.getsockname()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
 
-    def start(self) -> "PolicyServer":
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        deadline = time.monotonic() if len(self.queue) else None
-        while not self._stop.is_set():
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
+    def run(self, duration: float | None = None) -> None:
+        """Receive and tick for `duration` seconds; with None, until the
+        caller is interrupted (KeyboardInterrupt propagates)."""
+        start = time.monotonic()
+        end = math.inf if duration is None else start + duration
+        deadline = start if len(self.queue) else math.inf
+        while (now := time.monotonic()) < end:
+            if now >= deadline:
                 # arrivals that coincide with a tick are processed before it
                 self._receive()
                 frame, held = self.queue.pop()
@@ -152,16 +148,16 @@ class PolicyServer:
                 self.ticks += 1
                 self.fresh += not held
                 deadline += self.period
-                end = time.monotonic()
-                if end > deadline:
+                done = time.monotonic()
+                if done > deadline:
                     self.overruns += 1
                     # bound catch-up to a single immediate tick
-                    deadline = max(deadline, end - self.period)
+                    deadline = max(deadline, done - self.period)
                 continue
-            wait = _MAX_WAIT_S if deadline is None else min(_MAX_WAIT_S, deadline - now)
-            if select.select([self.sock], [], [], wait)[0]:
+            due = min(deadline, end)
+            if select.select([self.sock], [], [], None if due == math.inf else due - now)[0]:
                 self._receive()
-                if deadline is None and len(self.queue):
+                if deadline == math.inf and len(self.queue):
                     deadline = time.monotonic()
 
     def _receive(self) -> None:
@@ -193,10 +189,7 @@ class PolicyServer:
             if packet.msg_type == MSG_FRAMES:
                 self.queue.push(Stamped(packet.seq, packet.frames))
 
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(2.0)
+    def close(self) -> None:
         self.sock.close()
 
     def summary_csv(self) -> str:

@@ -62,6 +62,8 @@ def fault_schedule(
 ) -> tuple[list[tuple[float, int, int]], int, int]:
     """Arrival events (time, order, seq) for packets seq=1..n sent on a fixed
     cadence through the seeded fault model. Returns (arrivals, delivered, dropped)."""
+    if n_packets < 0:
+        raise InputError(f"packet count must be >= 0, got {n_packets}")
     if not producer_hz > 0:
         raise InputError(f"producer rate must be positive, got {producer_hz}")
     rng = np.random.default_rng(seed)

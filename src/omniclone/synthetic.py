@@ -44,12 +44,10 @@ def constant_velocity_clip(
     name: str = "line",
     category: str = "walk",
     level: str = "slow",
-    joint_pose: np.ndarray | None = None,
     with_bodies: bool = True,
 ) -> MotionClip:
     """Root translates at a constant planar velocity; joints are static."""
     n = model.n_joints
-    q = np.zeros(n) if joint_pose is None else np.asarray(joint_pose, dtype=float)
     vel = speed * np.array([np.cos(heading), np.sin(heading), 0.0])
     t = np.arange(n_frames) / fps
     clip = MotionClip.from_arrays(
@@ -64,7 +62,7 @@ def constant_velocity_clip(
         root_quat=np.tile(quat_from_yaw(heading), (n_frames, 1)),
         root_lin_vel=np.tile(vel, (n_frames, 1)),
         root_ang_vel=np.zeros((n_frames, 3)),
-        joint_pos=np.tile(q, (n_frames, 1)),
+        joint_pos=np.zeros((n_frames, n)),
         joint_vel=np.zeros((n_frames, n)),
     )
     return derive_body_kinematics(clip, model) if with_bodies else clip
@@ -78,7 +76,6 @@ def static_clip(
     name: str = "static",
     category: str = "manip",
     level: str = "medium",
-    joint_pose: np.ndarray | None = None,
 ) -> MotionClip:
     return constant_velocity_clip(
         model,
@@ -89,7 +86,6 @@ def static_clip(
         name=name,
         category=category,
         level=level,
-        joint_pose=joint_pose,
     )
 
 

@@ -58,10 +58,10 @@ def chunk_executor(
     ticks: int,
     execute_len: int = DEFAULT_EXECUTE_LEN,
     initial_state: np.ndarray | None = None,
-    state_fn: Callable[[int, np.ndarray | None], np.ndarray] | None = None,
 ) -> ExecutionTrace:
     """Execute the first execute_len actions of each chunk, re-planning at
-    every chunk boundary from the measured state.
+    every chunk boundary from the last executed action (initial_state
+    before the first).
 
     At tick t the executed action is chunk floor(t/execute_len) at index
     t mod execute_len, so the planner runs exactly ceil(ticks/execute_len)
@@ -83,9 +83,8 @@ def chunk_executor(
     for t in range(ticks):
         if t % execute_len == 0:
             refresh_ticks.append(t)
-            state = state_fn(t, last_action) if state_fn else last_action
             try:
-                chunk = planner(state)
+                chunk = planner(last_action)
             except PlannerTimeout:
                 failed.append(t)
                 if last_action is None:

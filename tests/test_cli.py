@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 import os
@@ -91,6 +92,22 @@ class TestDispatch:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--run-config", "{bad}", "print-layout"],
+        ["recipe", "--pools", "{bad}", "--fractions", "a=1", "--total", "1"],
+        ["bench", "run", "--manifest", "{bad}", "--out", "out.json"],
+        ["bench", "report", "--in", "{bad}"],
+        ["vla-replay", "--chunks", "{bad}"],
+        ["relay", "--forward", "127.0.0.1:9", "--stdin"],
+    ])
+    def test_malformed_json_exit_1(self, argv, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("{bad"))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([str(bad) if a == "{bad}" else a for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed JSON:")
+
 
 class TestBenchWorkflow:
     def test_full_suite_exit_zero(self, tmp_path, ref_model):
@@ -174,6 +191,24 @@ class TestStreamTestCommand:
         assert cli.main(["stream-test", "--rate", "0", *live]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rate must be positive" in err
+
+    @pytest.mark.parametrize("argv", [["--packets", "-3"], ["--live", "--samples", "-1"]])
+    def test_negative_count_is_an_error(self, argv, capsys):
+        assert cli.main(["stream-test", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "count must be >= 0" in captured.err
+
+    def test_rate_from_run_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"rate_hz": 10, "window": 1}), encoding="utf-8")
+        argv = ["stream-test", "--packets", "300", "--jitter", "0:150", "--seed", "2"]
+        assert cli.main(["--run-config", str(cfg), *argv]) == 0
+        from_config = capsys.readouterr().out
+        assert cli.main([*argv, "--rate", "10", "--window", "1"]) == 0
+        assert from_config == capsys.readouterr().out
+        assert cli.main([*argv, "--window", "1"]) == 0
+        assert from_config != capsys.readouterr().out
 
     @pytest.mark.parametrize("jitter", ["abc", "0:x"])
     def test_non_numeric_jitter_is_an_error(self, jitter, capsys):

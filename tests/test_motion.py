@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -344,6 +344,7 @@ class TestResample:
         fps=st.sampled_from([24.0, 30.0, 50.0, 60.0]),
         target=st.sampled_from([24.0, 30.0, 50.0, 60.0]),
     )
+    @example(n=2, fps=50.0, target=24.0)  # too short for two output frames
     def test_duration_preserved_within_one_period(self, n, fps, target):
         frames = tuple(
             Frame(

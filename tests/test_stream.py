@@ -1,3 +1,4 @@
+import itertools
 import socket
 import threading
 import time
@@ -228,12 +229,6 @@ class TestFrameQueue:
         assert [i + 1 for i, (_, h) in enumerate(emitted) if h] == [3, 4]
 
 
-def wait_until(condition, timeout=2.0):
-    deadline = time.monotonic() + timeout
-    while not condition() and time.monotonic() < deadline:
-        time.sleep(0.01)
-
-
 class TestRateLoop:
     """The fixed-rate tick loop of PolicyServer."""
 
@@ -243,9 +238,10 @@ class TestRateLoop:
                               sink=lambda f, h: ticks.append((f.seq, h)))
         for seq in range(1, 101):
             server.queue.push(Stamped(seq))
-        server.start()
-        time.sleep(1.0)
-        server.stop()
+        try:
+            server.run(1.0)
+        finally:
+            server.close()
         assert 45 <= len(ticks) <= 55  # 50 +- scheduling slop
         assert not any(h for _, h in ticks[: min(len(ticks), 50)])
 
@@ -255,9 +251,11 @@ class TestRateLoop:
                               sink=lambda f, h: ticks.append((f.seq, h)))
         for seq in range(1, 6):
             server.queue.push(Stamped(seq))
-        server.start()
-        wait_until(lambda: server.ticks >= 12)
-        server.stop()
+        try:
+            server.run(0.2)
+        finally:
+            server.close()
+        assert server.ticks >= 12
         fresh = [s for s, h in ticks[:12] if not h]
         held = [s for s, h in ticks[:12] if h]
         assert fresh == [1, 2, 3, 4, 5]
@@ -267,12 +265,13 @@ class TestRateLoop:
         ticks = []
         server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0,
                               sink=lambda f, h: ticks.append((f.seq, h)))
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-            for seq in (1, 2, 3):
-                sock.sendto(frame_datagram(seq), server.addr)
-        server.start()
-        wait_until(lambda: server.ticks >= 4)
-        server.stop()
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                for seq in (1, 2, 3):
+                    sock.sendto(frame_datagram(seq), server.addr)
+            server.run(0.15)
+        finally:
+            server.close()
         assert ticks[:4] == [(1, False), (2, False), (3, False), (3, True)]
 
     def test_datagram_waiting_at_a_due_tick_is_ingested_before_it(self):
@@ -286,28 +285,30 @@ class TestRateLoop:
 
         server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0, sink=sink)
         server.queue.push(Stamped(1))
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-            server.start()
-            wait_until(lambda: server.ticks >= 2)
-            server.stop()
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                server.run(0.1)
+        finally:
+            server.close()
         assert ticks[:2] == [(1, False), (2, False)]
 
     def test_producer_pause_produces_consecutive_holds(self):
         records = []
-        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0, capacity=1,
-                              sink=lambda f, h: records.append(h)).start()
-        seq = 0
-        end = time.monotonic() + 0.5
-        pause_at = time.monotonic() + 0.15
-        paused_until = pause_at + 0.14  # seven 20 ms periods of silence
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-            while time.monotonic() < end:
-                now = time.monotonic()
-                if not pause_at < now < paused_until:
-                    seq += 1
-                    sock.sendto(frame_datagram(seq), server.addr)
-                time.sleep(0.02)
-        server.stop()
+        seqs = itertools.count(2)
+
+        def sink(frame, held):
+            # the producer sends one frame per tick, except for seven ticks
+            records.append(held)
+            if not 8 <= len(records) < 15:
+                sock.sendto(frame_datagram(next(seqs)), server.addr)
+
+        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0, capacity=1, sink=sink)
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.sendto(frame_datagram(1), server.addr)
+                server.run(0.5)
+        finally:
+            server.close()
         best = run = 0
         for h in records:
             run = run + 1 if h else 0
@@ -324,24 +325,25 @@ class TestRateLoop:
         server = PolicyServer(("127.0.0.1", 0), rate_hz=100.0, capacity=8, sink=slow_sink)
         for seq in range(1, 30):
             server.queue.push(Stamped(seq))
-        server.start()
-        wait_until(lambda: len(overruns_before) > 6, timeout=3.0)
-        server.stop()
+        try:
+            server.run(0.5)
+        finally:
+            server.close()
         assert len(overruns_before) > 6
         assert overruns_before[6] >= 4  # counted over the first 6 ticks
 
-    def test_one_thread_while_running_none_when_stopped(self):
-        before = set(threading.enumerate())
+    def test_run_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("PolicyServer.run started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         server = PolicyServer(("127.0.0.1", 0), rate_hz=100.0)
         server.queue.push(Stamped(1))
-        server.start()
         try:
-            wait_until(lambda: server.ticks >= 2)
-            assert server.ticks >= 2
-            assert len(set(threading.enumerate()) - before) == 1
+            server.run(0.05)
         finally:
-            server.stop()
-        assert set(threading.enumerate()) - before == set()
+            server.close()
+        assert server.ticks >= 2
 
 
 class TestFaultInjector:
@@ -472,29 +474,20 @@ def frame_datagram(seq, n_joints=29, n_bodies=7, joint0=0.0):
 
 
 def serve_datagrams(datagrams, model=None):
-    """Send datagrams to a live PolicyServer; return it (stopped) and the
-    seqs its sink saw once every datagram was handled and two more ticks ran."""
+    """Send datagrams to a PolicyServer, run it for 0.1 s (five ticks at
+    50 Hz) and close it; return it and the seqs its sink saw."""
     seqs = []
     server = PolicyServer(
         ("127.0.0.1", 0), rate_hz=50.0, sink=lambda frame, held: seqs.append(frame.seq),
         model=model,
-    ).start()
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    )
     try:
-        for data in datagrams:
-            sock.sendto(data, server.addr)
-        deadline = time.monotonic() + 2.0
-        while (
-            server.received + server.decode_errors < len(datagrams)
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.01)
-        ticks = server.ticks
-        while server.ticks < ticks + 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            for data in datagrams:
+                sock.sendto(data, server.addr)
+        server.run(0.1)
     finally:
-        server.stop()
-        sock.close()
+        server.close()
     return server, seqs
 
 
@@ -505,14 +498,12 @@ class TestLiveEndpoints:
         server = PolicyServer(
             ("127.0.0.1", 0), rate_hz=50.0, capacity=5,
             sink=lambda frame, held: ticks.append((frame.seq, held)),
-        ).start()
+        )
         try:
-            sent = send_clip(clip, ref_model, server.addr)
-            deadline = time.monotonic() + 3.0
-            while server.ticks < 20 and time.monotonic() < deadline:
-                time.sleep(0.02)
+            sent = send_clip(clip, ref_model, server.addr, rate_hz=1000.0)
+            server.run(0.6)
         finally:
-            server.stop()
+            server.close()
         assert sent == 25
         assert server.received >= 20  # loopback loss should be rare
         assert server.ticks >= 20
@@ -549,40 +540,34 @@ class TestLiveEndpoints:
         assert seqs and set(seqs) == {1}
 
     def test_decode_errors_non_fatal(self):
-        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0).start()
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        try:
-            sock.sendto(b"garbage-data", server.addr)
-            sock.sendto(encode_packet(heartbeat(1, 5)), server.addr)
-            deadline = time.monotonic() + 2.0
-            while server.heartbeats < 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        finally:
-            server.stop()
-            sock.close()
+        server, seqs = serve_datagrams([b"garbage-data", encode_packet(heartbeat(1, 5))])
         assert server.decode_errors == 1
         assert server.heartbeats == 1
+        assert seqs == []
 
     def test_heartbeat_echoed(self):
-        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0).start()
+        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0)
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.settimeout(1.0)
         try:
             payload = encode_packet(heartbeat(3, 777))
             sock.sendto(payload, server.addr)
+            server.run(0.05)
             data, _ = sock.recvfrom(65536)
             assert data == payload
         finally:
-            server.stop()
+            server.close()
             sock.close()
 
-    def test_stop_before_any_frame_ends_the_loop(self):
-        before = set(threading.enumerate())
-        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0).start()
+    def test_run_without_sender_returns_on_time(self):
+        server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0)
         start = time.monotonic()
-        server.stop()
+        try:
+            server.run(0.05)
+        finally:
+            server.close()
         assert time.monotonic() - start < 0.5
-        assert set(threading.enumerate()) - before == set()
+        assert server.ticks == 0
 
 
 class TestLatency:
