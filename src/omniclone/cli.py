@@ -147,14 +147,19 @@ def _relay_passthrough(args, forward) -> int:
     import socket
 
     listen = parse_addr(args.listen)
-    deadline = time.monotonic() + args.duration if args.duration else None
+    deadline = time.monotonic() + args.duration if args.duration is not None else None
     forwarded = 0
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock, \
             socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
         sock.bind(listen)
-        sock.settimeout(0.1)
         try:
-            while deadline is None or time.monotonic() < deadline:
+            while True:
+                # wait for a datagram until the deadline, or without end
+                if deadline is not None:
+                    left = deadline - time.monotonic()
+                    if left <= 0.0:
+                        break
+                    sock.settimeout(left)
                 try:
                     data, _ = sock.recvfrom(65536)
                 except socket.timeout:

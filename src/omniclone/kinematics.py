@@ -124,6 +124,7 @@ class HumanoidModel:
         )
         self.root_index = int(np.flatnonzero(self.parent_index == -1)[0])
         self.fk_levels = self._fk_levels()
+        self.fk_links = self._fk_links()
         self.key_bodies: tuple[str, ...] = tuple(key_bodies)
         self.calibration_chain: tuple[str, ...] = tuple(calibration_chain)
         self._validate()
@@ -202,6 +203,23 @@ class HumanoidModel:
             )
         return tuple(levels)
 
+    def _fk_links(self) -> tuple:
+        """Per non-root link in link order: (link, parent, joint column or
+        -1, offset position, offset quaternion, joint axis), as Python ints
+        and float tuples, for the walk over one configuration."""
+        return tuple(
+            (
+                i,
+                int(self.parent_index[i]),
+                int(self.joint_index[i]),
+                tuple(self.offsets_pos[i].tolist()),
+                tuple(self.offsets_quat[i].tolist()),
+                tuple(self.axes[i].tolist()),
+            )
+            for i in range(len(self.links))
+            if self.parent_index[i] >= 0
+        )
+
     def _validate(self) -> None:
         for i, l in enumerate(self.links):
             if l.parent is not None:
@@ -256,6 +274,12 @@ def forward_kinematics_arrays(
 
     joint_pos: (..., n); root_pos: (..., 3); root_quat: (..., 4).
     Returns positions (..., L, 3) and orientations (..., L, 4) in link order.
+
+    One configuration (joint_pos (n,), root_pos (3,), root_quat (4,)) walks
+    the links in order with Python floats; any other shape goes one tree
+    depth at a time with numpy. Both do the arithmetic of rotations'
+    quat_rotate, quat_mul and quat_from_axis_angle per link, in the same
+    order, so both are bit-identical to a link-by-link walk.
     """
     joint_pos = np.asarray(joint_pos, dtype=float)
     root_pos = np.asarray(root_pos, dtype=float)
@@ -265,6 +289,47 @@ def forward_kinematics_arrays(
         raise InputError(f"joint_pos: expected {n} joints, got {joint_pos.shape[-1]}")
     if not (np.all(np.isfinite(joint_pos)) and np.all(np.isfinite(root_pos))):
         raise InputError("forward_kinematics_arrays: non-finite input")
+    if joint_pos.ndim == 1 and root_pos.shape == (3,) and root_quat.shape == (4,):
+        # numpy's sin/cos, not math's, whose bits may differ
+        half = joint_pos / 2.0
+        sin = np.sin(half).tolist()
+        cos = np.cos(half).tolist()
+        pos_l = [None] * len(model.links)
+        quat_l = [None] * len(model.links)
+        pos_l[model.root_index] = root_pos.tolist()
+        quat_l[model.root_index] = root_quat.tolist()
+        for i, parent, col, (vx, vy, vz), (bw, bx, by, bz), (ux, uy, uz) in model.fk_links:
+            px, py, pz = pos_l[parent]
+            w, x, y, z = quat_l[parent]
+            # quat_rotate(parent, offset_pos)
+            tx = y * vz - z * vy
+            ty = z * vx - x * vz
+            tz = x * vy - y * vx
+            pos_l[i] = [
+                px + (vx + 2.0 * (w * tx + (y * tz - z * ty))),
+                py + (vy + 2.0 * (w * ty + (z * tx - x * tz))),
+                pz + (vz + 2.0 * (w * tz + (x * ty - y * tx))),
+            ]
+            # quat_mul(parent, offset_quat)
+            fw = w * bw - x * bx - y * by - z * bz
+            fx = w * bx + x * bw + y * bz - z * by
+            fy = w * by - x * bz + y * bw + z * bx
+            fz = w * bz + x * by - y * bx + z * bw
+            if col >= 0:
+                # quat_mul(frame, quat_from_axis_angle(axis, joint angle))
+                c = cos[col]
+                s = sin[col]
+                jx = ux * s
+                jy = uy * s
+                jz = uz * s
+                fw, fx, fy, fz = (
+                    fw * c - fx * jx - fy * jy - fz * jz,
+                    fw * jx + fx * c + fy * jz - fz * jy,
+                    fw * jy - fx * jz + fy * c + fz * jx,
+                    fw * jz + fx * jy - fy * jx + fz * c,
+                )
+            quat_l[i] = [fw, fx, fy, fz]
+        return np.array(pos_l), np.array(quat_l)
     batch = joint_pos.shape[:-1]
     L = len(model.links)
     pos = np.empty(batch + (L, 3))

@@ -531,18 +531,28 @@ def sample_dr(
     """
     r = ranges or DRRanges()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u = lambda band: float(rng.uniform(*band))
+    bands = (
+        [r.action_delay_s, r.action_noise_rad]
+        + [r.link_mass_scale] * len(r.mass_links)
+        + [r.torso_com_x_m, r.torso_com_yz_m, r.torso_com_yz_m]
+        + [r.friction] * (2 * len(r.friction_joints))
+        + [r.stiffness_scale, r.damping_scale, r.armature_scale]
+    )
+    # one draw over every band, in table order, gives the values of one
+    # scalar draw per band and leaves the generator in the same state
+    lo, hi = zip(*bands)
+    draw = iter(rng.uniform(lo, hi).tolist())
     return DRConfig(
-        action_delay_s=u(r.action_delay_s),
-        action_noise_rad=u(r.action_noise_rad),
-        link_mass_scale={label: u(r.link_mass_scale) for label in r.mass_links},
-        torso_com_offset_m=(u(r.torso_com_x_m), u(r.torso_com_yz_m), u(r.torso_com_yz_m)),
+        action_delay_s=next(draw),
+        action_noise_rad=next(draw),
+        link_mass_scale={label: next(draw) for label in r.mass_links},
+        torso_com_offset_m=(next(draw), next(draw), next(draw)),
         torque_rfi_fraction=r.torque_rfi_fraction,
-        static_friction={label: u(r.friction) for label in r.friction_joints},
-        dynamic_friction={label: u(r.friction) for label in r.friction_joints},
-        stiffness_scale=u(r.stiffness_scale),
-        damping_scale=u(r.damping_scale),
-        armature_scale=u(r.armature_scale),
+        static_friction={label: next(draw) for label in r.friction_joints},
+        dynamic_friction={label: next(draw) for label in r.friction_joints},
+        stiffness_scale=next(draw),
+        damping_scale=next(draw),
+        armature_scale=next(draw),
     )
 
 

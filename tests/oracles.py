@@ -4,11 +4,13 @@ Deliberately written with different machinery than the package (4x4
 homogeneous matrices instead of quaternion composition, struct-by-struct
 packet building, plain-list queue simulation) so agreement is evidence,
 not tautology. The exception is per_link_fk: a link-by-link walk on the
-package's quaternion core that the level-wise FK must match bit for bit;
-that core is itself checked against numpy's cross product and stacking
-(cross_quat_rotate, stack_quat_mul). rows_clip_doc is no oracle: it
-writes the row layout of older clip files, which the package still reads
-but no longer writes.
+package's quaternion core that both FK paths (level-wise numpy and the
+scalar walk over one configuration) must match bit for bit; that core is
+itself checked against numpy's cross product and stacking
+(cross_quat_rotate, stack_quat_mul). per_field_dr draws one scalar per
+field, which sample_dr's single draw must reproduce. rows_clip_doc is no
+oracle: it writes the row layout of older clip files, which the package
+still reads but no longer writes.
 """
 import math
 import struct
@@ -18,6 +20,7 @@ import numpy as np
 
 from omniclone.motion import COLUMNS, clip_to_dict
 from omniclone.rotations import quat_from_axis_angle, quat_mul, quat_rotate
+from omniclone.simtrack import DRConfig
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +122,9 @@ def links_from_model(model):
 def per_link_fk(model, joint_pos, root_pos, root_quat):
     """Link-by-link FK walk in link order: (..., L, 3), (..., L, 4).
 
-    The package's FK goes one tree depth at a time with the same arithmetic
-    per link, so the two must agree bit for bit.
+    The package's FK goes one tree depth at a time for a batch, and walks
+    the links with Python floats for one configuration, both with the same
+    arithmetic per link, so all three must agree bit for bit.
     """
     joint_pos = np.asarray(joint_pos, dtype=float)
     batch = joint_pos.shape[:-1]
@@ -143,6 +147,24 @@ def per_link_fk(model, joint_pos, root_pos, root_quat):
             frame = quat_mul(frame, jq)
         quat[..., i, :] = frame
     return pos, quat
+
+
+def per_field_dr(rng, r):
+    """Domain-randomization sample from the ranges r, with one scalar draw
+    per field, in table order."""
+    u = lambda band: float(rng.uniform(*band))
+    return DRConfig(
+        action_delay_s=u(r.action_delay_s),
+        action_noise_rad=u(r.action_noise_rad),
+        link_mass_scale={label: u(r.link_mass_scale) for label in r.mass_links},
+        torso_com_offset_m=(u(r.torso_com_x_m), u(r.torso_com_yz_m), u(r.torso_com_yz_m)),
+        torque_rfi_fraction=r.torque_rfi_fraction,
+        static_friction={label: u(r.friction) for label in r.friction_joints},
+        dynamic_friction={label: u(r.friction) for label in r.friction_joints},
+        stiffness_scale=u(r.stiffness_scale),
+        damping_scale=u(r.damping_scale),
+        armature_scale=u(r.armature_scale),
+    )
 
 
 # ---------------------------------------------------------------------------

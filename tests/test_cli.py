@@ -357,6 +357,14 @@ class TestServeRelayLive:
         assert len(records) >= 15
         assert any(not r["held"] for r in records)
 
+    def test_relay_listen_zero_duration_returns(self, capsys):
+        start = time.monotonic()
+        code = cli.main(["relay", "--listen", "127.0.0.1:0", "--forward", "127.0.0.1:9",
+                         "--duration", "0"])
+        assert code == 0
+        assert time.monotonic() - start < 0.5
+        assert "forwarded,0" in capsys.readouterr().out
+
     def test_serve_policy_rejects_pd(self, capsys):
         code = cli.main(["serve-policy", "--listen", "127.0.0.1:0", "--tracker", "pd:400,40",
                          "--duration", "0.1"])

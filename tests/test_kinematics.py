@@ -232,6 +232,44 @@ class TestLevelwiseFK:
             assert np.array_equal(pos[..., 0, :], root_pos)
             assert np.array_equal(quat[..., 0, :], root_quat)
 
+    def test_single_float32_wire_input(self, ref_model, rng):
+        # joint angles and the root pose arrive as float32 off the wire
+        for model in (ref_model, HumanoidModel([LinkSpec("base", None)], ["base"], [])):
+            for _ in range(20):
+                inputs = [a.astype(np.float32) for a in random_batch(rng, model, ())]
+                assert_matches_per_link(model, *inputs)
+                pos, quat = forward_kinematics_arrays(model, *inputs)
+                assert pos.dtype == quat.dtype == np.float64
+
+    def test_single_joints_with_batched_root(self, ref_model, rng):
+        # an unbatched joint vector with a batched root is no single
+        # configuration: it goes level-wise and behaves as the oracle does
+        joint_pos, _, _ = random_batch(rng, ref_model, ())
+        _, root_pos, root_quat = random_batch(rng, ref_model, (1,))
+        assert_matches_per_link(ref_model, joint_pos, root_pos, root_quat)
+        _, root_pos, root_quat = random_batch(rng, ref_model, (5,))
+        with pytest.raises(ValueError) as want:
+            per_link_fk(ref_model, joint_pos, root_pos, root_quat)
+        with pytest.raises(ValueError) as got:
+            forward_kinematics_arrays(ref_model, joint_pos, root_pos, root_quat)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("fault", ["joint_count", "nan_joint", "nan_root_pos"])
+    def test_single_and_batched_errors_match(self, ref_model, rng, fault):
+        messages = []
+        for batch in ((), (4,)):
+            joint_pos, root_pos, root_quat = random_batch(rng, ref_model, batch)
+            if fault == "joint_count":
+                joint_pos = joint_pos[..., 1:]
+            elif fault == "nan_joint":
+                joint_pos[..., 3] = np.nan
+            else:
+                root_pos[..., 1] = np.nan
+            with pytest.raises(InputError) as err:
+                forward_kinematics_arrays(ref_model, joint_pos, root_pos, root_quat)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
 
 class TestQuaternionCore:
     """quat_rotate and quat_mul against numpy's cross product and stacking."""

@@ -28,6 +28,7 @@ from omniclone.simtrack import (
     track_clip,
 )
 from omniclone.synthetic import constant_velocity_clip, sine_joint_clip, static_clip
+from oracles import per_field_dr
 
 
 def random_state(rng, model):
@@ -405,6 +406,14 @@ class TestDomainRandomization:
         assert cfg.damping_scale == rng.uniform(0.95, 1.05)
         assert cfg.armature_scale == rng.uniform(0.995, 1.015)
         assert cfg.torque_rfi_fraction == 0.02
+
+    def test_one_draw_matches_per_field_oracle(self):
+        # same values, and the generator is left in the same state
+        r = DRRanges()
+        for seed in range(200):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_dr(rng) == per_field_dr(ref_rng, r)
+            assert rng.random() == ref_rng.random()
 
     def test_field_means_near_midpoints(self):
         rng = np.random.default_rng(7)
