@@ -329,27 +329,6 @@ def parse_report_json(text: str) -> BenchReport:
     return BenchReport(rows=rows, method=doc.get("method", ""), partial=bool(doc.get("partial")))
 
 
-def parse_report_csv(text: str) -> BenchReport:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "category,level,sr_percent,mpjpe_mm":
-        raise InputError("unexpected report csv header")
-    rows = []
-    for ln in lines[1:]:
-        cat, lvl, sr, mp = ln.split(",")
-        rows.append(
-            StratumRow(
-                category=cat,
-                level=lvl,
-                sr_percent=float(sr),
-                mpjpe_mm=float(mp) if mp else None,
-            )
-        )
-    covered = {(r.category, r.level) for r in rows}
-    return BenchReport(
-        rows=tuple(rows), partial=any(s not in covered for s in BENCH_STRATA)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Episode result serialization and manifests
 # ---------------------------------------------------------------------------
@@ -368,16 +347,19 @@ def episode_to_dict(e: EpisodeResult) -> dict:
 
 
 def episode_from_dict(doc: Mapping) -> EpisodeResult:
-    return EpisodeResult(
-        clip_name=doc["clip_name"],
-        category=doc["category"],
-        level=doc["level"],
-        success=bool(doc["success"]),
-        failure_reason=doc["failure_reason"],
-        mpjpe_mm=float(doc["mpjpe_mm"]),
-        per_frame_error_mm=np.asarray(doc.get("per_frame_error_mm", []), dtype=float),
-        frames_evaluated=int(doc["frames_evaluated"]),
-    )
+    try:
+        return EpisodeResult(
+            clip_name=doc["clip_name"],
+            category=doc["category"],
+            level=doc["level"],
+            success=bool(doc["success"]),
+            failure_reason=doc["failure_reason"],
+            mpjpe_mm=float(doc["mpjpe_mm"]),
+            per_frame_error_mm=np.asarray(doc.get("per_frame_error_mm", []), dtype=float),
+            frames_evaluated=int(doc["frames_evaluated"]),
+        )
+    except KeyError as exc:
+        raise InputError(f"episode result: missing key {exc.args[0]!r}") from None
 
 
 def results_to_json(results: Sequence[EpisodeResult], method: str = "") -> str:
@@ -387,6 +369,8 @@ def results_to_json(results: Sequence[EpisodeResult], method: str = "") -> str:
 
 def results_from_json(text: str) -> tuple[list[EpisodeResult], str]:
     doc = json.loads(text)
+    if "episodes" not in doc:
+        raise InputError("results document: missing key 'episodes'")
     return [episode_from_dict(d) for d in doc["episodes"]], doc.get("method", "")
 
 
@@ -402,6 +386,9 @@ def load_manifest(path) -> list[ManifestEntry]:
         doc = json.load(fh)
     if "clips" not in doc:
         raise InputError(f"{path}: manifest missing 'clips'")
+    for i, e in enumerate(doc["clips"]):
+        if "path" not in e:
+            raise InputError(f"{path}: manifest clips[{i}] missing 'path'")
     return [
         ManifestEntry(
             path=str(e["path"]), category=e.get("category"), level=e.get("level")

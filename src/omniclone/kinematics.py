@@ -60,10 +60,6 @@ class RigidPose:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", quat)
 
-    @staticmethod
-    def identity() -> "RigidPose":
-        return RigidPose(np.zeros(3), IDENTITY_QUAT.copy())
-
     def inverse(self) -> "RigidPose":
         inv_q = quat_conjugate(self.orientation)
         return RigidPose(-quat_rotate(inv_q, self.position), inv_q)
@@ -443,12 +439,6 @@ def model_from_dict(doc: Mapping) -> HumanoidModel:
         )
     except ConfigError as exc:
         raise ClipParseError(f"model document: {exc}") from None
-
-
-def save_model(model: HumanoidModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
 
 
 def load_model(path) -> HumanoidModel:

@@ -1,9 +1,9 @@
-"""Motion clips: data model, file format, resampling, statistics, filtering,
-and training-recipe composition.
+"""Motion clips: data model, file format, statistics and training-recipe
+composition.
 
 Conventions: all trajectories are world frame, Z-up. Frame timestamps are
 seconds on a uniform 1/fps grid. A clip's duration is frame_count / fps
-(period counting), so a 90-frame clip at 30 Hz reports 3.0 s.
+(period counting), so a 90-frame clip at 30 Hz lasts 3.0 s.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .kinematics import (
     forward_kinematics_arrays,
     key_body_poses,
 )
-from .rotations import quat_canonical, quat_slerp
+from .rotations import quat_canonical
 
 CATEGORIES = ("loco_manip", "manip", "squat", "walk", "run", "jump", "other")
 HEIGHT_LEVELS = ("high", "medium", "low")
@@ -305,10 +305,6 @@ class MotionClip:
             return len(self.key_bodies)
         return 0 if self.body_pos is None else self.body_pos.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.t) / self.fps
-
     def joint_pos_array(self) -> np.ndarray:
         return self.joint_pos
 
@@ -489,53 +485,6 @@ def load_clip(path) -> MotionClip:
 
 
 # ---------------------------------------------------------------------------
-# Resampling
-# ---------------------------------------------------------------------------
-
-def resample(clip: MotionClip, target_fps: float) -> MotionClip:
-    """Resample onto a 1/target_fps grid.
-
-    Positions and velocities interpolate linearly, orientations by
-    shortest-arc slerp. The first/last source frames are preserved exactly
-    (a clip too short for two output frames keeps only its first); output
-    times past the source span hold the final frame, keeping
-    |duration_out - duration_in| <= 1/target_fps.
-    """
-    if target_fps <= 0:
-        raise InputError("target_fps must be positive")
-    if target_fps == clip.fps:
-        return clip
-    T = len(clip.t)
-    if T == 1:
-        raise InputError("cannot resample a single-frame clip to a different rate")
-    count = max(int(np.floor(T * target_fps / clip.fps + 0.5)), 1)
-    rel = np.arange(count) / target_fps
-    span = clip.t[-1] - clip.t[0]
-    pos = rel * clip.fps
-    lo = np.minimum(np.floor(pos).astype(int), T - 2)
-    u = pos - lo
-    # outputs within 1e-12 of a source frame, or past either end, copy it
-    copy = (rel <= 0.0) | (rel >= span) | (u <= 1e-12) | (u >= 1.0 - 1e-12)
-    nearest = np.where(rel >= span, T - 1, np.where(u >= 1.0 - 1e-12, lo + 1, lo))
-
-    def interpolate(key):
-        column = getattr(clip, key)
-        if column is None:
-            return None
-        w = u.reshape((-1,) + (1,) * (column.ndim - 1))
-        a, b = column[lo], column[lo + 1]
-        if key in ("root_quat", "body_quat"):
-            out = quat_slerp(a, b, w[..., 0])
-        else:
-            out = (1.0 - w) * a + w * b
-        out[copy] = column[nearest[copy]]
-        return out
-
-    columns = {key: interpolate(key) for key in COLUMNS if key != "t"}
-    return clip.replace(fps=target_fps, t=clip.t[0] + rel, **columns)
-
-
-# ---------------------------------------------------------------------------
 # Corpus statistics
 # ---------------------------------------------------------------------------
 
@@ -695,57 +644,6 @@ def stats_to_json(rows: Sequence[StatsRow]) -> str:
         for r in rows
     ]
     return json.dumps(doc, indent=1) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Heuristic filtering
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FilterCriteria:
-    """Bounds on root state and whole-body joint energy."""
-
-    root_pos_min: tuple[float, float, float] = (-10.0, -10.0, 0.2)
-    root_pos_max: tuple[float, float, float] = (10.0, 10.0, 1.8)
-    root_speed_max: float = 5.0
-    joint_energy_max: float = 200.0
-
-    def __post_init__(self):
-        vals = (*self.root_pos_min, *self.root_pos_max, self.root_speed_max, self.joint_energy_max)
-        if not all(np.isfinite(v) for v in vals):
-            raise ConfigError("filter criteria must be finite")
-        if self.joint_energy_max < 0:
-            raise ConfigError("joint_energy_max must be >= 0")
-
-
-def joint_energy(clip: MotionClip) -> float:
-    """Mean over frames of the summed squared joint velocities."""
-    vel = derive_joint_velocities(clip).joint_vel
-    return float(np.mean(np.sum(vel**2, axis=1)))
-
-
-def filter_clips(
-    clips: Sequence[MotionClip], criteria: FilterCriteria
-) -> tuple[list[MotionClip], list[tuple[MotionClip, list[str]]]]:
-    """Split clips into (kept, rejected); each rejection lists violated criteria."""
-    kept: list[MotionClip] = []
-    rejected: list[tuple[MotionClip, list[str]]] = []
-    lo = np.asarray(criteria.root_pos_min)
-    hi = np.asarray(criteria.root_pos_max)
-    for clip in clips:
-        reasons = []
-        root = clip.root_pos
-        if np.any(root < lo) or np.any(root > hi):
-            reasons.append("root_pos")
-        if np.any(_planar_speed(clip) > criteria.root_speed_max):
-            reasons.append("root_speed")
-        if joint_energy(clip) > criteria.joint_energy_max:
-            reasons.append("joint_energy")
-        if reasons:
-            rejected.append((clip, reasons))
-        else:
-            kept.append(clip)
-    return kept, rejected
 
 
 # ---------------------------------------------------------------------------

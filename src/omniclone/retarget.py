@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CalibrationError, ClipParseError, InputError
-from .kinematics import HumanoidModel, RigidPose, chain_height
+from .kinematics import _QUAT_TOL, HumanoidModel, RigidPose, chain_height
 from .motion import Frame, MotionClip
 
 SCALE_SANITY_BAND = (0.3, 3.0)
@@ -42,6 +42,10 @@ class SubjectFrame:
         quats = {
             name: np.asarray(q, dtype=float) for name, q in self.marker_quats.items()
         }
+        for name, q in quats.items():
+            # written so that a non-finite quaternion fails; accepted values keep their bits
+            if q.shape != (4,) or not abs(np.linalg.norm(q) - 1.0) <= _QUAT_TOL:
+                raise InputError(f"marker quaternion {name!r}: expected a finite unit 4-vector")
         object.__setattr__(self, "marker_quats", quats)
 
 
@@ -254,22 +258,6 @@ def subject_frame_from_dict(doc: Mapping, i: int = 0) -> SubjectFrame:
     )
 
 
-def subject_frame_to_dict(frame: SubjectFrame) -> dict:
-    doc = {
-        "t": frame.t,
-        "root_pos": frame.root.position.tolist(),
-        "root_quat": frame.root.orientation.tolist(),
-        "markers": {k: v.tolist() for k, v in frame.markers.items()},
-    }
-    if frame.marker_quats:
-        doc["marker_quats"] = {k: v.tolist() for k, v in frame.marker_quats.items()}
-    for key in ("root_lin_vel", "root_ang_vel", "joint_pos"):
-        val = getattr(frame, key)
-        if val is not None:
-            doc[key] = np.asarray(val).tolist()
-    return doc
-
-
 def load_subject_frame(path) -> SubjectFrame:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -290,12 +278,6 @@ def load_subject_stream(path) -> list[SubjectFrame]:
     return [subject_frame_from_dict(fd, i) for i, fd in enumerate(doc["frames"])]
 
 
-def save_subject_stream(frames: Sequence[SubjectFrame], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"frames": [subject_frame_to_dict(f) for f in frames]}, fh, indent=1)
-        fh.write("\n")
-
-
 def load_mapping(path) -> dict[str, str]:
     """Two-column name table: `subject_marker humanoid_link`, # comments allowed."""
     mapping: dict[str, str] = {}
@@ -309,12 +291,6 @@ def load_mapping(path) -> dict[str, str]:
                 raise ClipParseError(f"{path}: line {lineno}: expected two columns")
             mapping[parts[0]] = parts[1]
     return mapping
-
-
-def save_mapping(mapping: Mapping[str, str], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for marker, body in mapping.items():
-            fh.write(f"{marker} {body}\n")
 
 
 def retargeted_clip(

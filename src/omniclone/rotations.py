@@ -11,12 +11,6 @@ import numpy as np
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    norm = np.linalg.norm(q, axis=-1, keepdims=True)
-    return q / norm
-
-
 def quat_canonical(q: np.ndarray) -> np.ndarray:
     """Fix the sign ambiguity: first nonzero component of (w,x,y,z) positive."""
     q = np.asarray(q, dtype=float)
@@ -98,32 +92,3 @@ def quat_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = quat_mul(quat_conjugate(a), b)
     vec = np.linalg.norm(d[..., 1:], axis=-1)
     return 2.0 * np.arctan2(vec, np.abs(d[..., 0]))
-
-
-def quat_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sign-agnostic component distance min(|a-b|, |a+b|)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.minimum(
-        np.linalg.norm(a - b, axis=-1), np.linalg.norm(a + b, axis=-1)
-    )
-
-
-def quat_slerp(q0: np.ndarray, q1: np.ndarray, u) -> np.ndarray:
-    """Shortest-arc spherical interpolation; u broadcasts over leading axes."""
-    q0 = np.asarray(q0, dtype=float)
-    q1 = np.asarray(q1, dtype=float).copy()
-    u = np.asarray(u, dtype=float)
-    dot = np.sum(q0 * q1, axis=-1)
-    flip = dot < 0.0
-    q1[flip] = -q1[flip]
-    dot = np.abs(dot)
-    dot = np.clip(dot, -1.0, 1.0)
-    theta = np.arccos(dot)
-    sin_theta = np.sin(theta)
-    near = sin_theta < 1e-9
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w0 = np.where(near, 1.0 - u, np.sin((1.0 - u) * theta) / sin_theta)
-        w1 = np.where(near, u, np.sin(u * theta) / sin_theta)
-    out = w0[..., None] * q0 + w1[..., None] * q1
-    return quat_normalize(out)

@@ -8,6 +8,7 @@ jointly to state and reference.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -525,9 +526,9 @@ def sample_dr(
 ) -> DRConfig:
     """Uniform sample of every randomized field, in table order.
 
-    Only the pd oracle tracker consumes action_delay and action_noise;
-    the physical fields are sampled and validated but not
-    simulated (there is no physics engine at desk scale).
+    No tracker consumes action_delay or action_noise any more, and the
+    physical fields are sampled and validated but not simulated (there is
+    no physics engine at desk scale).
     """
     r = ranges or DRRanges()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -575,6 +576,10 @@ class TrackerSpec:
     def __post_init__(self):
         if self.mode not in ("perfect", "lag", "noise", "pd"):
             raise ConfigError(f"unknown tracker mode {self.mode!r}")
+        if not all(math.isfinite(x) for x in (self.noise_std, self.kp, self.kd)):
+            raise ConfigError("tracker noise std, kp and kd must be finite")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"tracker dt must be positive and finite, got {self.dt}")
         if self.mode == "lag" and self.lag < 0:
             raise ConfigError("lag must be >= 0")
         if self.mode == "noise" and self.noise_std < 0:
@@ -588,18 +593,26 @@ def parse_tracker(text: str) -> TrackerSpec:
     pd:kp,kd[,dt]."""
     head, _, rest = text.partition(":")
     head = head.strip().lower()
+
+    def number(field: str, kind=float):
+        try:
+            return kind(field)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"tracker {text!r}: {field!r} is not {what}") from None
+
     if head in ("perfect", "oracle"):
         return TrackerSpec(mode="perfect")
     if head == "lag":
-        return TrackerSpec(mode="lag", lag=int(rest))
+        return TrackerSpec(mode="lag", lag=number(rest, int))
     if head == "noise":
-        return TrackerSpec(mode="noise", noise_std=float(rest))
+        return TrackerSpec(mode="noise", noise_std=number(rest))
     if head == "pd":
         parts = [p for p in rest.split(",") if p]
         if len(parts) not in (2, 3):
             raise ConfigError("pd tracker spec is pd:kp,kd[,dt]")
-        kp, kd = float(parts[0]), float(parts[1])
-        dt = float(parts[2]) if len(parts) == 3 else None
+        kp, kd = number(parts[0]), number(parts[1])
+        dt = number(parts[2]) if len(parts) == 3 else None
         return TrackerSpec(mode="pd", kp=kp, kd=kd, dt=dt)
     raise ConfigError(f"unknown tracker {text!r}")
 
@@ -608,7 +621,6 @@ def track_clip(
     spec: TrackerSpec,
     clip: MotionClip,
     model: HumanoidModel,
-    dr: DRConfig | None = None,
 ) -> MotionClip:
     """The motion realised under the configured tracking behaviour, as a
     MotionClip on the clip's time grid with joint velocities and key bodies.
@@ -617,7 +629,6 @@ def track_clip(
     max(0, t - k); noise adds seeded zero-mean joint noise (bodies
     recomputed through FK); pd integrates a per-joint double integrator
     with semi-implicit Euler while the root is replayed kinematically.
-    The pd mode consumes action delay/noise from a DRConfig when given.
     """
     clip = derive_joint_velocities(clip)
     clip = derive_body_kinematics(clip, model)
@@ -643,21 +654,11 @@ def track_clip(
         # pd double integrator
         dt = spec.dt if spec.dt is not None else 1.0 / clip.fps
         steps_per_tick = max(1, round((1.0 / clip.fps) / dt))
-        delay_ticks = 0
-        noise_amp = 0.0
-        rng = np.random.default_rng(spec.seed)
-        if dr is not None:
-            delay_ticks = int(round(dr.action_delay_s * clip.fps))
-            noise_amp = dr.action_noise_rad
-        targets = clip.joint_pos
-        q = targets[0].copy()
+        q = clip.joint_pos[0].copy()
         v = np.zeros(n)
         joint_pos = np.empty((T, n))
         joint_vel = np.empty((T, n))
-        for t in range(T):
-            target = targets[max(0, t - delay_ticks)]
-            if noise_amp > 0.0:
-                target = target + rng.uniform(-noise_amp, noise_amp, n)
+        for t, target in enumerate(clip.joint_pos):
             for _ in range(steps_per_tick):
                 acc = spec.kp * (target - q) - spec.kd * v
                 v = v + dt * acc

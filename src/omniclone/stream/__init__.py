@@ -41,7 +41,6 @@ from .packet import (
     heartbeat,
     packet_bytes,
     packet_frame_from_motion,
-    packets_equal,
 )
 from .sim import StreamTrace, TraceEntry, fault_schedule, simulate_stream
 
@@ -78,7 +77,6 @@ __all__ = [
     "now_us",
     "packet_bytes",
     "packet_frame_from_motion",
-    "packets_equal",
     "parse_addr",
     "send_clip",
     "simulate_stream",

@@ -289,24 +289,23 @@ def echo_latency(
     Each sample waits up to 0.2 s for the echo of its own seq; echoes of
     other seqs, such as a late one from an earlier sample, are discarded.
     """
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     latencies: list[float] = []
     period = 1.0 / rate_hz
-    for seq in range(1, n_samples + 1):
-        start = now_us()
-        sock.sendto(encode_packet(heartbeat(seq, start)), server_addr)
-        deadline = time.monotonic() + 0.2
-        while (remaining := deadline - time.monotonic()) > 0:
-            sock.settimeout(remaining)
-            try:
-                echoed = decode_packet(sock.recvfrom(65536)[0]).seq
-            except socket.timeout:
-                break
-            except ProtocolError:
-                continue
-            if echoed == seq:
-                latencies.append((now_us() - start) / 2000.0)
-                break
-        time.sleep(period)
-    sock.close()
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        for seq in range(1, n_samples + 1):
+            start = now_us()
+            sock.sendto(encode_packet(heartbeat(seq, start)), server_addr)
+            deadline = time.monotonic() + 0.2
+            while (remaining := deadline - time.monotonic()) > 0:
+                sock.settimeout(remaining)
+                try:
+                    echoed = decode_packet(sock.recvfrom(65536)[0]).seq
+                except socket.timeout:
+                    break
+                except ProtocolError:
+                    continue
+                if echoed == seq:
+                    latencies.append((now_us() - start) / 2000.0)
+                    break
+            time.sleep(period)
     return summarize_latencies(latencies, sent=n_samples)

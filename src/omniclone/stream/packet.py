@@ -203,25 +203,3 @@ def packet_frame_from_motion(frame, model) -> PacketFrame:
         body_quat=frame.body_quat,
         joint_pos=frame.joint_pos,
     )
-
-
-def packets_equal(a: StreamPacket, b: StreamPacket) -> bool:
-    if (
-        a.msg_type != b.msg_type
-        or a.seq != b.seq
-        or a.send_ts_us != b.send_ts_us
-        or a.flags != b.flags
-        or a.n_bodies != b.n_bodies
-        or a.n_joints != b.n_joints
-        or len(a.frames) != len(b.frames)
-    ):
-        return False
-    for fa, fb in zip(a.frames, b.frames):
-        if not (
-            np.array_equal(fa.root_lin_vel, fb.root_lin_vel)
-            and np.array_equal(fa.body_pos, fb.body_pos)
-            and np.array_equal(fa.body_quat, fb.body_quat)
-            and np.array_equal(fa.joint_pos, fb.joint_pos)
-        ):
-            return False
-    return True

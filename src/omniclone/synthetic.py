@@ -6,7 +6,7 @@ import numpy as np
 
 from .kinematics import HumanoidModel
 from .motion import BENCH_STRATA, MotionClip, derive_body_kinematics
-from .rotations import IDENTITY_QUAT, quat_from_yaw
+from .rotations import quat_from_yaw
 
 DEFAULT_ROOT_Z = 0.75
 
@@ -86,43 +86,6 @@ def static_clip(
         name=name,
         category=category,
         level=level,
-    )
-
-
-def sine_joint_clip(
-    model: HumanoidModel,
-    joint: int = 0,
-    amplitude: float = 1.0,
-    frequency_hz: float = 1.0,
-    n_frames: int = 90,
-    fps: float = 30.0,
-    name: str = "sine",
-    with_joint_vel: bool = True,
-) -> MotionClip:
-    """One joint follows amplitude * sin(2 pi f t); everything else static."""
-    n = model.n_joints
-    omega = 2.0 * np.pi * frequency_hz
-    t = np.arange(n_frames) / fps
-    joint_pos = np.zeros((n_frames, n))
-    joint_pos[:, joint] = amplitude * np.sin(omega * t)
-    joint_vel = None
-    if with_joint_vel:
-        joint_vel = np.zeros((n_frames, n))
-        joint_vel[:, joint] = amplitude * omega * np.cos(omega * t)
-    return MotionClip.from_arrays(
-        name,
-        fps,
-        "other",
-        "none",
-        dof_names=model.joint_names,
-        key_bodies=model.key_bodies,
-        t=t,
-        root_pos=np.tile([0.0, 0.0, DEFAULT_ROOT_Z], (n_frames, 1)),
-        root_quat=np.tile(IDENTITY_QUAT, (n_frames, 1)),
-        root_lin_vel=np.zeros((n_frames, 3)),
-        root_ang_vel=np.zeros((n_frames, 3)),
-        joint_pos=joint_pos,
-        joint_vel=joint_vel,
     )
 
 

@@ -18,7 +18,6 @@ from .errors import InputError, PlannerContractError, PlannerTimeout
 from .kinematics import HumanoidModel, RigidPose, key_body_poses
 from .motion import Frame
 
-DEFAULT_CHUNK_LEN = 16
 DEFAULT_EXECUTE_LEN = 8
 DEFAULT_DENOISE_STEPS = 4
 
@@ -176,13 +175,3 @@ def load_chunks(path) -> list[ActionChunk]:
         ActionChunk(np.asarray(c, dtype=float), source_step=i, denoise_steps=denoise)
         for i, c in enumerate(doc["chunks"])
     ]
-
-
-def save_chunks(chunks: Sequence[ActionChunk], path) -> None:
-    doc = {
-        "denoise_steps": chunks[0].denoise_steps if chunks else DEFAULT_DENOISE_STEPS,
-        "chunks": [np.asarray(c.actions).tolist() for c in chunks],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")

@@ -8,19 +8,30 @@ package's quaternion core that both FK paths (level-wise numpy and the
 scalar walk over one configuration) must match bit for bit; that core is
 itself checked against numpy's cross product and stacking
 (cross_quat_rotate, stack_quat_mul). per_field_dr draws one scalar per
-field, which sample_dr's single draw must reproduce. rows_clip_doc is no
-oracle: it writes the row layout of older clip files, which the package
-still reads but no longer writes.
+field, which sample_dr's single draw must reproduce.
+
+rows_clip_doc is no oracle: it writes the row layout of older clip files,
+which the package still reads but no longer writes. Nor are the writers
+and helpers that only tests use, which the package does not ship:
+save_model, save_subject_stream (with subject_frame_to_dict),
+save_mapping, save_chunks, parse_report_csv, quat_normalize,
+quat_distance, packets_equal, sine_joint_clip and identity_pose.
 """
+import json
 import math
 import struct
 import zlib
 
 import numpy as np
 
-from omniclone.motion import COLUMNS, clip_to_dict
-from omniclone.rotations import quat_from_axis_angle, quat_mul, quat_rotate
+from omniclone.bench import BenchReport, StratumRow
+from omniclone.errors import InputError
+from omniclone.kinematics import RigidPose, model_to_dict
+from omniclone.motion import BENCH_STRATA, COLUMNS, MotionClip, clip_to_dict
+from omniclone.rotations import IDENTITY_QUAT, quat_from_axis_angle, quat_mul, quat_rotate
 from omniclone.simtrack import DRConfig
+from omniclone.synthetic import DEFAULT_ROOT_Z
+from omniclone.vlabridge import DEFAULT_DENOISE_STEPS
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +222,153 @@ def rows_clip_doc(clip):
         "header": clip_to_dict(clip)["header"],
         "frames": [dict(zip(columns, row)) for row in zip(*columns.values())],
     }
+
+
+# ---------------------------------------------------------------------------
+# Writers and helpers that only tests use
+# ---------------------------------------------------------------------------
+
+def identity_pose():
+    return RigidPose(np.zeros(3), IDENTITY_QUAT.copy())
+
+
+def quat_normalize(q):
+    q = np.asarray(q, dtype=float)
+    norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    return q / norm
+
+
+def quat_distance(a, b):
+    """Sign-agnostic component distance min(|a-b|, |a+b|)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.minimum(
+        np.linalg.norm(a - b, axis=-1), np.linalg.norm(a + b, axis=-1)
+    )
+
+
+def sine_joint_clip(
+    model,
+    joint=0,
+    amplitude=1.0,
+    frequency_hz=1.0,
+    n_frames=90,
+    fps=30.0,
+    name="sine",
+    with_joint_vel=True,
+):
+    """One joint follows amplitude * sin(2 pi f t); everything else static."""
+    n = model.n_joints
+    omega = 2.0 * np.pi * frequency_hz
+    t = np.arange(n_frames) / fps
+    joint_pos = np.zeros((n_frames, n))
+    joint_pos[:, joint] = amplitude * np.sin(omega * t)
+    joint_vel = None
+    if with_joint_vel:
+        joint_vel = np.zeros((n_frames, n))
+        joint_vel[:, joint] = amplitude * omega * np.cos(omega * t)
+    return MotionClip.from_arrays(
+        name,
+        fps,
+        "other",
+        "none",
+        dof_names=model.joint_names,
+        key_bodies=model.key_bodies,
+        t=t,
+        root_pos=np.tile([0.0, 0.0, DEFAULT_ROOT_Z], (n_frames, 1)),
+        root_quat=np.tile(IDENTITY_QUAT, (n_frames, 1)),
+        root_lin_vel=np.zeros((n_frames, 3)),
+        root_ang_vel=np.zeros((n_frames, 3)),
+        joint_pos=joint_pos,
+        joint_vel=joint_vel,
+    )
+
+
+def save_model(model, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(model_to_dict(model), fh, indent=2)
+        fh.write("\n")
+
+
+def subject_frame_to_dict(frame):
+    doc = {
+        "t": frame.t,
+        "root_pos": frame.root.position.tolist(),
+        "root_quat": frame.root.orientation.tolist(),
+        "markers": {k: v.tolist() for k, v in frame.markers.items()},
+    }
+    if frame.marker_quats:
+        doc["marker_quats"] = {k: v.tolist() for k, v in frame.marker_quats.items()}
+    for key in ("root_lin_vel", "root_ang_vel", "joint_pos"):
+        val = getattr(frame, key)
+        if val is not None:
+            doc[key] = np.asarray(val).tolist()
+    return doc
+
+
+def save_subject_stream(frames, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"frames": [subject_frame_to_dict(f) for f in frames]}, fh, indent=1)
+        fh.write("\n")
+
+
+def save_mapping(mapping, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for marker, body in mapping.items():
+            fh.write(f"{marker} {body}\n")
+
+
+def save_chunks(chunks, path):
+    doc = {
+        "denoise_steps": chunks[0].denoise_steps if chunks else DEFAULT_DENOISE_STEPS,
+        "chunks": [np.asarray(c.actions).tolist() for c in chunks],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def parse_report_csv(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "category,level,sr_percent,mpjpe_mm":
+        raise InputError("unexpected report csv header")
+    rows = []
+    for ln in lines[1:]:
+        cat, lvl, sr, mp = ln.split(",")
+        rows.append(
+            StratumRow(
+                category=cat,
+                level=lvl,
+                sr_percent=float(sr),
+                mpjpe_mm=float(mp) if mp else None,
+            )
+        )
+    covered = {(r.category, r.level) for r in rows}
+    return BenchReport(
+        rows=tuple(rows), partial=any(s not in covered for s in BENCH_STRATA)
+    )
+
+
+def packets_equal(a, b):
+    if (
+        a.msg_type != b.msg_type
+        or a.seq != b.seq
+        or a.send_ts_us != b.send_ts_us
+        or a.flags != b.flags
+        or a.n_bodies != b.n_bodies
+        or a.n_joints != b.n_joints
+        or len(a.frames) != len(b.frames)
+    ):
+        return False
+    for fa, fb in zip(a.frames, b.frames):
+        if not (
+            np.array_equal(fa.root_lin_vel, fb.root_lin_vel)
+            and np.array_equal(fa.body_pos, fb.body_pos)
+            and np.array_equal(fa.body_quat, fb.body_quat)
+            and np.array_equal(fa.joint_pos, fb.joint_pos)
+        ):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,21 @@ from oracles import (
     links_from_model,
     matrix_fk,
     matrix_to_quat,
+    packets_equal,
+    parse_report_csv,
+    quat_distance,
+    quat_normalize,
     reference_encode,
     sorted_mean,
     sorted_percentile,
 )
 
-from omniclone.bench import aggregate, emit_report, parse_report_csv, parse_report_json, run_episode
+from omniclone.bench import aggregate, emit_report, parse_report_json, run_episode
 from omniclone.bench import EpisodeResult
 from omniclone.kinematics import RigidPose, forward_kinematics_arrays
 from omniclone.motion import clip_stats, percentile
 from omniclone.retarget import CalibrationResult, calibrate, discrepancy_report, retarget_stream
-from omniclone.rotations import quat_distance, quat_from_yaw, quat_normalize
+from omniclone.rotations import quat_from_yaw
 from omniclone.simtrack import (
     DEFAULT_REWARD_WEIGHTS,
     TRACKING_TERMS,
@@ -46,7 +50,6 @@ from omniclone.stream import (
     fault_schedule,
     heartbeat,
     measure_latency,
-    packets_equal,
     simulate_stream,
 )
 from omniclone.synthetic import SUITE_SPEEDS, benchmark_suite, constant_velocity_clip, static_clip

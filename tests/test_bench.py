@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from oracles import double_loop_mpjpe, first_failure_loop
+from oracles import double_loop_mpjpe, first_failure_loop, parse_report_csv
 
 from omniclone.bench import (
     BenchReport,
@@ -18,7 +18,6 @@ from omniclone.bench import (
     first_failure,
     load_manifest,
     mpjpe,
-    parse_report_csv,
     parse_report_json,
     results_from_json,
     results_to_json,

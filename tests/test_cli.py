@@ -15,11 +15,11 @@ import pytest
 from omniclone import cli, simtrack
 from omniclone.bench import ManifestEntry, save_manifest
 from omniclone.motion import load_clip, save_clip
-from omniclone.retarget import save_mapping, save_subject_stream, subject_frame_to_dict
 from omniclone.stream import PacketFrame, Stamped
 from omniclone.synthetic import benchmark_suite, constant_velocity_clip
-from omniclone.vlabridge import ActionChunk, save_chunks
+from omniclone.vlabridge import ActionChunk
 
+from oracles import save_chunks, save_mapping, save_subject_stream, subject_frame_to_dict
 from test_retarget import MARKERS, humanoid_as_subject
 
 # every documented flag, per subcommand, for the help doc-sync test
@@ -155,6 +155,34 @@ class TestBenchWorkflow:
         assert code == 1
         assert out.exists()  # results are still written
         assert "empty strata" in capsys.readouterr().err
+
+    def test_bad_tracker_spec_is_an_error(self, tmp_path, ref_model, capsys):
+        manifest = write_suite(tmp_path, ref_model)
+        argv = ["bench", "run", "--manifest", str(manifest), "--tracker", "lag:abc",
+                "--out", str(tmp_path / "results.json")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'lag:abc'" in err
+
+    def test_manifest_entry_without_path_is_an_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"clips": [{"category": "walk"}]}), encoding="utf-8")
+        argv = ["bench", "run", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "clips[0] missing 'path'" in err
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"method": "m"}, "'episodes'"),
+        ({"episodes": [{"clip_name": "a", "category": "walk", "level": "slow", "success": True,
+                        "failure_reason": None, "frames_evaluated": 10}]}, "'mpjpe_mm'"),
+    ])
+    def test_malformed_results_document_is_an_error(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["bench", "report", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"missing key {key}" in err
 
     def test_deterministic_outputs(self, tmp_path, ref_model):
         manifest = write_suite(tmp_path, ref_model)
@@ -299,6 +327,24 @@ class TestRetargetCommand:
         for a, b in zip(out_clip.frames, clip.frames):
             assert np.allclose(a.body_pos, b.body_pos, atol=1e-9)
 
+    def test_short_marker_quaternion_is_an_error(self, tmp_path, ref_model, capsys):
+        subject = humanoid_as_subject(constant_velocity_clip(ref_model, 0.9, n_frames=3), 1.0)
+        cal_path = tmp_path / "calibration.json"
+        cal_path.write_text(json.dumps(subject_frame_to_dict(subject[0])), encoding="utf-8")
+        doc = {"frames": [subject_frame_to_dict(f) for f in subject]}
+        doc["frames"][1]["marker_quats"]["m_lhand"] = [1.0, 0.0, 0.0]
+        stream_path = tmp_path / "stream.json"
+        stream_path.write_text(json.dumps(doc), encoding="utf-8")
+        map_path = tmp_path / "mapping.txt"
+        save_mapping(MARKERS, map_path)
+        code = cli.main(
+            ["retarget", "--calibration", str(cal_path), "--mapping", str(map_path),
+             "--in", str(stream_path), "--out", str(tmp_path / "out.json")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'m_lhand'" in err
+
 
 class TestVlaReplayCommand:
     def test_writes_deterministic_clip(self, tmp_path, ref_model):
@@ -364,6 +410,13 @@ class TestServeRelayLive:
         assert code == 0
         assert time.monotonic() - start < 0.5
         assert "forwarded,0" in capsys.readouterr().out
+
+    def test_serve_policy_bad_tracker_spec_is_an_error(self, capsys):
+        code = cli.main(["serve-policy", "--listen", "127.0.0.1:0", "--tracker", "noise:zz",
+                         "--duration", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'noise:zz'" in err
 
     def test_serve_policy_rejects_pd(self, capsys):
         code = cli.main(["serve-policy", "--listen", "127.0.0.1:0", "--tracker", "pd:400,40",

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from conftest import make_chain_model, random_tree_model
 from oracles import (
     cross_quat_rotate,
+    identity_pose,
     links_from_model,
     matrix_fk,
     matrix_to_quat,
     per_link_fk,
+    quat_distance,
+    quat_normalize,
+    save_model,
     stack_quat_mul,
 )
 
@@ -25,18 +29,15 @@ from omniclone.kinematics import (
     load_model,
     model_from_dict,
     model_to_dict,
-    save_model,
     to_base_point,
     to_base_quat,
     to_base_vector,
 )
 from omniclone.rotations import (
     IDENTITY_QUAT,
-    quat_distance,
     quat_from_axis_angle,
     quat_from_yaw,
     quat_mul,
-    quat_normalize,
     quat_rotate,
 )
 
@@ -85,7 +86,7 @@ class TestRigidPose:
 class TestForwardKinematics:
     def test_zero_angles_pure_offset(self):
         model = make_chain_model([(0.0, 0.0, 0.5)])
-        pos, quat = fk_at_root(model, np.zeros(1), RigidPose.identity())
+        pos, quat = fk_at_root(model, np.zeros(1), identity_pose())
         link0 = model.link_index("link0")
         assert np.allclose(pos[link0], [0.0, 0.0, 0.5])
         assert np.allclose(quat[link0], [1.0, 0.0, 0.0, 0.0])
@@ -94,7 +95,7 @@ class TestForwardKinematics:
         # unit segments along +X, joint1 = 90 deg about +Z: elbow reaches
         # (0, 1, 0) relative to the root
         model = make_chain_model([1.0, 1.0])
-        pos, _ = fk_at_root(model, np.array([np.pi / 2, 0.0]), RigidPose.identity())
+        pos, _ = fk_at_root(model, np.array([np.pi / 2, 0.0]), identity_pose())
         assert np.allclose(pos[model.link_index("link0")], [1.0, 0.0, 0.0], atol=1e-12)
         assert np.allclose(pos[model.link_index("link1")], [1.0, 1.0, 0.0], atol=1e-12)
 
@@ -124,7 +125,7 @@ class TestForwardKinematics:
         model = random_tree_model(rng, 6)
         q = rng.uniform(-np.pi, np.pi, model.n_joints)
         g = random_pose(rng)
-        pos_id, quat_id = fk_at_root(model, q, RigidPose.identity())
+        pos_id, quat_id = fk_at_root(model, q, identity_pose())
         pos_g, quat_g = fk_at_root(model, q, g)
         assert np.allclose(pos_g, world_point(g, pos_id), atol=1e-9)
         assert np.all(quat_distance(quat_g, quat_mul(g.orientation, quat_id)) < 1e-9)
@@ -299,7 +300,7 @@ class TestQuaternionCore:
 
 class TestBaseFrame:
     def test_identity_root_unchanged(self, rng):
-        root = RigidPose.identity()
+        root = identity_pose()
         v = rng.normal(size=3)
         assert np.allclose(to_base_point(root, v), v)
         assert np.allclose(to_base_vector(root, v), v)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import save_mapping, save_subject_stream, subject_frame_to_dict
+
 from omniclone.errors import CalibrationError, ClipParseError, InputError
 from omniclone.retarget import (
     CalibrationResult,
@@ -13,10 +15,7 @@ from omniclone.retarget import (
     load_subject_stream,
     retarget_frame,
     retarget_stream,
-    save_mapping,
-    save_subject_stream,
     subject_frame_from_dict,
-    subject_frame_to_dict,
 )
 from omniclone.kinematics import RigidPose, chain_height
 from omniclone.synthetic import constant_velocity_clip
@@ -265,6 +264,24 @@ class TestFiles:
         again = subject_frame_from_dict(subject_frame_to_dict(frame))
         assert np.allclose(again.root.position, frame.root.position)
         assert np.allclose(again.joint_pos, frame.joint_pos)
+
+    @pytest.mark.parametrize("quat", [
+        [1.0, 0.0, 0.0],
+        [2.0, 0.0, 0.0, 0.0],
+        [float("nan"), 0.0, 0.0, 0.0],
+        [float("inf"), 0.0, 0.0, 0.0],
+    ], ids=["short", "norm-2", "nan", "inf"])
+    def test_bad_marker_quat_rejected(self, walk_clip, quat):
+        doc = subject_frame_to_dict(humanoid_as_subject(walk_clip, 1.0)[0])
+        doc["marker_quats"]["m_head"] = quat
+        with pytest.raises(InputError, match="marker quaternion 'm_head'"):
+            subject_frame_from_dict(doc)
+
+    def test_marker_quat_keeps_its_bits(self, walk_clip):
+        q = np.array([1.0 + 4e-7, 0.0, 0.0, 0.0])  # within tolerance, not unit
+        frame = humanoid_as_subject(walk_clip, 1.0)[0]
+        again = SubjectFrame(frame.t, frame.root, frame.markers, {"m_head": q})
+        assert np.array_equal(again.marker_quats["m_head"], q)
 
     def test_nan_root_quat_rejected(self, walk_clip):
         doc = subject_frame_to_dict(humanoid_as_subject(walk_clip, 1.0)[0])

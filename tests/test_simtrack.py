@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from omniclone.errors import ConfigError, InputError
 from omniclone.kinematics import GRAVITY, RigidPose, to_base_point, to_base_quat, to_base_vector
 from omniclone.motion import Frame, MotionClip, derive_joint_velocities
-from omniclone.rotations import quat_from_yaw, quat_mul, quat_normalize, quat_rotate
+from omniclone.rotations import quat_from_yaw, quat_mul, quat_rotate
 from omniclone.simtrack import (
     DEFAULT_REWARD_WEIGHTS,
     DRConfig,
@@ -27,8 +28,8 @@ from omniclone.simtrack import (
     teacher_obs_length,
     track_clip,
 )
-from omniclone.synthetic import constant_velocity_clip, sine_joint_clip, static_clip
-from oracles import per_field_dr
+from omniclone.synthetic import constant_velocity_clip, static_clip
+from oracles import per_field_dr, quat_normalize
 
 
 def random_state(rng, model):
@@ -441,6 +442,22 @@ class TestDomainRandomization:
             bad.validate()
 
 
+# tracker specs that parse_tracker rejects, with the message it gives
+BAD_TRACKERS = {
+    "lag:abc": "tracker 'lag:abc': 'abc' is not an integer",
+    "lag:1.5": "tracker 'lag:1.5': '1.5' is not an integer",
+    "noise:zz": "tracker 'noise:zz': 'zz' is not a number",
+    "pd:100,x": "tracker 'pd:100,x': 'x' is not a number",
+    "noise:nan": "noise std, kp and kd must be finite",
+    "pd:inf,20": "noise std, kp and kd must be finite",
+    "pd:100,nan": "noise std, kp and kd must be finite",
+    "pd:100,20,0": "dt must be positive and finite",
+    "pd:100,20,-0.01": "dt must be positive and finite",
+    "pd:100,20,inf": "dt must be positive and finite",
+    "pd:100,20,nan": "dt must be positive and finite",
+}
+
+
 class TestTrackers:
     def test_parse_tracker(self):
         assert parse_tracker("perfect").mode == "perfect"
@@ -451,6 +468,11 @@ class TestTrackers:
         assert (pd.kp, pd.kd, pd.dt) == (100.0, 20.0, 0.005)
         with pytest.raises(ConfigError):
             parse_tracker("warp:9")
+
+    @pytest.mark.parametrize("text", BAD_TRACKERS)
+    def test_bad_tracker_spec_rejected(self, text):
+        with pytest.raises(ConfigError, match=re.escape(BAD_TRACKERS[text])):
+            parse_tracker(text)
 
     def test_pd_requires_positive_kp(self):
         with pytest.raises(ConfigError):
@@ -524,29 +546,6 @@ class TestTrackers:
             t = t_idx / fps
             expected = target * (1.0 - (1.0 + omega * t) * math.exp(-omega * t))
             assert q0[t_idx] == pytest.approx(expected, abs=0.02)
-
-    def test_pd_with_dr_delay_shifts_targets(self, ref_model):
-        clip = sine_joint_clip(ref_model, joint=3, amplitude=0.5, n_frames=20)
-        dr = DRConfig(
-            action_delay_s=2.0 / 30.0,
-            action_noise_rad=0.0,
-            link_mass_scale={"torso": 1.0, "shoulder_yaw": 1.0},
-            torso_com_offset_m=(0.0, 0.0, 0.0),
-            torque_rfi_fraction=0.02,
-            static_friction={},
-            dynamic_friction={},
-            stiffness_scale=1.0,
-            damping_scale=1.0,
-            armature_scale=1.0,
-        )
-        spec = TrackerSpec(mode="pd", kp=100.0, kd=20.0)
-        delayed = track_clip(spec, clip, ref_model, dr=dr).joint_pos
-        undelayed = track_clip(spec, clip, ref_model).joint_pos
-        # two ticks of delay: the pd joints lag the undelayed run by two
-        # ticks and hold the first target until then
-        assert np.array_equal(delayed[2:], undelayed[:-2])
-        assert np.array_equal(delayed[:2], undelayed[[0, 0]])
-        assert not np.array_equal(delayed, undelayed)
 
 
 class TestSystemConfig:

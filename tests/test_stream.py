@@ -1,3 +1,4 @@
+import gc
 import itertools
 import socket
 import threading
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chain_model
-from oracles import hold_pipeline_oracle, reference_encode, sorted_percentile
+from oracles import hold_pipeline_oracle, packets_equal, reference_encode, sorted_percentile
 
 from omniclone.errors import (
     ConfigError,
@@ -37,7 +38,6 @@ from omniclone.stream import (
     heartbeat,
     measure_latency,
     packet_bytes,
-    packets_equal,
     send_clip,
     simulate_stream,
 )
@@ -627,6 +627,13 @@ class TestLatency:
         assert not thread.is_alive()
         assert len(reported) == 12
         assert min(reported) >= 15.0  # RTT/2 of the matching echo
+
+    def test_echo_latency_closes_its_socket_on_error(self):
+        # sendto port 0 fails with EINVAL; an unclosed socket would raise a
+        # ResourceWarning, which the suite turns into an error
+        with pytest.raises(OSError):
+            echo_latency(("127.0.0.1", 0), 3)
+        gc.collect()
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientDataError):

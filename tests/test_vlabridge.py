@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chunk_schedule_oracle, links_from_model, matrix_fk
+from oracles import chunk_schedule_oracle, links_from_model, matrix_fk, save_chunks
 
 from omniclone.errors import InputError, PlannerContractError, PlannerTimeout
 from omniclone.kinematics import RigidPose
@@ -13,7 +13,6 @@ from omniclone.vlabridge import (
     chunk_executor,
     joints_to_command,
     load_chunks,
-    save_chunks,
     scripted_planner,
 )
 
