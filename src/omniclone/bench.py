@@ -346,7 +346,7 @@ def episode_to_dict(e: EpisodeResult) -> dict:
     }
 
 
-def episode_from_dict(doc: Mapping) -> EpisodeResult:
+def episode_from_dict(doc: Mapping, i: int = 0) -> EpisodeResult:
     try:
         return EpisodeResult(
             clip_name=doc["clip_name"],
@@ -360,6 +360,8 @@ def episode_from_dict(doc: Mapping) -> EpisodeResult:
         )
     except KeyError as exc:
         raise InputError(f"episode result: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:  # an entry or value of the wrong type
+        raise InputError(f"results document: episodes[{i}]: {exc}") from None
 
 
 def results_to_json(results: Sequence[EpisodeResult], method: str = "") -> str:
@@ -371,7 +373,7 @@ def results_from_json(text: str) -> tuple[list[EpisodeResult], str]:
     doc = json.loads(text)
     if "episodes" not in doc:
         raise InputError("results document: missing key 'episodes'")
-    return [episode_from_dict(d) for d in doc["episodes"]], doc.get("method", "")
+    return [episode_from_dict(d, i) for i, d in enumerate(doc["episodes"])], doc.get("method", "")
 
 
 @dataclass(frozen=True)
@@ -387,6 +389,8 @@ def load_manifest(path) -> list[ManifestEntry]:
     if "clips" not in doc:
         raise InputError(f"{path}: manifest missing 'clips'")
     for i, e in enumerate(doc["clips"]):
+        if not isinstance(e, Mapping):
+            raise InputError(f"{path}: manifest clips[{i}] is not an object")
         if "path" not in e:
             raise InputError(f"{path}: manifest clips[{i}] missing 'path'")
     return [

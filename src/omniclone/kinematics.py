@@ -36,7 +36,7 @@ def _as_array(x, shape, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != shape:
         raise InputError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name}: non-finite values")
     return arr
 
@@ -56,7 +56,14 @@ class RigidPose:
         norm = np.linalg.norm(quat)
         if not abs(norm - 1.0) <= _QUAT_TOL:  # written so that NaN fails
             raise InputError(f"orientation: norm {norm:.9f} deviates beyond {_QUAT_TOL}")
-        quat = quat_canonical(quat / norm)
+        quat = quat / norm
+        # quat_canonical's sign rule on one quaternion: negate when the first
+        # nonzero component is negative (-0.0 counts as zero)
+        for c in quat.tolist():
+            if c != 0.0:
+                if c < 0.0:
+                    quat = -quat
+                break
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", quat)
 

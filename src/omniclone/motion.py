@@ -58,7 +58,7 @@ def _opt_array(x, shape, name):
     arr = np.asarray(x, dtype=float)
     if arr.shape != shape:
         raise InputError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name}: non-finite values")
     return arr
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import CalibrationError, ClipParseError, InputError
 from .kinematics import _QUAT_TOL, HumanoidModel, RigidPose, chain_height
 from .motion import Frame, MotionClip
+from .rotations import IDENTITY_QUAT
 
 SCALE_SANITY_BAND = (0.3, 3.0)
 
@@ -154,22 +155,24 @@ def retarget_frame(
     velocities do not. Marker dropout substitutes the previous retargeted
     frame and flags the result held.
     """
+    mapped = cal.key_body_mapping
+    missing = next((marker for marker in mapped if marker not in raw.markers), None)
+    if missing is not None:
+        if previous is None:
+            raise InputError(f"marker {missing!r} missing and no previous frame to hold")
+        return replace(previous, t=raw.t), True
     s = cal.scale
     origin = np.asarray(cal.session_origin)
-    mapped = cal.key_body_mapping
     slot = {body: i for i, body in enumerate(model.key_bodies)}
-    body_pos = np.zeros((len(slot), 3))
-    body_quat = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (len(slot), 1))
+    # an unmapped key body keeps position zero (origin - origin is +0.0) and
+    # the identity orientation
+    points = [origin] * len(slot)
+    quats = [IDENTITY_QUAT] * len(slot)
     for marker, body in mapped.items():
-        if marker not in raw.markers:
-            if previous is None:
-                raise InputError(
-                    f"marker {marker!r} missing and no previous frame to hold"
-                )
-            return replace(previous, t=raw.t), True
-        body_pos[slot[body]] = s * (raw.markers[marker] - origin)
-        if marker in raw.marker_quats:
-            body_quat[slot[body]] = raw.marker_quats[marker]
+        points[slot[body]] = raw.markers[marker]
+        quats[slot[body]] = raw.marker_quats.get(marker, IDENTITY_QUAT)
+    body_pos = s * (np.array(points) - origin)
+    body_quat = np.array(quats)
     root = RigidPose(s * (raw.root.position - origin), raw.root.orientation)
     n = model.n_joints
     joint_pos = raw.joint_pos if raw.joint_pos is not None else np.zeros(n)
@@ -238,24 +241,21 @@ def subject_frame_from_dict(doc: Mapping, i: int = 0) -> SubjectFrame:
             np.asarray(doc["root_quat"], dtype=float),
         )
         markers = {str(k): np.asarray(v, dtype=float) for k, v in doc["markers"].items()}
-    except (KeyError, TypeError, InputError) as exc:
+        quats = {
+            str(k): np.asarray(v, dtype=float)
+            for k, v in doc.get("marker_quats", {}).items()
+        }
+        t = float(doc.get("t", 0.0))
+        opt = {
+            key: np.asarray(doc[key], dtype=float)
+            for key in ("root_lin_vel", "root_ang_vel", "joint_pos")
+            if doc.get(key) is not None
+        }
+    # ValueError covers a non-numeric value and RigidPose's InputError;
+    # AttributeError a markers or marker_quats entry that is not an object
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ClipParseError(f"subject frames[{i}]: {exc}") from None
-    quats = {
-        str(k): np.asarray(v, dtype=float)
-        for k, v in doc.get("marker_quats", {}).items()
-    }
-    opt = lambda key: (
-        np.asarray(doc[key], dtype=float) if key in doc and doc[key] is not None else None
-    )
-    return SubjectFrame(
-        t=float(doc.get("t", 0.0)),
-        root=root,
-        markers=markers,
-        marker_quats=quats,
-        root_lin_vel=opt("root_lin_vel"),
-        root_ang_vel=opt("root_ang_vel"),
-        joint_pos=opt("joint_pos"),
-    )
+    return SubjectFrame(t=t, root=root, markers=markers, marker_quats=quats, **opt)
 
 
 def load_subject_frame(path) -> SubjectFrame:

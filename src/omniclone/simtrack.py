@@ -31,9 +31,13 @@ from .motion import (
     derive_body_kinematics,
     derive_joint_velocities,
 )
-from .rotations import quat_angle, quat_conjugate, quat_mul, quat_rotate_inverse
+from .rotations import quat_angle, quat_canonical, quat_conjugate, quat_mul, quat_rotate, quat_rotate_inverse
 
 DEFAULT_FUTURE_WINDOW = 5  # f: queue depth and future-window length share one knob
+# pd integrator steps per clip frame. A step costs under 10 µs, so the cap
+# keeps a frame's integration near 10 ms at worst while a 1 ms step still fits
+# a 1 fps clip; without it an accepted but tiny dt stalls bench run for hours.
+MAX_PD_STEPS_PER_FRAME = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +233,41 @@ def build_student_obs(
             f"reference window has {len(ref_window)} frames, expected {future_window}"
             " (pad upstream via zero-order hold, never here)"
         )
+    n, k, f = model.n_joints, model.n_key_bodies, future_window
+    key_bodies = [_frame_key_bodies(ref, model) for ref in ref_window]
+    if any(pos.shape[0] != k for pos, _ in key_bodies):
+        raise InputError(f"every reference frame must carry the model's {k} key bodies")
     root = state.root
-    blocks = [
-        ("joint_pos", state.joint_pos),
-        ("gravity", to_base_vector(root, state.gravity_world)),
-        ("root_ang_vel", state.root_ang_vel),
-        ("last_action", state.last_action),
-    ]
-    if ref_window:
-        # the whole window goes into the base frame at once: (f, K, 3), (f, K, 4), (f, 3)
-        key_bodies = [_frame_key_bodies(ref, model) for ref in ref_window]
-        body_pos = to_base_point(root, np.stack([p for p, _ in key_bodies]))
-        body_quat = to_base_quat(root, np.stack([q for _, q in key_bodies]))
-        lin_vel = to_base_vector(root, np.stack([ref.root_lin_vel for ref in ref_window]))
-        for i in range(len(ref_window)):
-            blocks.append((f"ref{i}_body_pos", body_pos[i]))
-            blocks.append((f"ref{i}_body_quat", body_quat[i]))
-            blocks.append((f"ref{i}_root_lin_vel", lin_vel[i]))
-    return _assemble(blocks)
+    inv = quat_conjugate(root.orientation)
+    # gravity, the window's key-body points relative to the root and its root
+    # velocities go into the base frame in one rotation: (1 + f*K + f, 3)
+    vectors = np.concatenate([
+        state.gravity_world[None],
+        np.array([pos for pos, _ in key_bodies]).reshape(-1, 3) - root.position,
+        np.array([ref.root_lin_vel for ref in ref_window]).reshape(-1, 3),
+    ])
+    rotated = quat_rotate(inv, vectors)
+    quats = np.array([quat for _, quat in key_bodies]).reshape(-1, 4)
+    values = np.empty(student_obs_length(model, f))
+    values[:n] = state.joint_pos
+    values[n : n + 3] = rotated[0]
+    values[n + 3 : n + 6] = state.root_ang_vel
+    values[n + 6 : 2 * n + 6] = state.last_action
+    # one row of 7K + 3 values per window frame: body_pos, body_quat, root_lin_vel
+    window = values[2 * n + 6 :].reshape(f, 7 * k + 3)
+    window[:, : 3 * k] = rotated[1 : 1 + f * k].reshape(f, 3 * k)
+    window[:, 3 * k : 7 * k] = quat_canonical(quat_mul(inv, quats)).reshape(f, 4 * k)
+    window[:, 7 * k :] = rotated[1 + f * k :]
+    layout = [("joint_pos", 0, n), ("gravity", n, 3), ("root_ang_vel", n + 3, 3), ("last_action", n + 6, n)]
+    offset = 2 * n + 6
+    for i in range(f):
+        layout += [
+            (f"ref{i}_body_pos", offset, 3 * k),
+            (f"ref{i}_body_quat", offset + 3 * k, 4 * k),
+            (f"ref{i}_root_lin_vel", offset + 7 * k, 3),
+        ]
+        offset += 7 * k + 3
+    return ObservationVector(values, tuple(layout))
 
 
 def teacher_obs_length(model: HumanoidModel, include_ref_joint_vel: bool = True) -> int:
@@ -628,8 +649,18 @@ def track_clip(
     perfect replays the reference exactly; lag:k replays frame
     max(0, t - k); noise adds seeded zero-mean joint noise (bodies
     recomputed through FK); pd integrates a per-joint double integrator
-    with semi-implicit Euler while the root is replayed kinematically.
+    with semi-implicit Euler while the root is replayed kinematically; a
+    dt that needs more than MAX_PD_STEPS_PER_FRAME steps per frame is a
+    ConfigError.
     """
+    if spec.mode == "pd":
+        dt = spec.dt if spec.dt is not None else 1.0 / clip.fps
+        steps_per_frame = max(1, round((1.0 / clip.fps) / dt))
+        if steps_per_frame > MAX_PD_STEPS_PER_FRAME:
+            raise ConfigError(
+                f"pd tracker dt {dt} takes {steps_per_frame} steps per {clip.fps} fps frame;"
+                f" at most {MAX_PD_STEPS_PER_FRAME} are allowed"
+            )
     clip = derive_joint_velocities(clip)
     clip = derive_body_kinematics(clip, model)
     T = len(clip.t)
@@ -652,14 +683,12 @@ def track_clip(
         joint_vel = clip.joint_vel
     else:
         # pd double integrator
-        dt = spec.dt if spec.dt is not None else 1.0 / clip.fps
-        steps_per_tick = max(1, round((1.0 / clip.fps) / dt))
         q = clip.joint_pos[0].copy()
         v = np.zeros(n)
         joint_pos = np.empty((T, n))
         joint_vel = np.empty((T, n))
         for t, target in enumerate(clip.joint_pos):
-            for _ in range(steps_per_tick):
+            for _ in range(steps_per_frame):
                 acc = spec.kp * (target - q) - spec.kd * v
                 v = v + dt * acc
                 q = q + dt * v

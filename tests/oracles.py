@@ -9,6 +9,10 @@ scalar walk over one configuration) must match bit for bit; that core is
 itself checked against numpy's cross product and stacking
 (cross_quat_rotate, stack_quat_mul). per_field_dr draws one scalar per
 field, which sample_dr's single draw must reproduce.
+student_obs_blocks and retarget_frame_per_marker are the teleop tick's
+observation and retarget steps written with one transform per block and
+one row write per marker; the package's fused forms do the same
+arithmetic per element, so they must match bit for bit.
 
 rows_clip_doc is no oracle: it writes the row layout of older clip files,
 which the package still reads but no longer writes. Nor are the writers
@@ -21,13 +25,21 @@ import json
 import math
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 
 from omniclone.bench import BenchReport, StratumRow
 from omniclone.errors import InputError
-from omniclone.kinematics import RigidPose, model_to_dict
-from omniclone.motion import BENCH_STRATA, COLUMNS, MotionClip, clip_to_dict
+from omniclone.kinematics import (
+    RigidPose,
+    key_body_poses,
+    model_to_dict,
+    to_base_point,
+    to_base_quat,
+    to_base_vector,
+)
+from omniclone.motion import BENCH_STRATA, COLUMNS, Frame, MotionClip, clip_to_dict
 from omniclone.rotations import IDENTITY_QUAT, quat_from_axis_angle, quat_mul, quat_rotate
 from omniclone.simtrack import DRConfig
 from omniclone.synthetic import DEFAULT_ROOT_Z
@@ -205,6 +217,71 @@ def stack_quat_mul(a, b):
         ],
         axis=-1,
     )
+
+
+# ---------------------------------------------------------------------------
+# The teleop tick's observation and retarget, block by block and marker by marker
+# ---------------------------------------------------------------------------
+
+def student_obs_blocks(state, ref_window, model, future_window):
+    """build_student_obs as one transform and one concatenated block per
+    layout entry; the fused build_student_obs must match its values and layout."""
+    if len(ref_window) != future_window:
+        raise InputError(f"reference window has {len(ref_window)} frames, expected {future_window}")
+    root = state.root
+    blocks = [
+        ("joint_pos", state.joint_pos),
+        ("gravity", to_base_vector(root, state.gravity_world)),
+        ("root_ang_vel", state.root_ang_vel),
+        ("last_action", state.last_action),
+    ]
+    for i, ref in enumerate(ref_window):
+        if ref.body_pos is not None and ref.body_quat is not None:
+            body_pos, body_quat = ref.body_pos, ref.body_quat
+        else:
+            body_pos, body_quat = key_body_poses(
+                model, ref.joint_pos, ref.root.position, ref.root.orientation
+            )
+        blocks.append((f"ref{i}_body_pos", to_base_point(root, body_pos)))
+        blocks.append((f"ref{i}_body_quat", to_base_quat(root, body_quat)))
+        blocks.append((f"ref{i}_root_lin_vel", to_base_vector(root, ref.root_lin_vel)))
+    layout, parts, offset = [], [], 0
+    for name, arr in blocks:
+        flat = np.asarray(arr, dtype=float).ravel()
+        layout.append((name, offset, flat.size))
+        parts.append(flat)
+        offset += flat.size
+    return np.concatenate(parts), tuple(layout)
+
+
+def retarget_frame_per_marker(raw, cal, model, previous=None):
+    """retarget_frame writing one key-body row per mapped marker; the
+    vectorised version must return the same frame and held flag."""
+    s = cal.scale
+    origin = np.asarray(cal.session_origin)
+    slot = {body: i for i, body in enumerate(model.key_bodies)}
+    body_pos = np.zeros((len(slot), 3))
+    body_quat = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (len(slot), 1))
+    for marker, body in cal.key_body_mapping.items():
+        if marker not in raw.markers:
+            if previous is None:
+                raise InputError(f"marker {marker!r} missing and no previous frame to hold")
+            return replace(previous, t=raw.t), True
+        body_pos[slot[body]] = s * (raw.markers[marker] - origin)
+        if marker in raw.marker_quats:
+            body_quat[slot[body]] = raw.marker_quats[marker]
+    frame = Frame(
+        t=raw.t,
+        root=RigidPose(s * (raw.root.position - origin), raw.root.orientation),
+        root_lin_vel=s * raw.root_lin_vel if raw.root_lin_vel is not None else np.zeros(3),
+        root_ang_vel=raw.root_ang_vel if raw.root_ang_vel is not None else np.zeros(3),
+        joint_pos=np.asarray(
+            raw.joint_pos if raw.joint_pos is not None else np.zeros(model.n_joints), dtype=float
+        ),
+        body_pos=body_pos,
+        body_quat=body_quat,
+    )
+    return frame, False
 
 
 # ---------------------------------------------------------------------------

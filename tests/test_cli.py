@@ -184,6 +184,39 @@ class TestBenchWorkflow:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"missing key {key}" in err
 
+    def test_manifest_entry_not_an_object_is_an_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"clips": [1]}), encoding="utf-8")
+        argv = ["bench", "run", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "clips[0] is not an object" in err
+
+    @pytest.mark.parametrize("episode, message", [
+        (1, "episodes[1]: 'int' object is not subscriptable"),
+        ({"clip_name": "a", "category": "walk", "level": "slow", "success": True,
+          "failure_reason": "none", "frames_evaluated": 10, "mpjpe_mm": "x"}, "episodes[1]: could not convert"),
+    ], ids=["not-an-object", "non-numeric"])
+    def test_malformed_results_episode_is_an_error(self, tmp_path, capsys, episode, message):
+        good = {"clip_name": "a", "category": "walk", "level": "slow", "success": True,
+                "failure_reason": "none", "frames_evaluated": 10, "mpjpe_mm": 1.0}
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"episodes": [good, episode]}), encoding="utf-8")
+        assert cli.main(["bench", "report", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_pd_step_count_over_the_cap_is_an_error(self, tmp_path, ref_model, capsys):
+        # about 33 million integrator steps per frame: refused before any integration
+        manifest = write_suite(tmp_path, ref_model)
+        argv = ["bench", "run", "--manifest", str(manifest), "--tracker", "pd:100,20,1e-9",
+                "--out", str(tmp_path / "results.json")]
+        start = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "steps per" in err
+
     def test_deterministic_outputs(self, tmp_path, ref_model):
         manifest = write_suite(tmp_path, ref_model)
         outs = []
@@ -344,6 +377,32 @@ class TestRetargetCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'m_lhand'" in err
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("markers", "x"),
+        ("marker_quats", "x"),
+        ("markers", ["x", 0.0, 1.0]),
+        ("marker_quats", [1.0, "x", 0.0, 0.0]),
+    ])
+    def test_non_numeric_marker_value_is_an_error(self, tmp_path, ref_model, capsys, field, value):
+        subject = humanoid_as_subject(constant_velocity_clip(ref_model, 0.9, n_frames=3), 1.0)
+        cal_path = tmp_path / "calibration.json"
+        cal_path.write_text(json.dumps(subject_frame_to_dict(subject[0])), encoding="utf-8")
+        doc = {"frames": [subject_frame_to_dict(f) for f in subject]}
+        doc["frames"][2][field]["m_head"] = value
+        stream_path = tmp_path / "stream.json"
+        stream_path.write_text(json.dumps(doc), encoding="utf-8")
+        map_path = tmp_path / "mapping.txt"
+        save_mapping(MARKERS, map_path)
+        code = cli.main(
+            ["retarget", "--calibration", str(cal_path), "--mapping", str(map_path),
+             "--in", str(stream_path), "--out", str(tmp_path / "out.json")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "frames[2]" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestVlaReplayCommand:

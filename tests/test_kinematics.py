@@ -35,6 +35,7 @@ from omniclone.kinematics import (
 )
 from omniclone.rotations import (
     IDENTITY_QUAT,
+    quat_canonical,
     quat_from_axis_angle,
     quat_from_yaw,
     quat_mul,
@@ -68,6 +69,23 @@ class TestRigidPose:
     def test_rejects_nan_quaternion(self):
         with pytest.raises(InputError, match="orientation"):
             RigidPose(np.zeros(3), np.array([np.nan, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("quat", [
+        [-1.0, -0.0, 0.0, -0.0],
+        [-0.0, -0.6, 0.8, 0.0],
+        [0.0, -0.0, -1.0, 0.0],
+        [-0.0, 0.0, -0.0, -1.0],
+        [0.0, 0.6, -0.0, -0.8],
+        [0.6, -0.0, 0.0, -0.8],
+        [-0.5, -0.5, 0.5, -0.5],
+        [-0.5000001, 0.5, -0.5, 0.5],
+    ])
+    def test_sign_fix_bytes_match_quat_canonical(self, quat):
+        # -0.0 counts as zero when finding the first nonzero component, and a
+        # negation flips the sign of every zero with the rest
+        q = np.array(quat)
+        expected = quat_canonical(q / np.linalg.norm(q))
+        assert RigidPose(np.zeros(3), q).orientation.tobytes() == expected.tobytes()
 
     def test_compose_inverse_roundtrip(self, rng):
         # a^-1 (a b) == b, composing with quat_rotate/quat_mul directly

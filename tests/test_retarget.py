@@ -1,9 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import save_mapping, save_subject_stream, subject_frame_to_dict
+from oracles import (
+    retarget_frame_per_marker,
+    save_mapping,
+    save_subject_stream,
+    student_obs_blocks,
+    subject_frame_to_dict,
+)
 
 from omniclone.errors import CalibrationError, ClipParseError, InputError
 from omniclone.retarget import (
@@ -18,6 +26,7 @@ from omniclone.retarget import (
     subject_frame_from_dict,
 )
 from omniclone.kinematics import RigidPose, chain_height
+from omniclone.simtrack import build_student_obs, state_from_frame
 from omniclone.synthetic import constant_velocity_clip
 
 MARKERS = {
@@ -196,6 +205,100 @@ class TestRetargetFrame:
         for out, src in zip(frames, clip.frames):
             assert np.allclose(out.body_pos, src.body_pos, atol=1e-9)
             assert np.allclose(out.root.position, src.root.position, atol=1e-9)
+
+
+def frame_bytes(frame):
+    """Every field of a frame as (dtype, shape, bytes), None kept as None."""
+    fields = {"t": np.asarray(frame.t), "root_pos": frame.root.position, "root_quat": frame.root.orientation}
+    for key in ("root_lin_vel", "root_ang_vel", "joint_pos", "joint_vel",
+                "body_pos", "body_quat", "body_lin_vel", "body_ang_vel"):
+        fields[key] = getattr(frame, key)
+    return {k: None if v is None else (v.dtype, v.shape, v.tobytes()) for k, v in fields.items()}
+
+
+def noisy_subject(rng, n_frames, n_joints, quat_share=0.6, drop_at=()):
+    """Operator samples with random markers, quaternions on a random subset
+    of the markers, and the marker m_lhand missing at the frames in drop_at."""
+
+    def unit(q):
+        return q / np.linalg.norm(q)
+
+    frames = []
+    for i in range(n_frames):
+        markers = {m: rng.uniform(-1.0, 1.0, 3) + [0.0, 0.0, 1.0] for m in MARKERS}
+        quats = {m: unit(rng.normal(size=4)) for m in MARKERS if rng.random() < quat_share}
+        if i in drop_at:
+            del markers["m_lhand"]
+        frames.append(SubjectFrame(
+            t=i / 50.0,
+            root=RigidPose(rng.uniform(-1.0, 1.0, 3), unit(rng.normal(size=4))),
+            markers=markers,
+            marker_quats=quats,
+            root_lin_vel=rng.normal(size=3),
+            root_ang_vel=rng.normal(size=3),
+            joint_pos=rng.uniform(-0.5, 0.5, n_joints),
+        ))
+    return frames
+
+
+class TestPerMarkerOracle:
+    """retarget_frame fills its key bodies in one array expression; it must
+    return the bytes of the marker-by-marker write, held frames included."""
+
+    def test_stream_with_partial_quats_and_dropouts(self, ref_model, rng):
+        subject = noisy_subject(rng, 40, ref_model.n_joints, drop_at=(5, 6, 21))
+        cal = CalibrationResult(0.9, 1.0, 0.9, MARKERS, session_origin=(0.3, -0.2, 0.0))
+        prev = prev_oracle = None
+        held = []
+        for raw in subject:
+            frame, was_held = retarget_frame(raw, cal, ref_model, previous=prev)
+            expected, expected_held = retarget_frame_per_marker(raw, cal, ref_model, previous=prev_oracle)
+            assert frame_bytes(frame) == frame_bytes(expected)
+            assert was_held == expected_held
+            held.append(was_held)
+            prev, prev_oracle = frame, expected
+        assert [i for i, h in enumerate(held) if h] == [5, 6, 21]
+
+    def test_first_frame_dropout_names_the_same_marker(self, ref_model, rng):
+        raw = noisy_subject(rng, 1, ref_model.n_joints, drop_at=(0,))[0]
+        raw = SubjectFrame(raw.t, raw.root, {m: p for m, p in raw.markers.items() if m != "m_head"})
+        cal = CalibrationResult(1.0, 1.0, 1.0, MARKERS)
+        with pytest.raises(InputError) as got:
+            retarget_frame(raw, cal, ref_model)
+        with pytest.raises(InputError) as expected:
+            retarget_frame_per_marker(raw, cal, ref_model)
+        assert str(got.value) == str(expected.value)
+        assert "'m_lhand'" in str(got.value)
+
+    def test_unmapped_key_bodies_stay_zero_and_identity(self, ref_model, rng):
+        mapping = {m: b for m, b in MARKERS.items() if m in ("m_pelvis", "m_lhand", "m_rfoot")}
+        cal = CalibrationResult(1.1, 1.0, 1.1, mapping, session_origin=(0.5, -0.25, 0.0))
+        raw = noisy_subject(rng, 1, ref_model.n_joints, quat_share=1.0)[0]
+        frame, _ = retarget_frame(raw, cal, ref_model)
+        expected, _ = retarget_frame_per_marker(raw, cal, ref_model)
+        assert frame_bytes(frame) == frame_bytes(expected)
+        unmapped = [i for i, b in enumerate(ref_model.key_bodies) if b not in mapping.values()]
+        assert unmapped
+        assert frame.body_pos[unmapped].tobytes() == np.zeros((len(unmapped), 3)).tobytes()
+        identity = np.tile([1.0, 0.0, 0.0, 0.0], (len(unmapped), 1))
+        assert frame.body_quat[unmapped].tobytes() == identity.tobytes()
+
+    def test_tick_chain_matches_oracles(self, ref_model, rng):
+        # retarget -> five-frame window padded by zero-order hold -> state of
+        # the last command -> student observation, as one teleop tick runs it
+        subject = noisy_subject(rng, 12, ref_model.n_joints, drop_at=(4, 9))
+        cal = CalibrationResult(1.05, 1.0, 1.05, MARKERS)
+        prev, window, command = None, [], np.zeros(ref_model.n_joints)
+        for raw in subject:
+            frame, _ = retarget_frame(raw, cal, ref_model, previous=prev)
+            prev = frame
+            window = (window or [frame] * 5)[1:] + [frame]
+            current = replace(frame, joint_pos=command, body_pos=None, body_quat=None)
+            state = state_from_frame(current, ref_model, last_action=command)
+            obs = build_student_obs(state, window, ref_model)
+            values, layout = student_obs_blocks(state, window, ref_model, 5)
+            assert obs.values.tobytes() == values.tobytes() and obs.layout == layout
+            command = frame.joint_pos
 
 
 class TestDiscrepancyReport:

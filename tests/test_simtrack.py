@@ -29,7 +29,7 @@ from omniclone.simtrack import (
     track_clip,
 )
 from omniclone.synthetic import constant_velocity_clip, static_clip
-from oracles import per_field_dr, quat_normalize
+from oracles import per_field_dr, quat_normalize, student_obs_blocks
 
 
 def random_state(rng, model):
@@ -128,6 +128,14 @@ class TestObservationLayout:
         with pytest.raises(InputError):
             build_student_obs(state, [random_ref(rng, ref_model)] * 3, ref_model, 5)
 
+    def test_window_frame_with_other_body_count_rejected(self, ref_model, rng):
+        state = random_state(rng, ref_model)
+        ref = random_ref(rng, ref_model)
+        short = replace(ref, body_pos=ref.body_pos[:3], body_quat=ref.body_quat[:3],
+                        body_lin_vel=None, body_ang_vel=None)
+        with pytest.raises(InputError, match="key bodies"):
+            build_student_obs(state, [ref, short], ref_model, 2)
+
 
 class TestObservationContent:
     def test_gravity_yaw_invariant(self, ref_model, rng):
@@ -182,6 +190,28 @@ class TestObservationContent:
         empty = build_student_obs(state, [], ref_model, 0)
         assert empty.values.shape == (student_obs_length(ref_model, 0),)
         assert np.array_equal(empty.values, obs.values[: empty.values.shape[0]])
+
+    @pytest.mark.parametrize("f", [1, 5])
+    def test_student_obs_bits_match_block_oracle(self, ref_model, rng, f):
+        # frames with body poses, float32 wire values and frames without body
+        # poses (the FK fallback) in every window position
+        for trial in range(6):
+            state = random_state(rng, ref_model)
+            window = []
+            for i in range(f):
+                ref = random_ref(rng, ref_model)
+                kind = (trial + i) % 3
+                if kind == 1:
+                    ref = replace(ref, body_pos=ref.body_pos.astype(np.float32),
+                                  body_quat=ref.body_quat.astype(np.float32),
+                                  root_lin_vel=ref.root_lin_vel.astype(np.float32))
+                elif kind == 2:
+                    ref = replace(ref, body_pos=None, body_quat=None)
+                window.append(ref)
+            values, layout = student_obs_blocks(state, window, ref_model, f)
+            obs = build_student_obs(state, window, ref_model, f)
+            assert obs.values.tobytes() == values.tobytes()
+            assert obs.layout == layout
 
     def test_se2_equivariance_both_policies(self, ref_model, rng):
         for _ in range(25):
@@ -546,6 +576,13 @@ class TestTrackers:
             t = t_idx / fps
             expected = target * (1.0 - (1.0 + omega * t) * math.exp(-omega * t))
             assert q0[t_idx] == pytest.approx(expected, abs=0.02)
+
+    def test_pd_step_cap(self, ref_model):
+        # 1000 steps per 30 fps frame is the most a spec may ask for
+        clip = constant_velocity_clip(ref_model, 1.0, n_frames=2, fps=30.0)
+        track_clip(TrackerSpec(mode="pd", kp=100.0, kd=20.0, dt=1.0 / 30000.0), clip, ref_model)
+        with pytest.raises(ConfigError, match="1001 steps per 30.0 fps frame"):
+            track_clip(TrackerSpec(mode="pd", kp=100.0, kd=20.0, dt=1.0 / 30030.0), clip, ref_model)
 
 
 class TestSystemConfig:
