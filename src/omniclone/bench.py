@@ -371,8 +371,12 @@ def results_to_json(results: Sequence[EpisodeResult], method: str = "") -> str:
 
 def results_from_json(text: str) -> tuple[list[EpisodeResult], str]:
     doc = json.loads(text)
+    if not isinstance(doc, Mapping):
+        raise InputError(f"results document: expected an object with key 'episodes', got {type(doc).__name__}")
     if "episodes" not in doc:
         raise InputError("results document: missing key 'episodes'")
+    if not isinstance(doc["episodes"], list):
+        raise InputError(f"results document: 'episodes' is {type(doc['episodes']).__name__}, not a list")
     return [episode_from_dict(d, i) for i, d in enumerate(doc["episodes"])], doc.get("method", "")
 
 
@@ -386,8 +390,12 @@ class ManifestEntry:
 def load_manifest(path) -> list[ManifestEntry]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, Mapping):
+        raise InputError(f"{path}: manifest is {type(doc).__name__}, not an object with key 'clips'")
     if "clips" not in doc:
         raise InputError(f"{path}: manifest missing 'clips'")
+    if not isinstance(doc["clips"], list):
+        raise InputError(f"{path}: manifest 'clips' is {type(doc['clips']).__name__}, not a list")
     for i, e in enumerate(doc["clips"]):
         if not isinstance(e, Mapping):
             raise InputError(f"{path}: manifest clips[{i}] is not an object")

@@ -10,6 +10,7 @@ is the floating base (pelvis for the bundled model).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
@@ -21,7 +22,6 @@ from .rotations import (
     IDENTITY_QUAT,
     quat_canonical,
     quat_conjugate,
-    quat_from_axis_angle,
     quat_mul,
     quat_rotate,
     quat_rotate_inverse,
@@ -70,6 +70,27 @@ class RigidPose:
     def inverse(self) -> "RigidPose":
         inv_q = quat_conjugate(self.orientation)
         return RigidPose(-quat_rotate(inv_q, self.position), inv_q)
+
+
+# quat_mul(a, b) as the sum over i of a[i] * (_QUAT_SIGN[i] * b[_QUAT_PERM[i]]),
+# summed left to right: per component these are the products of quat_mul in
+# its order, since x - y*z equals x + y*(-z) exactly
+_QUAT_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_QUAT_SIGN = np.array(
+    [[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]]
+)[..., None]
+# the joint quaternion is (cos, axis * sin) of the half-angle, and _QUAT_PERM[i]
+# puts its cos in row i: row r of term i scales cos (0) or sin (1), shaped to
+# broadcast against a level's joint columns
+_JOINT_TRIG = (1 - np.eye(4, dtype=int))[..., None]
+# u x v = u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]] with both
+# products in one call: _CROSS_Q picks the two row orders of u = q[1:] out of
+# a quaternion q, _CROSS_V those of a vector
+_CROSS_Q = [2, 3, 1, 3, 1, 2]
+_CROSS_V = [2, 0, 1, 1, 2, 0]
+# frames per chunk of a batch: bounds the temporaries of a level (a
+# (4, 4, m, chunk) product is 160 KB at m = 5) however long the batch
+_FK_CHUNK = 256
 
 
 def _as_slice(index: np.ndarray):
@@ -180,11 +201,23 @@ class HumanoidModel:
         return order
 
     def _fk_levels(self) -> tuple:
-        """Per tree depth below the root: (its links, their parents, its
-        actuated links, their joint columns, their joint axes).
+        """The batched FK plan, per tree depth below the root: (its links,
+        their parents, where its actuated links sit among its links, their
+        joint columns, offset position terms, offset product terms, joint
+        product terms).
 
-        Each index set is a slice where it is one contiguous run, so that
-        indexing with it gives a view, and an index array otherwise.
+        The links are a slice. Parents and actuated positions are a slice
+        where they are one contiguous run, so that indexing with them gives
+        a view, and an index array otherwise; joint columns are an index
+        array. The terms hold the level's constants component-major, with a
+        trailing batch axis of 1 (m links, a of them actuated):
+        - offset position terms (9, m, 1): the offset v, then
+          v[_CROSS_V], the factors of the cross product with it;
+        - offset product terms (4, 4, m, 1): term i is
+          _QUAT_SIGN[i] * b[_QUAT_PERM[i]] for the offset quaternion b;
+        - joint product terms (4, 4, a, 1): the same for the joint
+          quaternion with cos and sin set to 1, so that term i times the
+          _JOINT_TRIG[i] rows of (cos, sin) of the half-angles is term i.
         """
         depth = np.zeros(len(self.links), dtype=int)
         for i, parent in enumerate(self.parent_index):
@@ -194,14 +227,20 @@ class HumanoidModel:
         levels = []
         for d in range(1, int(depth.max()) + 1):
             links = np.flatnonzero(depth == d)
-            actuated = links[self.joint_index[links] >= 0]
+            rel = np.flatnonzero(self.joint_index[links] >= 0)
+            actuated = links[rel]
+            v = self.offsets_pos[links].T
+            b = self.offsets_quat[links].T
+            axis = np.concatenate([np.ones((1, len(actuated))), self.axes[actuated].T])
             levels.append(
                 (
-                    _as_slice(links),
+                    slice(int(links[0]), int(links[-1]) + 1),
                     _as_slice(self.parent_index[links]),
-                    _as_slice(actuated),
-                    _as_slice(self.joint_index[actuated]),
-                    self.axes[actuated],
+                    _as_slice(rel),
+                    self.joint_index[actuated],
+                    np.concatenate([v, v[_CROSS_V]])[..., None],
+                    (_QUAT_SIGN * b[_QUAT_PERM])[..., None],
+                    (_QUAT_SIGN * axis[_QUAT_PERM])[..., None],
                 )
             )
         return tuple(levels)
@@ -279,10 +318,15 @@ def forward_kinematics_arrays(
     Returns positions (..., L, 3) and orientations (..., L, 4) in link order.
 
     One configuration (joint_pos (n,), root_pos (3,), root_quat (4,)) walks
-    the links in order with Python floats; any other shape goes one tree
-    depth at a time with numpy. Both do the arithmetic of rotations'
-    quat_rotate, quat_mul and quat_from_axis_angle per link, in the same
-    order, so both are bit-identical to a link-by-link walk.
+    the links in order with Python floats. Any other shape walks the levels
+    of model.fk_levels, one tree depth at a time, on component-major
+    (3, L, B) and (4, L, B) arrays of the B configurations, _FK_CHUNK of
+    them at a time; sin and cos of the half-angles are taken once, and each
+    cross product and quaternion product is a few numpy calls over the
+    whole level. Both do the arithmetic of rotations' quat_rotate, quat_mul
+    and quat_from_axis_angle per link, in the same order, so both are
+    bit-identical to a link-by-link walk. A batch's outputs are transposed
+    views of those arrays, not C-contiguous copies.
     """
     joint_pos = np.asarray(joint_pos, dtype=float)
     root_pos = np.asarray(root_pos, dtype=float)
@@ -334,19 +378,38 @@ def forward_kinematics_arrays(
             quat_l[i] = [fw, fx, fy, fz]
         return np.array(pos_l), np.array(quat_l)
     batch = joint_pos.shape[:-1]
+    B = math.prod(batch)
     L = len(model.links)
-    pos = np.empty(batch + (L, 3))
-    quat = np.empty(batch + (L, 4))
+    # component-major, batch innermost: P[c, link, frame], Q[c, link, frame]
+    P = np.empty((3, L, B))
+    Q = np.empty((4, L, B))
+    pos = P.T.reshape(batch + (L, 3))
+    quat = Q.T.reshape(batch + (L, 4))
     pos[..., model.root_index, :] = root_pos
     quat[..., model.root_index, :] = root_quat
+    half = joint_pos.reshape(B, n).T / 2.0
+    trig = np.stack([np.cos(half), np.sin(half)])
     # one tree depth at a time; per link this is the same arithmetic as a
-    # link-by-link walk: parent frame * offset, then * joint rotation
-    for links, parents, actuated, cols, axes in model.fk_levels:
-        q_parent = quat[..., parents, :]
-        pos[..., links, :] = pos[..., parents, :] + quat_rotate(q_parent, model.offsets_pos[links])
-        quat[..., links, :] = quat_mul(q_parent, model.offsets_quat[links])
-        jq = quat_from_axis_angle(axes, joint_pos[..., cols])
-        quat[..., actuated, :] = quat_mul(quat[..., actuated, :], jq)
+    # link-by-link walk: parent frame * offset, then * joint rotation. A
+    # long batch goes in chunks of frames, which bounds the temporaries.
+    for start in range(0, B, _FK_CHUNK):
+        frames = slice(start, start + _FK_CHUNK)
+        Pf, Qf, tf = P[..., frames], Q[..., frames], trig[..., frames]
+        for links, parents, rel, cols, v, bt, jt in model.fk_levels:
+            q = Qf[:, parents]
+            # quat_rotate(q, v) = v + 2 (w t + u x t), t = u x v, u = q[1:]
+            u = q[_CROSS_Q]
+            x = u * v[3:]
+            t = x[:3] - x[3:]
+            x = u * t[_CROSS_V]
+            np.add(Pf[:, parents], v[:3] + 2.0 * (q[0] * t + (x[:3] - x[3:])), out=Pf[:, links])
+            # quat_mul(q, offset quaternion), then quat_mul(that, joint quaternion)
+            x = q[:, None] * bt
+            f = Qf[:, links]
+            np.add(x[0] + x[1] + x[2], x[3], out=f)
+            if jt.size:
+                x = f[:, rel][:, None] * (jt * tf[_JOINT_TRIG, cols])
+                f[:, rel] = x[0] + x[1] + x[2] + x[3]
     return pos, quat
 
 

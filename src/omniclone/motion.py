@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import dataclasses
 import json
 import math
 from collections.abc import Mapping, Sequence
@@ -102,6 +101,7 @@ _BODY = ("body_pos", "body_quat", "body_lin_vel", "body_ang_vel")
 _OPTIONAL = ("joint_vel",) + _BODY
 #: clip columns, in the order of a frame's fields in the clip file
 COLUMNS = _REQUIRED + _OPTIONAL
+_META = ("name", "fps", "category", "level", "dof_names", "key_bodies")
 
 # a root quaternion within this of unit norm keeps its bits, so a clip
 # rebuilt from its own columns does not move them
@@ -220,25 +220,41 @@ class MotionClip:
         return clip
 
     def replace(self, **changes) -> "MotionClip":
-        """A copy with metadata fields or columns replaced."""
-        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        return MotionClip.from_arrays(**{**fields, **changes})
+        """A copy with metadata fields or columns replaced.
 
-    def _set(self, name, fps, category, level, dof_names, key_bodies, columns) -> None:
-        if fps <= 0:
+        Only what changes is checked: each replaced column for its shape and
+        for finite values, the timestamps when t or fps changes, the root
+        quaternions when root_quat does, and category and level when either
+        does. The unchanged columns were checked when this clip was built.
+        """
+        check = set(changes)
+        meta = {key: changes.pop(key, getattr(self, key)) for key in _META}
+        columns = {key: getattr(self, key) for key in COLUMNS}
+        clip = MotionClip.__new__(MotionClip)
+        clip._set(**meta, columns={**columns, **changes}, check=check)
+        return clip
+
+    def _set(self, name, fps, category, level, dof_names, key_bodies, columns, check=None) -> None:
+        """Check and store the fields. `check` names the fields and columns
+        to check, all of them when None; every column's shape is checked
+        whatever it names, since the joint and key-body counts come from the
+        columns."""
+        checks = lambda *keys: check is None or not check.isdisjoint(keys)
+        if checks("fps") and fps <= 0:
             raise InputError("fps must be positive")
-        if category not in CATEGORIES:
-            raise InputError(f"unknown category {category!r}")
-        if level not in CATEGORY_LEVELS[category]:
-            raise InputError(f"level {level!r} not allowed for category {category!r}")
+        if checks("category", "level"):
+            if category not in CATEGORIES:
+                raise InputError(f"unknown category {category!r}")
+            if level not in CATEGORY_LEVELS[category]:
+                raise InputError(f"level {level!r} not allowed for category {category!r}")
         unknown = sorted(set(columns) - set(COLUMNS))
         missing = [key for key in _REQUIRED if columns.get(key) is None]
         if unknown or missing:
             raise InputError(f"clip columns: unknown {unknown}, missing {missing}")
-        cols = {
-            key: None if columns.get(key) is None else np.asarray(columns[key], dtype=float)
-            for key in COLUMNS
-        }
+        cols = {key: columns.get(key) for key in COLUMNS}
+        for key, column in cols.items():
+            if column is not None and checks(key):
+                cols[key] = np.asarray(column, dtype=float)
         t, joint_pos = cols["t"], cols["joint_pos"]
         if t.ndim != 1 or not t.size or joint_pos.ndim != 2:
             raise InputError(f"need t (T,) and joint_pos (T, n), T > 0: {t.shape}, {joint_pos.shape}")
@@ -251,41 +267,43 @@ class MotionClip:
                 continue
             if column.shape != (T,) + shape:
                 raise InputError(f"{key}: expected shape {(T,) + shape}, got {column.shape}")
+            if not checks(key):
+                continue
             finite = np.isfinite(column.reshape(T, -1)).all(axis=1)
             if not finite.all():
                 raise InputError(f"frames[{np.argmin(finite)}].{key}: non-finite values")
-        quat = cols["root_quat"]
-        norm = np.linalg.norm(quat, axis=1)
-        off = np.abs(norm - 1.0)
-        if np.any(off > _QUAT_TOL):
-            i = np.argmax(off > _QUAT_TOL)
-            raise InputError(
-                f"frames[{i}].root_quat: norm {norm[i]:.9f} deviates beyond {_QUAT_TOL}"
+        if checks("root_quat"):
+            quat = cols["root_quat"]
+            norm = np.linalg.norm(quat, axis=1)
+            off = np.abs(norm - 1.0)
+            if np.any(off > _QUAT_TOL):
+                i = np.argmax(off > _QUAT_TOL)
+                raise InputError(
+                    f"frames[{i}].root_quat: norm {norm[i]:.9f} deviates beyond {_QUAT_TOL}"
+                )
+            cols["root_quat"] = quat_canonical(
+                np.where((off > _UNIT_EPS)[:, None], quat / norm[:, None], quat)
             )
-        cols["root_quat"] = quat_canonical(
-            np.where((off > _UNIT_EPS)[:, None], quat / norm[:, None], quat)
-        )
-        spacing = np.diff(t)
-        if np.any(spacing <= 0.0):
-            i = np.argmax(spacing <= 0.0) + 1
-            raise InputError(f"frames[{i}].t: timestamps must be strictly increasing")
-        period = 1.0 / fps
-        off = np.abs(spacing - period) > _TIME_TOL
-        if np.any(off):
-            i = np.argmax(off)
-            raise InputError(
-                f"frames[{i + 1}]: timestamp spacing {spacing[i]:.9f}"
-                f" deviates from 1/fps={period:.9f}"
-            )
+        if checks("t", "fps"):
+            spacing = np.diff(t)
+            if np.any(spacing <= 0.0):
+                i = np.argmax(spacing <= 0.0) + 1
+                raise InputError(f"frames[{i}].t: timestamps must be strictly increasing")
+            period = 1.0 / fps
+            off = np.abs(spacing - period) > _TIME_TOL
+            if np.any(off):
+                i = np.argmax(off)
+                raise InputError(
+                    f"frames[{i + 1}]: timestamp spacing {spacing[i]:.9f}"
+                    f" deviates from 1/fps={period:.9f}"
+                )
         dof_names, key_bodies = tuple(dof_names), tuple(key_bodies)
         if dof_names and len(dof_names) != n:
             raise InputError(f"dof_names: {len(dof_names)} names for {n} joints")
-        meta = dict(name=name, fps=fps, category=category, level=level,
-                    dof_names=dof_names, key_bodies=key_bodies)
-        for key, value in meta.items():
+        for key, value in zip(_META, (name, fps, category, level, dof_names, key_bodies)):
             object.__setattr__(self, key, value)
         for key, column in cols.items():
-            if column is not None:
+            if column is not None and checks(key):
                 column = column.view()
                 column.flags.writeable = False
             object.__setattr__(self, key, column)

@@ -646,7 +646,8 @@ def track_clip(
     """The motion realised under the configured tracking behaviour, as a
     MotionClip on the clip's time grid with joint velocities and key bodies.
 
-    perfect replays the reference exactly; lag:k replays frame
+    perfect replays the reference exactly, and it and lag:0 return the
+    clip with its derived columns itself; lag:k replays frame
     max(0, t - k); noise adds seeded zero-mean joint noise (bodies
     recomputed through FK); pd integrates a per-joint double integrator
     with semi-implicit Euler while the root is replayed kinematically; a
@@ -668,6 +669,8 @@ def track_clip(
 
     if spec.mode in ("perfect", "lag"):
         k = spec.lag if spec.mode == "lag" else 0
+        if k == 0:  # the columns are read-only, so no copy is needed
+            return clip
         src = np.maximum(np.arange(T) - k, 0)
         return clip.replace(
             **{

@@ -47,8 +47,10 @@ def make_chain_model(
     )
 
 
-def random_tree_model(rng: np.random.Generator, n_joints: int) -> HumanoidModel:
-    """Random kinematic tree with unit-normalized random axes and offsets."""
+def random_tree_model(rng: np.random.Generator, n_joints: int, fixed_share: float = 0.0) -> HumanoidModel:
+    """Random kinematic tree with unit-normalized random axes and offsets:
+    n_joints links below the root, each a fixed attachment (limits [0, 0])
+    with probability fixed_share."""
     links = [LinkSpec(name="root", parent=None)]
     for i in range(n_joints):
         parent = links[int(rng.integers(0, len(links)))].name
@@ -56,6 +58,7 @@ def random_tree_model(rng: np.random.Generator, n_joints: int) -> HumanoidModel:
         axis /= np.linalg.norm(axis)
         quat = rng.normal(size=4)
         quat /= np.linalg.norm(quat)
+        fixed = fixed_share and rng.random() < fixed_share
         links.append(
             LinkSpec(
                 name=f"link{i}",
@@ -63,7 +66,7 @@ def random_tree_model(rng: np.random.Generator, n_joints: int) -> HumanoidModel:
                 offset_pos=tuple(rng.uniform(-0.4, 0.4, 3)),
                 offset_quat=tuple(quat),
                 axis=tuple(axis),
-                limits=(-np.pi, np.pi),
+                limits=(0.0, 0.0) if fixed else (-np.pi, np.pi),
             )
         )
     names = [l.name for l in links]

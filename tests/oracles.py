@@ -145,9 +145,11 @@ def links_from_model(model):
 def per_link_fk(model, joint_pos, root_pos, root_quat):
     """Link-by-link FK walk in link order: (..., L, 3), (..., L, 4).
 
-    The package's FK goes one tree depth at a time for a batch, and walks
-    the links with Python floats for one configuration, both with the same
-    arithmetic per link, so all three must agree bit for bit.
+    The package's FK walks the links with Python floats for one
+    configuration, and for a batch goes one tree depth at a time on
+    component-major (3, L, B) and (4, L, B) arrays, writing each product
+    as sums of permuted, signed terms. Both keep the arithmetic per link of
+    this walk, so all three must agree bit for bit.
     """
     joint_pos = np.asarray(joint_pos, dtype=float)
     batch = joint_pos.shape[:-1]

@@ -192,6 +192,29 @@ class TestBenchWorkflow:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "clips[0] is not an object" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"episodes": 3}, "'episodes' is int, not a list"),
+        (7, "expected an object with key 'episodes', got int"),
+    ], ids=["episodes-not-a-list", "not-an-object"])
+    def test_results_document_of_the_wrong_shape_is_an_error(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["bench", "report", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"clips": 5}, "manifest 'clips' is int, not a list"),
+        (3, "manifest is int, not an object with key 'clips'"),
+    ], ids=["clips-not-a-list", "not-an-object"])
+    def test_manifest_of_the_wrong_shape_is_an_error(self, tmp_path, capsys, doc, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["bench", "run", "--manifest", str(manifest), "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("episode, message", [
         (1, "episodes[1]: 'int' object is not subscriptable"),
         ({"clip_name": "a", "category": "walk", "level": "slow", "success": True,

@@ -179,7 +179,7 @@ def assert_matches_per_link(model, joint_pos, root_pos, root_quat):
 class TestLevelwiseFK:
     """FK goes one tree depth at a time; the link-by-link walk is the oracle."""
 
-    @pytest.mark.parametrize("batch", [(), (1,), (90,), (1024,)])
+    @pytest.mark.parametrize("batch", [(), (1,), (90,), (1024,), (300,), (3, 4), (0,)])
     def test_reference_model_bit_identical(self, ref_model, rng, batch):
         assert_matches_per_link(ref_model, *random_batch(rng, ref_model, batch))
 
@@ -189,6 +189,26 @@ class TestLevelwiseFK:
             for batch in ((), (5,)):
                 assert_matches_per_link(model, *random_batch(rng, model, batch))
 
+    def test_random_trees_with_fixed_links_bit_identical(self, rng):
+        # fixed links between a level's actuated ones: the actuated links are
+        # no one run of the level, so the level indexes them with an array
+        split = 0
+        for _ in range(60):
+            model = random_tree_model(rng, int(rng.integers(2, 13)), fixed_share=0.4)
+            split += any(isinstance(rel, np.ndarray) and rel.size for _, _, rel, *_ in model.fk_levels)
+            for batch in ((), (5,), (2, 3)):
+                assert_matches_per_link(model, *random_batch(rng, model, batch))
+        assert split >= 10
+
+    def test_batched_joints_with_one_root(self, ref_model, rng):
+        joint_pos, _, _ = random_batch(rng, ref_model, (6,))
+        _, root_pos, root_quat = random_batch(rng, ref_model, ())
+        assert_matches_per_link(ref_model, joint_pos, root_pos, root_quat)
+        # and a root per column of a 2-D batch, broadcast over its rows
+        joint_pos, _, _ = random_batch(rng, ref_model, (2, 3))
+        _, root_pos, root_quat = random_batch(rng, ref_model, (3,))
+        assert_matches_per_link(ref_model, joint_pos, root_pos, root_quat)
+
     def test_reference_model_levels(self, ref_model):
         levels = ref_model.fk_levels
         assert len(levels) == 10
@@ -196,12 +216,28 @@ class TestLevelwiseFK:
         covered = [i for links, *_ in levels for i in link[links]]
         assert covered == [i for i in link if i != ref_model.root_index]
         head = ref_model.link_index("head")
-        for links, parents, actuated, cols, axes in levels:
+        for links, parents, rel, cols, vt, bt, jt in levels:
             assert list(ref_model.parent_index[links]) == list(link[parents])
             assert np.all(link[parents] < link[links][0])
+            actuated = link[links][rel]
             assert list(ref_model.joint_index[actuated]) == list(np.arange(29)[cols])
-            assert head not in link[actuated]
-            assert np.array_equal(axes, ref_model.axes[actuated])
+            assert list(actuated) == [i for i in link[links] if ref_model.joint_index[i] >= 0]
+            assert head not in actuated
+            # the terms are the offsets and axes, permuted and signed so that
+            # sum_i a[i] * term[i] is quat_mul(a, b)
+            v = ref_model.offsets_pos[links]
+            assert vt.shape == (9, len(v), 1)
+            assert np.array_equal(vt[..., 0].T, v[:, [0, 1, 2, 2, 0, 1, 1, 2, 0]])
+            a = quat_normalize(np.random.default_rng(0).normal(size=(len(v), 4)))
+            b = ref_model.offsets_quat[links]
+            assert bt.shape == (4, 4, len(b), 1)
+            got = sum(a[:, i] * bt[i, ..., 0] for i in range(4)).T
+            assert np.array_equal(got, stack_quat_mul(a, b))
+            axes = ref_model.axes[actuated]
+            jq = np.concatenate([np.ones((len(axes), 1)), axes], axis=1)
+            assert jt.shape == (4, 4, len(axes), 1)
+            got = sum(a[rel, i] * jt[i, ..., 0] for i in range(4)).T
+            assert np.array_equal(got, stack_quat_mul(a[rel], jq))
 
     def test_children_listed_before_parents_siblings(self, tmp_path, rng):
         # the file lists a deep branch first, a fixed link mid-tree and the

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import struct
 from dataclasses import replace
 
@@ -141,6 +142,63 @@ class TestColumns:
         assert np.array_equal(frames[2].body_pos, clip.body_pos[2])
         with pytest.raises(IndexError):
             frames[6]
+
+
+class TestReplace:
+    """replace checks what it changes; the columns it keeps were checked when
+    the clip was built."""
+
+    @pytest.fixture
+    def clip(self, ref_model):
+        return constant_velocity_clip(ref_model, 1.0, n_frames=6, with_bodies=False)
+
+    def test_kept_columns_are_shared(self, clip):
+        out = clip.replace(name="renamed")
+        assert out.name == "renamed"
+        for key in COLUMNS:
+            assert getattr(out, key) is getattr(clip, key)
+
+    @pytest.mark.parametrize("key, frame", [("joint_vel", 3), ("body_pos", 0), ("body_quat", 5)])
+    def test_non_finite_new_column_rejected(self, clip, ref_model, key, frame):
+        k = ref_model.n_key_bodies
+        changes = {"joint_vel": np.zeros((6, ref_model.n_joints))} if key == "joint_vel" else {
+            "body_pos": np.zeros((6, k, 3)), "body_quat": np.tile(IDENTITY_QUAT, (6, k, 1))}
+        changes[key][frame].flat[1] = np.nan
+        with pytest.raises(InputError, match=re.escape(f"frames[{frame}].{key}: non-finite values")):
+            clip.replace(**changes)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("joint_vel", np.zeros((6, 30)), "joint_vel: expected shape (6, 29), got (6, 30)"),
+        ("joint_vel", np.zeros((5, 29)), "joint_vel: expected shape (6, 29), got (5, 29)"),
+        ("body_pos", np.zeros((6, 7, 4)), "body_pos: expected shape (6, 7, 3), got (6, 7, 4)"),
+        ("joint_pos", np.zeros((6, 28)), "joint_vel: expected shape (6, 28), got (6, 29)"),
+    ])
+    def test_wrong_shape_rejected(self, ref_model, key, value, message):
+        clip = derive_joint_velocities(constant_velocity_clip(ref_model, 1.0, n_frames=6, with_bodies=False))
+        with pytest.raises(InputError, match=re.escape(message)):
+            clip.replace(**{key: value})
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"t": np.arange(6) / 29.0}, "frames[1]: timestamp spacing 0.034482759 deviates from 1/fps=0.033333333"),
+        ({"t": np.arange(6)[::-1] / 30.0}, "frames[1].t: timestamps must be strictly increasing"),
+        ({"fps": 60.0}, "frames[1]: timestamp spacing 0.033333333 deviates from 1/fps=0.016666667"),
+        ({"fps": 0.0}, "fps must be positive"),
+        ({"root_quat": np.tile([0.0, 0.0, 0.0, 2.0], (6, 1))}, "frames[0].root_quat: norm 2.000000000 deviates"),
+        ({"category": "dance"}, "unknown category 'dance'"),
+        ({"category": "squat"}, "level 'slow' not allowed for category 'squat'"),
+        ({"level": "high"}, "level 'high' not allowed for category 'walk'"),
+    ])
+    def test_changed_metadata_and_root_columns_checked(self, clip, changes, message):
+        assert (clip.category, clip.level) == ("walk", "slow")
+        with pytest.raises(InputError, match=re.escape(message)):
+            clip.replace(**changes)
+
+    def test_new_root_quaternions_normalised_and_canonical(self, clip):
+        flipped = -1.0000001 * clip.root_quat
+        out = clip.replace(root_quat=flipped)
+        assert np.allclose(out.root_quat, clip.root_quat, atol=1e-15)
+        assert np.all(out.root_quat[:, 0] > 0)
+        assert not out.root_quat.flags.writeable
 
 
 class TestClipFile:

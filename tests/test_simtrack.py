@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from omniclone.errors import ConfigError, InputError
 from omniclone.kinematics import GRAVITY, RigidPose, to_base_point, to_base_quat, to_base_vector
-from omniclone.motion import Frame, MotionClip, derive_joint_velocities
+from omniclone.motion import COLUMNS, Frame, MotionClip, derive_body_kinematics, derive_joint_velocities
 from omniclone.rotations import quat_from_yaw, quat_mul, quat_rotate
 from omniclone.simtrack import (
     DEFAULT_REWARD_WEIGHTS,
@@ -29,7 +29,7 @@ from omniclone.simtrack import (
     track_clip,
 )
 from omniclone.synthetic import constant_velocity_clip, static_clip
-from oracles import per_field_dr, quat_normalize, student_obs_blocks
+from oracles import per_field_dr, quat_normalize, sine_joint_clip, student_obs_blocks
 
 
 def random_state(rng, model):
@@ -514,6 +514,23 @@ class TestTrackers:
         assert np.allclose(out.body_pos, clip.body_pos, atol=1e-12)
         assert np.allclose(out.joint_pos, clip.joint_pos)
         assert np.array_equal(out.t, clip.t)
+
+    @pytest.mark.parametrize("tracker", ["perfect", "lag:0"])
+    @pytest.mark.parametrize("with_bodies", [True, False])
+    def test_zero_lag_replay_bytes_equal_a_regathered_copy(self, ref_model, tracker, with_bodies):
+        clip = sine_joint_clip(ref_model, joint=4, n_frames=12, with_joint_vel=False)
+        clip = clip.replace(root_pos=clip.root_pos + np.arange(12)[:, None] * [0.03, 0.01, 0.0])
+        if with_bodies:
+            clip = derive_body_kinematics(clip, ref_model)
+        out = track_clip(parse_tracker(tracker), clip, ref_model)
+        ref = derive_body_kinematics(derive_joint_velocities(clip), ref_model)
+        src = np.arange(12)
+        for key in COLUMNS:
+            want, got = getattr(ref, key), getattr(out, key)
+            assert (got is None) == (want is None), key
+            if want is not None:
+                assert got.shape == want.shape and got.tobytes() == want[src].tobytes(), key
+        assert (out.name, out.fps, out.category, out.level) == (clip.name, clip.fps, clip.category, clip.level)
 
     def test_lag_replays_shifted_frames(self, ref_model):
         clip = constant_velocity_clip(ref_model, 1.0, n_frames=12)
