@@ -22,11 +22,12 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_once(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
-    """One benchmark run: its summary line and its result line."""
+def run_once(workload: str, seed: int, seconds: float, trace: int,
+             root: pathlib.Path = ROOT) -> tuple[dict, dict]:
+    """One benchmark run of the checkout at root: its summary line and its result line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if len(lines) < 2:
         raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")

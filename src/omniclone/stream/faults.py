@@ -2,14 +2,16 @@
 
 Per-packet random draws happen in a fixed order (drop, jitter, reorder,
 duplicate) so a seeded run is exactly reproducible and a test can replay
-the same generator to predict the delivered trace. `sim.fault_schedule`
-applies it to a stream of packets; the virtual simulator and the live
-loopback probe both take their fates from there, so a given seed drops
-the same seqs in both.
+the same generator to predict the delivered trace. `decide` alone holds
+that order, whether it draws from a Generator or from a block of doubles.
+`sim.fault_schedule` applies it to a stream of packets; the virtual
+simulator and the live loopback probe both take their fates from there,
+so a given seed drops the same seqs in both.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +47,26 @@ class Decision:
     delays_s: tuple[float, ...]  # one entry per delivered copy
 
 
-def decide(config: FaultConfig, rng: np.random.Generator) -> Decision:
+def decide(config: FaultConfig, rng: np.random.Generator | Callable[[], float]) -> Decision:
     """Draw the fate of one packet. Draw order is part of the wire contract
-    for reproducibility: drop, jitter, reorder, duplicate."""
-    if rng.random() < config.drop_prob:
-        return Decision(dropped=True, delays_s=())
+    for reproducibility: drop, jitter, reorder, duplicate.
+
+    rng is a Generator or a callable returning its next double in [0, 1),
+    such as one over a block of `Generator.random` draws: a packet takes one
+    double if dropped, else four. Jitter is `lo + (hi - lo) * u`, the
+    arithmetic of `Generator.uniform`, so both forms give the same bits.
+    """
+    draw = rng.random if isinstance(rng, np.random.Generator) else rng
+    if draw() < config.drop_prob:
+        return _DROPPED
     lo, hi = config.jitter_ms
-    delay_ms = float(rng.uniform(lo, hi))
-    if rng.random() < config.reorder_prob:
+    lo, hi = float(lo), float(hi)  # as Generator.uniform converts its bounds
+    delay_ms = lo + (hi - lo) * draw()
+    if draw() < config.reorder_prob:
         delay_ms += REORDER_EXTRA_MS
-    delays = [delay_ms / 1000.0]
-    if rng.random() < config.duplicate_prob:
-        delays.append((delay_ms + DUPLICATE_DELAY_MS) / 1000.0)
-    return Decision(dropped=False, delays_s=tuple(delays))
+    if draw() < config.duplicate_prob:
+        return Decision(False, (delay_ms / 1000.0, (delay_ms + DUPLICATE_DELAY_MS) / 1000.0))
+    return Decision(False, (delay_ms / 1000.0,))
+
+
+_DROPPED = Decision(dropped=True, delays_s=())

@@ -4,7 +4,6 @@ zero-order hold.
 from __future__ import annotations
 
 import bisect
-import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -27,9 +26,9 @@ class Stamped:
 class FrameQueue:
     """Bounded FIFO ordered by seq; newest data wins on overflow.
 
-    Safe for one producer and one consumer, on the same thread or on two;
-    all mutation is serialized through the internal lock. pop() never
-    blocks: an empty queue re-emits the last frame with held=True
+    For one thread: the producer and the consumer run on the same thread,
+    as the policy server and the simulator do, so nothing is locked. pop()
+    never blocks: an empty queue re-emits the last frame with held=True
     (zero-order hold). Popping before the first push raises NeverFedError,
     so a consumer starts popping once len() is nonzero.
     """
@@ -43,36 +42,31 @@ class FrameQueue:
         self._last: Stamped | None = None
         self.held_count = 0
         self.stale_count = 0
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._seqs)
+        return len(self._seqs)
 
     def push(self, frame: Stamped) -> str:
-        with self._lock:
-            if self._last is not None and frame.seq <= self._last.seq:
-                self.stale_count += 1
-                return PUSH_STALE
-            pos = bisect.bisect_left(self._seqs, frame.seq)
-            if pos < len(self._seqs) and self._seqs[pos] == frame.seq:
-                self.stale_count += 1
-                return PUSH_STALE
-            self._seqs.insert(pos, frame.seq)
-            self._items[frame.seq] = frame
-            if len(self._seqs) > self.capacity:
-                evicted = self._seqs.pop(0)
-                del self._items[evicted]
-            return PUSH_ACCEPTED
+        seq, seqs = frame.seq, self._seqs
+        if self._last is not None and seq <= self._last.seq:
+            self.stale_count += 1
+            return PUSH_STALE
+        pos = bisect.bisect_left(seqs, seq)
+        if pos < len(seqs) and seqs[pos] == seq:
+            self.stale_count += 1
+            return PUSH_STALE
+        seqs.insert(pos, seq)
+        self._items[seq] = frame
+        if len(seqs) > self.capacity:
+            del self._items[seqs.pop(0)]
+        return PUSH_ACCEPTED
 
     def pop(self) -> tuple[Stamped, bool]:
-        with self._lock:
-            if self._seqs:
-                seq = self._seqs.pop(0)
-                frame = self._items.pop(seq)
-                self._last = frame
-                return frame, False
-            if self._last is None:
-                raise NeverFedError("pop before any frame was pushed")
-            self.held_count += 1
-            return self._last, True
+        if self._seqs:
+            frame = self._items.pop(self._seqs.pop(0))
+            self._last = frame
+            return frame, False
+        if self._last is None:
+            raise NeverFedError("pop before any frame was pushed")
+        self.held_count += 1
+        return self._last, True

@@ -15,7 +15,17 @@ Layout (all little-endian):
                               joint_pos n x f32]
     crc32      4 bytes  IEEE, over all preceding bytes
 
-Datagrams larger than 1400 bytes are rejected at encode time.
+Datagrams larger than 1400 bytes are rejected at encode time, and at
+decode time before the CRC pass, so an oversize datagram costs a receiver
+no more than a length check.
+
+decode_packet checks the length, magic, version, exact size and CRC, then
+views the payload once as a (frame_count, 3 + 7K + n) float32 array. The
+checked header fixes every frame's shapes, so the decoded PacketFrames and
+StreamPacket are built from those views without re-running their
+constructors' checks: root_lin_vel and joint_pos are read-only views of
+the datagram, and body_pos and body_quat are rows of one copy each per
+packet. Every other caller goes through the checking constructors.
 """
 from __future__ import annotations
 
@@ -129,8 +139,7 @@ def encode_packet(packet: StreamPacket) -> bytes:
     ]
     for f in packet.frames:
         parts.append(f.root_lin_vel.tobytes())
-        body = np.concatenate([f.body_pos, f.body_quat], axis=1)
-        parts.append(np.ascontiguousarray(body, dtype=np.float32).tobytes())
+        parts.append(np.concatenate((f.body_pos, f.body_quat), axis=1).tobytes())
         parts.append(f.joint_pos.tobytes())
     body = b"".join(parts)
     crc = zlib.crc32(body) & 0xFFFFFFFF
@@ -140,6 +149,10 @@ def encode_packet(packet: StreamPacket) -> bytes:
 def decode_packet(data: bytes) -> StreamPacket:
     if len(data) < HEADER_LEN + CRC_LEN:
         raise TruncationError(f"datagram of {len(data)} bytes is shorter than a header")
+    if len(data) > MAX_DATAGRAM:
+        raise ProtocolError(
+            f"datagram of {len(data)} bytes exceeds the {MAX_DATAGRAM}-byte budget"
+        )
     magic, version, msg_type, flags, seq, ts, frame_count, k, n = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
@@ -154,32 +167,47 @@ def decode_packet(data: bytes) -> StreamPacket:
     actual = zlib.crc32(data[:-CRC_LEN]) & 0xFFFFFFFF
     if crc != actual:
         raise CorruptionError(f"crc mismatch: trailer {crc:#010x}, computed {actual:#010x}")
-    frames = []
-    offset = HEADER_LEN
-    per_frame = frame_bytes(k, n)
-    for _ in range(frame_count):
-        chunk = np.frombuffer(data, dtype="<f4", count=per_frame // 4, offset=offset)
-        root_lin_vel = chunk[:3]
-        body = chunk[3 : 3 + 7 * k].reshape(k, 7)
-        joint_pos = chunk[3 + 7 * k :]
-        frames.append(
-            PacketFrame(
-                root_lin_vel=root_lin_vel,
-                body_pos=body[:, :3],
-                body_quat=body[:, 3:],
-                joint_pos=joint_pos,
+    frames = ()
+    if frame_count:
+        # the checked length fixes every shape below, so the frames skip
+        # PacketFrame's conversions and checks (see the module docstring)
+        joints_at = 3 + 7 * k
+        width = joints_at + n
+        rows = np.frombuffer(
+            data, dtype="<f4", count=frame_count * width, offset=HEADER_LEN
+        ).reshape(frame_count, width)
+        body = rows[:, 3:joints_at].reshape(frame_count, k, 7)
+        body_pos = body[:, :, :3].copy()
+        body_quat = body[:, :, 3:].copy()
+        frames = tuple([
+            _unchecked(
+                PacketFrame,
+                root_lin_vel=rows[i, :3],
+                body_pos=body_pos[i],
+                body_quat=body_quat[i],
+                joint_pos=rows[i, joints_at:],
             )
-        )
-        offset += per_frame
-    return StreamPacket(
+            for i in range(frame_count)
+        ])
+    # seq and ts are in range by the struct format
+    return _unchecked(
+        StreamPacket,
         msg_type=msg_type,
         seq=seq,
         send_ts_us=ts,
-        frames=tuple(frames),
+        frames=frames,
         flags=flags,
         n_bodies=k,
         n_joints=n,
     )
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass built without __post_init__, for
+    fields the caller has already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def payload_finite(data: bytes) -> bool:

@@ -61,18 +61,26 @@ def fault_schedule(
     seed: int,
 ) -> tuple[list[tuple[float, int, int]], int, int]:
     """Arrival events (time, order, seq) for packets seq=1..n sent on a fixed
-    cadence through the seeded fault model. Returns (arrivals, delivered, dropped)."""
+    cadence through the seeded fault model. Returns (arrivals, delivered, dropped).
+
+    The doubles come from one block of 4 * n_packets `Generator.random`
+    draws of `default_rng(seed)`, which `decide` consumes in order, one
+    for a dropped packet and four for a delivered one. A block holds the
+    same doubles as that many scalar draws, so the arrivals are those of
+    one `Generator.random`/`uniform` call per draw, bit for bit; the
+    unused tail of the block is discarded with the local generator.
+    """
     if n_packets < 0:
         raise InputError(f"packet count must be >= 0, got {n_packets}")
     if not producer_hz > 0:
         raise InputError(f"producer rate must be positive, got {producer_hz}")
-    rng = np.random.default_rng(seed)
+    draw = iter(np.random.default_rng(seed).random(4 * n_packets).tolist()).__next__
     arrivals: list[tuple[float, int, int]] = []
     order = 0
     dropped = 0
     for i in range(n_packets):
         t_send = i / producer_hz
-        decision = decide(fault, rng)
+        decision = decide(fault, draw)
         if decision.dropped:
             dropped += 1
             continue

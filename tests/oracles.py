@@ -19,7 +19,11 @@ which the package still reads but no longer writes. Nor are the writers
 and helpers that only tests use, which the package does not ship:
 save_model, save_subject_stream (with subject_frame_to_dict),
 save_mapping, save_chunks, parse_report_csv, quat_normalize,
-quat_distance, packets_equal, sine_joint_clip and identity_pose.
+quat_distance, packets_equal, decoded_frames_canonical, sine_joint_clip
+and identity_pose.
+per_packet_fault_schedule keeps the fault model's scalar draws, one
+generator call per draw, which the package's one-block schedule must
+reproduce bit for bit.
 """
 import json
 import math
@@ -42,6 +46,8 @@ from omniclone.kinematics import (
 from omniclone.motion import BENCH_STRATA, COLUMNS, Frame, MotionClip, clip_to_dict
 from omniclone.rotations import IDENTITY_QUAT, quat_from_axis_angle, quat_mul, quat_rotate
 from omniclone.simtrack import DRConfig
+from omniclone.stream import PacketFrame, StreamPacket
+from omniclone.stream.faults import DUPLICATE_DELAY_MS, REORDER_EXTRA_MS
 from omniclone.synthetic import DEFAULT_ROOT_Z
 from omniclone.vlabridge import DEFAULT_DENOISE_STEPS
 
@@ -448,6 +454,55 @@ def packets_equal(a, b):
         ):
             return False
     return True
+
+
+def decoded_frames_canonical(packet):
+    """Whether every frame array of a decoded packet is float32, C-contiguous
+    and of PacketFrame's shapes, and the packet equals one rebuilt through
+    the checking PacketFrame and StreamPacket constructors."""
+    k, n = packet.n_bodies, packet.n_joints
+    shapes = {"root_lin_vel": (3,), "body_pos": (k, 3), "body_quat": (k, 4), "joint_pos": (n,)}
+    for f in packet.frames:
+        for name, shape in shapes.items():
+            arr = getattr(f, name)
+            if arr.dtype != np.float32 or not arr.flags["C_CONTIGUOUS"] or arr.shape != shape:
+                return False
+    rebuilt = StreamPacket(
+        packet.msg_type, packet.seq, packet.send_ts_us,
+        tuple(PacketFrame(f.root_lin_vel, f.body_pos, f.body_quat, f.joint_pos) for f in packet.frames),
+        packet.flags, packet.n_bodies, packet.n_joints,
+    )
+    return packets_equal(packet, rebuilt)
+
+
+# ---------------------------------------------------------------------------
+# Fault model, one generator call per draw
+# ---------------------------------------------------------------------------
+
+def per_packet_fault_schedule(n_packets, producer_hz, fault, seed):
+    """fault_schedule's (arrivals, delivered, dropped) with each packet's
+    fate drawn by scalar `Generator.random` and `Generator.uniform` calls,
+    in the wire order drop, jitter, reorder, duplicate."""
+    rng = np.random.default_rng(seed)
+    arrivals = []
+    order = dropped = 0
+    for i in range(n_packets):
+        t_send = i / producer_hz
+        if rng.random() < fault.drop_prob:
+            dropped += 1
+            continue
+        lo, hi = fault.jitter_ms
+        delay_ms = float(rng.uniform(lo, hi))
+        if rng.random() < fault.reorder_prob:
+            delay_ms += REORDER_EXTRA_MS
+        delays = [delay_ms / 1000.0]
+        if rng.random() < fault.duplicate_prob:
+            delays.append((delay_ms + DUPLICATE_DELAY_MS) / 1000.0)
+        for delay in delays:
+            arrivals.append((t_send + delay, order, i + 1))
+            order += 1
+    arrivals.sort()
+    return arrivals, order, dropped
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import random_tree_model
 from oracles import (
+    decoded_frames_canonical,
     hold_pipeline_oracle,
     links_from_model,
     matrix_fk,
@@ -183,7 +184,9 @@ def test_wire_codec(rng):
             n_bodies=k,
             n_joints=n,
         )
-        assert packets_equal(decode_packet(encode_packet(packet)), packet)
+        decoded = decode_packet(encode_packet(packet))
+        assert packets_equal(decoded, packet)
+        assert decoded_frames_canonical(decoded)
 
     # golden fixtures from the independent reference encoder
     assert encode_packet(heartbeat(1, 1000)) == reference_encode(2, 0, 1, 1000, [])
@@ -204,6 +207,28 @@ def test_wire_codec(rng):
         }],
     )
     assert encode_packet(packet) == golden
+
+    # the largest packet of the bundled model's counts: 4 frames of K=7, n=29
+    values = (np.arange(4 * 81, dtype=np.float32) * 0.125 - 20.0).reshape(4, 81)
+    frames = tuple(
+        PacketFrame(row[:3], row[3:52].reshape(7, 7)[:, :3], row[3:52].reshape(7, 7)[:, 3:], row[52:])
+        for row in values
+    )
+    packet = StreamPacket(msg_type=0, seq=2**32 - 1, send_ts_us=2**64 - 1, frames=frames, flags=3)
+    golden = reference_encode(
+        0, 3, 2**32 - 1, 2**64 - 1,
+        [{
+            "root_lin_vel": [float(v) for v in row[:3]],
+            "bodies": [([float(v) for v in body[:3]], [float(v) for v in body[3:]])
+                       for body in row[3:52].reshape(7, 7)],
+            "joint_pos": [float(v) for v in row[52:]],
+        } for row in values],
+    )
+    assert len(golden) == 1326
+    assert encode_packet(packet) == golden
+    decoded = decode_packet(golden)
+    assert packets_equal(decoded, packet)
+    assert decoded_frames_canonical(decoded)
 
 
 def test_benchmark_end_to_end(ref_model):

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chain_model
-from oracles import hold_pipeline_oracle, packets_equal, reference_encode, sorted_percentile
+from oracles import (
+    decoded_frames_canonical,
+    hold_pipeline_oracle,
+    packets_equal,
+    per_packet_fault_schedule,
+    reference_encode,
+    sorted_percentile,
+)
 
 from omniclone.errors import (
     ConfigError,
@@ -22,6 +29,7 @@ from omniclone.errors import (
     TruncationError,
 )
 from omniclone.stream import (
+    MAX_DATAGRAM,
     FaultConfig,
     FrameQueue,
     MSG_FRAMES,
@@ -66,6 +74,17 @@ def make_packet(rng, seq=1, frame_count=1, k=7, n=29, msg_type=MSG_FRAMES):
         send_ts_us=int(rng.integers(0, 2**48)),
         frames=frames,
     )
+
+
+def oversize_datagram(frame_count, k=0, n=0, seq=1):
+    """A well-formed datagram of finite frames, CRC included, that only the
+    size budget rejects."""
+    frame = {
+        "root_lin_vel": [0.0, 0.0, 0.0],
+        "bodies": [([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])] * k,
+        "joint_pos": [0.0] * n,
+    }
+    return reference_encode(MSG_FRAMES, 0, seq, 0, [frame] * frame_count)
 
 
 class TestCodec:
@@ -162,7 +181,24 @@ class TestCodec:
             msg_type=msg_type, seq=seq, send_ts_us=ts, frames=frames,
             flags=flags, n_bodies=k, n_joints=n,
         )
-        assert packets_equal(decode_packet(encode_packet(packet)), packet)
+        decoded = decode_packet(encode_packet(packet))
+        assert packets_equal(decoded, packet)
+        assert decoded_frames_canonical(decoded)
+
+    def test_oversize_datagram_rejected(self):
+        # 5,456 empty frames fill a 65,502-byte datagram with a valid CRC
+        data = oversize_datagram(5456)
+        assert len(data) == 65502
+        with pytest.raises(ProtocolError, match="budget"):
+            decode_packet(data)
+        # the largest datagram a frame can fill (1398 bytes) decodes; 1402 does not
+        frame = {"root_lin_vel": [0.0] * 3, "bodies": [], "joint_pos": [0.5] * 339}
+        assert len(decode_packet(reference_encode(0, 0, 1, 0, [frame])).frames) == 1
+        frame["joint_pos"].append(0.5)
+        data = reference_encode(0, 0, 1, 0, [frame])
+        assert len(data) == MAX_DATAGRAM + 2
+        with pytest.raises(ProtocolError, match="budget"):
+            decode_packet(data)
 
 
 class TestFrameQueue:
@@ -397,6 +433,27 @@ class TestFaultInjector:
             with pytest.raises(InputError):
                 measure_latency(n_samples=20, rate_hz=rate)
 
+    @pytest.mark.parametrize("fault", [
+        FaultConfig(),
+        FaultConfig(drop_prob=1.0),
+        FaultConfig(jitter_ms=(5, 5)),
+        FaultConfig(jitter_ms=(0, 40)),
+        FaultConfig(jitter_ms=(0, 40), reorder_prob=1.0),
+        FaultConfig(jitter_ms=(0, 40), duplicate_prob=1.0),
+        FaultConfig(drop_prob=0.3, jitter_ms=(0.0, 40.0), reorder_prob=0.2, duplicate_prob=0.1),
+        FaultConfig(drop_prob=0.05, jitter_ms=(2.5, 7.25), reorder_prob=1.0, duplicate_prob=1.0),
+    ])
+    def test_one_block_schedule_matches_per_packet_draws(self, fault):
+        def bits(schedule):
+            arrivals, delivered, dropped = schedule
+            return [(t.hex(), order, seq) for t, order, seq in arrivals], delivered, dropped
+
+        for seed in range(200):
+            for n in (0, 1, 40):
+                expected = per_packet_fault_schedule(n, 50.0, fault, seed)
+                assert fault_schedule(n, 50.0, fault, seed) == expected
+                assert bits(fault_schedule(n, 50.0, fault, seed)) == bits(expected)
+
     def test_decision_determinism(self):
         cfg = FaultConfig(drop_prob=0.3, jitter_ms=(0, 10), reorder_prob=0.2, duplicate_prob=0.1)
         a = [decide(cfg, np.random.default_rng(5)) for _ in range(20)]
@@ -544,6 +601,12 @@ class TestLiveEndpoints:
         assert server.decode_errors == 1
         assert server.heartbeats == 1
         assert seqs == []
+
+    def test_oversize_datagram_counted_as_decode_error(self):
+        # 202 frames with the bundled model's counts: 65,478 bytes, CRC valid
+        server, seqs = serve_datagrams([oversize_datagram(202, k=7, n=29, seq=1), frame_datagram(2)])
+        assert server.decode_errors == 1
+        assert seqs and set(seqs) == {2}
 
     def test_heartbeat_echoed(self):
         server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0)
