@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .files import read_json
 from .kinematics import HumanoidModel
 from .motion import BENCH_STRATA, MotionClip, derive_body_kinematics
 from .rotations import quat_from_yaw, quat_rotate, quat_yaw
@@ -369,8 +370,7 @@ def results_to_json(results: Sequence[EpisodeResult], method: str = "") -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def results_from_json(text: str) -> tuple[list[EpisodeResult], str]:
-    doc = json.loads(text)
+def results_from_dict(doc) -> tuple[list[EpisodeResult], str]:
     if not isinstance(doc, Mapping):
         raise InputError(f"results document: expected an object with key 'episodes', got {type(doc).__name__}")
     if "episodes" not in doc:
@@ -388,8 +388,7 @@ class ManifestEntry:
 
 
 def load_manifest(path) -> list[ManifestEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, Mapping):
         raise InputError(f"{path}: manifest is {type(doc).__name__}, not an object with key 'clips'")
     if "clips" not in doc:

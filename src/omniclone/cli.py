@@ -24,6 +24,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import motion, retarget, simtrack, synthetic, vlabridge
 from .errors import OmniCloneError
+from .files import read_json
 from .kinematics import HumanoidModel, RigidPose, load_model, load_reference_model
 from .stream import (
     DEFAULT_WINDOW,
@@ -57,8 +58,7 @@ class RunConfig:
     def load(path) -> "RunConfig":
         """Read a JSON object of field values. A null value keeps the
         default; an int is accepted for a float field."""
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise OmniCloneError("run config must be a JSON object")
         types = typing.get_type_hints(RunConfig)
@@ -131,7 +131,7 @@ def cmd_relay(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
     forward = parse_addr(args.forward)
     if args.stdin:
-        clip = motion.clip_from_dict(json.load(sys.stdin))
+        clip = motion.clip_from_dict(read_json())
     elif args.clip:
         clip = motion.load_clip(args.clip)
     else:
@@ -319,8 +319,7 @@ def cmd_bench_run(args, cfg: RunConfig) -> int:
 
 
 def cmd_bench_report(args, cfg: RunConfig) -> int:
-    text = pathlib.Path(args.infile).read_text(encoding="utf-8")
-    results, method = bench_mod.results_from_json(text)
+    results, method = bench_mod.results_from_dict(read_json(args.infile))
     report = bench_mod.aggregate(
         results, method=args.method or method, include_failed=args.include_failed
     )
@@ -356,8 +355,9 @@ def cmd_stats(args, cfg: RunConfig) -> int:
 
 
 def cmd_recipe(args, cfg: RunConfig) -> int:
-    with open(args.pools, "r", encoding="utf-8") as fh:
-        pools = json.load(fh)
+    pools = read_json(args.pools)
+    if not isinstance(pools, dict) or not all(isinstance(v, list) for v in pools.values()):
+        raise OmniCloneError(f"{args.pools}: pools must map each label to a list of clip names")
     fractions = {}
     for part in args.fractions.split(","):
         label, _, value = part.partition("=")
@@ -546,11 +546,9 @@ def main(argv: list[str] | None = None) -> int:
             level=os.environ.get("OMNICLONE_LOG", cfg.log_level).upper()
         )
         return args.func(args, cfg)
-    except (OmniCloneError, FileNotFoundError) as exc:
+    # OSError: an input that cannot be opened, or an output that cannot be written
+    except (OmniCloneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 1
 
 

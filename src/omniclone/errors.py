@@ -14,7 +14,7 @@ class ConfigError(OmniCloneError, ValueError):
 
 
 class ClipParseError(OmniCloneError, ValueError):
-    """A clip/model/manifest document failed to parse; message carries field context."""
+    """An input document failed to decode or parse; the message names the source or field."""
 
 
 class CalibrationError(OmniCloneError, ValueError):

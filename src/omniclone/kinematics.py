@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, ClipParseError
+from .files import read_json
 from .rotations import (
     IDENTITY_QUAT,
     quat_canonical,
@@ -512,12 +513,7 @@ def model_from_dict(doc: Mapping) -> HumanoidModel:
 
 
 def load_model(path) -> HumanoidModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ClipParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path))
 
 
 _REFERENCE_MODEL: HumanoidModel | None = None

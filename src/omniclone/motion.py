@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClipParseError, ConfigError, InputError
+from .files import read_json
 from .kinematics import (
     _QUAT_TOL,
     HumanoidModel,
@@ -494,12 +495,7 @@ def save_clip(clip: MotionClip, path) -> None:
 
 
 def load_clip(path) -> MotionClip:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ClipParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    return clip_from_dict(doc)
+    return clip_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

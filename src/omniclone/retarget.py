@@ -6,13 +6,13 @@ frame itself is the only subject-specific input.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import CalibrationError, ClipParseError, InputError
+from .files import read_json, read_text
 from .kinematics import _QUAT_TOL, HumanoidModel, RigidPose, chain_height
 from .motion import Frame, MotionClip
 from .rotations import IDENTITY_QUAT
@@ -259,37 +259,27 @@ def subject_frame_from_dict(doc: Mapping, i: int = 0) -> SubjectFrame:
 
 
 def load_subject_frame(path) -> SubjectFrame:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ClipParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    return subject_frame_from_dict(doc)
+    return subject_frame_from_dict(read_json(path))
 
 
 def load_subject_stream(path) -> list[SubjectFrame]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ClipParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if "frames" not in doc:
-        raise ClipParseError(f"{path}: missing 'frames'")
+    doc = read_json(path)
+    if not isinstance(doc, Mapping) or not isinstance(doc.get("frames"), list):
+        raise ClipParseError(f"{path}: expected an object with a 'frames' list")
     return [subject_frame_from_dict(fd, i) for i, fd in enumerate(doc["frames"])]
 
 
 def load_mapping(path) -> dict[str, str]:
     """Two-column name table: `subject_marker humanoid_link`, # comments allowed."""
     mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ClipParseError(f"{path}: line {lineno}: expected two columns")
-            mapping[parts[0]] = parts[1]
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.replace(",", " ").split()
+        if len(parts) != 2:
+            raise ClipParseError(f"{path}: line {lineno}: expected two columns")
+        mapping[parts[0]] = parts[1]
     return mapping
 
 
@@ -298,14 +288,12 @@ def retargeted_clip(
     model: HumanoidModel,
     fps: float,
     name: str = "retargeted",
-    category: str = "other",
-    level: str = "none",
 ) -> MotionClip:
     return MotionClip(
         name=name,
         fps=fps,
-        category=category,
-        level=level,
+        category="other",
+        level="none",
         frames=frames,
         dof_names=model.joint_names,
         key_bodies=model.key_bodies,

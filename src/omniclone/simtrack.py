@@ -9,7 +9,7 @@ jointly to state and reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -270,9 +270,9 @@ def build_student_obs(
     return ObservationVector(values, tuple(layout))
 
 
-def teacher_obs_length(model: HumanoidModel, include_ref_joint_vel: bool = True) -> int:
+def teacher_obs_length(model: HumanoidModel) -> int:
     n, k = model.n_joints, model.n_key_bodies
-    return 2 * n + 13 * k + 3 + 3 + n + n * (2 if include_ref_joint_vel else 1) + 7 * k
+    return 2 * n + 13 * k + 3 + 3 + n + 2 * n + 7 * k
 
 
 def student_obs_length(model: HumanoidModel, future_window: int = DEFAULT_FUTURE_WINDOW) -> int:
@@ -542,16 +542,14 @@ class DRConfig:
         inside(self.armature_scale, r.armature_scale, "armature_scale")
 
 
-def sample_dr(
-    seed: int | np.random.Generator, ranges: DRRanges | None = None
-) -> DRConfig:
+def sample_dr(seed: int | np.random.Generator) -> DRConfig:
     """Uniform sample of every randomized field, in table order.
 
     No tracker consumes action_delay or action_noise any more, and the
     physical fields are sampled and validated but not simulated (there is
     no physics engine at desk scale).
     """
-    r = ranges or DRRanges()
+    r = DRRanges()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     bands = (
         [r.action_delay_s, r.action_noise_rad]
@@ -707,33 +705,20 @@ def track_clip(
 # System configuration tables
 # ---------------------------------------------------------------------------
 
+def _defaults_doc(cls) -> dict:
+    """The default field values of dataclass `cls`, tuples as lists."""
+    obj = cls()
+    return {
+        f.name: list(v) if isinstance(v := getattr(obj, f.name), tuple) else v
+        for f in fields(obj)
+    }
+
+
 def default_system_config() -> dict:
     """Config document whose values reproduce the shipped tables verbatim."""
-    r = DRRanges()
     return {
-        "reward": {
-            "weights": dict(DEFAULT_REWARD_WEIGHTS),
-            "sigmas": {term: 1.0 for term in TRACKING_TERMS},
-            "joint_vel_limit": 20.0,
-            "air_time_height_tol": 0.1,
-            "torso_body": "torso",
-            "end_effectors": list(DEFAULT_END_EFFECTORS),
-            "feet": list(DEFAULT_FEET),
-        },
-        "domain_randomization": {
-            "action_delay_s": list(r.action_delay_s),
-            "action_noise_rad": list(r.action_noise_rad),
-            "link_mass_scale": list(r.link_mass_scale),
-            "mass_links": list(r.mass_links),
-            "torso_com_x_m": list(r.torso_com_x_m),
-            "torso_com_yz_m": list(r.torso_com_yz_m),
-            "torque_rfi_fraction": r.torque_rfi_fraction,
-            "friction": list(r.friction),
-            "friction_joints": list(r.friction_joints),
-            "stiffness_scale": list(r.stiffness_scale),
-            "damping_scale": list(r.damping_scale),
-            "armature_scale": list(r.armature_scale),
-        },
+        "reward": _defaults_doc(RewardConfig),
+        "domain_randomization": _defaults_doc(DRRanges),
         # teacher/student transformer sizes, recorded only: no network runs here
         "arch": {
             "teacher": {"d_model": 256, "d_ff": 512, "n_heads": 4, "n_tokens": 4, "n_layers": 4},

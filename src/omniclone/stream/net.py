@@ -228,7 +228,6 @@ def measure_latency(
     rate_hz: float = 200.0,
     fault: FaultConfig | None = None,
     seed: int = 0,
-    constant_delay_ms: float = 0.0,
 ) -> LatencyStats:
     """One-way loopback latency probe, run on the caller's thread.
 
@@ -238,8 +237,6 @@ def measure_latency(
     received while the loop waits for its next event, and for 50 ms after
     the last; each decoded one adds receive_time - send_ts to the summary.
     """
-    if constant_delay_ms > 0:
-        fault = FaultConfig(jitter_ms=(constant_delay_ms, constant_delay_ms))
     arrivals, _, _ = fault_schedule(n_samples, rate_hz, fault or FaultConfig(), seed)
     # (time, is_copy, seq): a seq is stamped before its copies that leave at once
     events = sorted(

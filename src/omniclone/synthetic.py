@@ -73,9 +73,6 @@ def static_clip(
     n_frames: int = 90,
     fps: float = 30.0,
     root_z: float = DEFAULT_ROOT_Z,
-    name: str = "static",
-    category: str = "manip",
-    level: str = "medium",
 ) -> MotionClip:
     return constant_velocity_clip(
         model,
@@ -83,9 +80,9 @@ def static_clip(
         n_frames=n_frames,
         fps=fps,
         root_z=root_z,
-        name=name,
-        category=category,
-        level=level,
+        name="static",
+        category="manip",
+        level="medium",
     )
 
 
@@ -94,14 +91,12 @@ def benchmark_suite(
     clips_per_stratum: int = 10,
     n_frames: int = 150,
     fps: float = 30.0,
-    speeds: dict[tuple[str, str], float] | None = None,
 ) -> list[MotionClip]:
     """A full 6x3 suite of constant-velocity clips, one speed per stratum,
     headings staggered per clip so trajectories differ."""
-    speeds = speeds or SUITE_SPEEDS
     clips = []
     for s_idx, (cat, lvl) in enumerate(BENCH_STRATA):
-        v = speeds[(cat, lvl)]
+        v = SUITE_SPEEDS[(cat, lvl)]
         for i in range(clips_per_stratum):
             heading = 2.0 * np.pi * (i + s_idx / len(BENCH_STRATA)) / clips_per_stratum
             clips.append(

@@ -8,13 +8,13 @@ vla-replay workflow.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InputError, PlannerContractError, PlannerTimeout
+from .files import read_json
 from .kinematics import HumanoidModel, RigidPose, key_body_poses
 from .motion import Frame
 
@@ -166,12 +166,17 @@ def scripted_planner(chunks: Sequence[ActionChunk]) -> Callable[[np.ndarray], Ac
 
 
 def load_chunks(path) -> list[ActionChunk]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "chunks" not in doc:
-        raise InputError(f"{path}: missing 'chunks'")
-    denoise = int(doc.get("denoise_steps", DEFAULT_DENOISE_STEPS))
-    return [
-        ActionChunk(np.asarray(c, dtype=float), source_step=i, denoise_steps=denoise)
-        for i, c in enumerate(doc["chunks"])
-    ]
+    doc = read_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("chunks"), list):
+        raise InputError(f"{path}: expected an object with a 'chunks' list")
+    denoise = doc.get("denoise_steps", DEFAULT_DENOISE_STEPS)
+    if type(denoise) is not int:
+        raise InputError(f"{path}: 'denoise_steps' must be an integer, got {denoise!r}")
+    chunks = []
+    for i, c in enumerate(doc["chunks"]):
+        # ValueError covers a non-numeric or ragged chunk and ActionChunk's InputError
+        try:
+            chunks.append(ActionChunk(c, source_step=i, denoise_steps=denoise))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: chunks[{i}]: {exc}") from None
+    return chunks

@@ -155,7 +155,7 @@ def test_streaming_latency_budget():
     injected constant 30 ms delay is measured within +-3 ms."""
     plain = measure_latency(n_samples=150, rate_hz=500.0)
     assert plain.mean_ms < 80.0
-    delayed = measure_latency(n_samples=60, rate_hz=200.0, constant_delay_ms=30.0)
+    delayed = measure_latency(n_samples=60, rate_hz=200.0, fault=FaultConfig(jitter_ms=(30.0, 30.0)))
     assert abs(delayed.mean_ms - 30.0) <= 3.0
 
 

@@ -1,4 +1,5 @@
 import collections
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from omniclone.bench import (
     load_manifest,
     mpjpe,
     parse_report_json,
-    results_from_json,
+    results_from_dict,
     results_to_json,
     run_episode,
     save_manifest,
@@ -331,7 +332,7 @@ class TestSerialization:
     def test_results_json_round_trip(self):
         results = [episode("run", "slow", 12.5), episode("jump", "high", 48.0, success=False)]
         text = results_to_json(results, method="m1")
-        again, method = results_from_json(text)
+        again, method = results_from_dict(json.loads(text))
         assert method == "m1"
         assert [e.mpjpe_mm for e in again] == [12.5, 48.0]
 

@@ -557,3 +557,106 @@ class TestRunConfig:
                         encoding="utf-8")
         cfg = cli.RunConfig.load(path)
         assert (cfg.rate_hz, cfg.window, cfg.log_level) == (40, cli.RunConfig().window, "WARNING")
+
+
+# The input matrix: every flag that reads a file, run on a file that is
+# missing, a directory, not UTF-8, or malformed JSON. INPUT marks the file
+# under test; the other names are valid inputs that `write_valid_inputs`
+# writes beside it.
+INPUT = "input.json"
+RETARGET = ["retarget", "--calibration", "calibration.json", "--mapping", "mapping.txt",
+            "--in", "stream.json", "--out", "out.json"]
+READERS = {
+    "run-config": ["--run-config", INPUT, "print-layout"],
+    "model": ["print-layout", "--model", INPUT],
+    "retarget-calibration": [INPUT if a == "calibration.json" else a for a in RETARGET],
+    "retarget-mapping": [INPUT if a == "mapping.txt" else a for a in RETARGET],
+    "retarget-in": [INPUT if a == "stream.json" else a for a in RETARGET],
+    "relay-clip": ["relay", "--forward", "127.0.0.1:9", "--clip", INPUT],
+    "relay-stdin": ["relay", "--forward", "127.0.0.1:9", "--stdin"],
+    "bench-run-manifest": ["bench", "run", "--manifest", INPUT, "--out", "results.json"],
+    "bench-run-manifest-entry": ["bench", "run", "--manifest", "entry_manifest.json",
+                                 "--out", "results.json"],
+    "bench-report-in": ["bench", "report", "--in", INPUT],
+    "stats-in": ["stats", "--in", INPUT],
+    "recipe-pools": ["recipe", "--pools", INPUT, "--fractions", "a=1", "--total", "1"],
+    "vla-replay-chunks": ["vla-replay", "--chunks", INPUT],
+}
+BAD_INPUTS = {
+    "missing": None,
+    "directory": None,
+    "not-utf8": b'{"name": "\xff\xfe"}',
+    "malformed": b"{bad",
+}
+NOT_APPLICABLE = {
+    ("relay-stdin", "missing"), ("relay-stdin", "directory"),
+    ("retarget-mapping", "malformed"),  # a two-column table, not JSON
+    ("stats-in", "directory"),  # a directory is the corpus form of --in
+}
+# outputs that cannot be written: INPUT is a directory here
+WRITERS = {
+    "bench-run-out": ["bench", "run", "--manifest", "clip_manifest.json", "--out", INPUT],
+    "serve-policy-trace": ["serve-policy", "--listen", "127.0.0.1:0", "--duration", "0",
+                           "--trace", INPUT],
+}
+INPUT_MATRIX = [
+    pytest.param(READERS[flag], case, id=f"{flag}-{case}")
+    for flag in READERS
+    for case in BAD_INPUTS
+    if (flag, case) not in NOT_APPLICABLE
+] + [pytest.param(argv, "directory", id=f"{flag}-directory") for flag, argv in WRITERS.items()]
+
+
+def write_valid_inputs(tmp_path, model):
+    subject = humanoid_as_subject(constant_velocity_clip(model, 0.9, n_frames=3), 1.0)
+    (tmp_path / "calibration.json").write_text(
+        json.dumps(subject_frame_to_dict(subject[0])), encoding="utf-8"
+    )
+    save_subject_stream(subject, tmp_path / "stream.json")
+    save_mapping(MARKERS, tmp_path / "mapping.txt")
+    save_clip(constant_velocity_clip(model, 0.9, n_frames=5), tmp_path / "clip.json")
+    save_manifest([ManifestEntry(path="clip.json")], tmp_path / "clip_manifest.json")
+    save_manifest([ManifestEntry(path=INPUT)], tmp_path / "entry_manifest.json")
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, case", INPUT_MATRIX)
+    def test_one_error_line_naming_the_source(self, argv, case, tmp_path, ref_model,
+                                             monkeypatch, capsys):
+        write_valid_inputs(tmp_path, ref_model)
+        content = BAD_INPUTS[case]
+        if case == "directory":
+            (tmp_path / INPUT).mkdir()
+        elif content is not None:
+            (tmp_path / INPUT).write_bytes(content)
+        stdin = io.TextIOWrapper(io.BytesIO(content or b""), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert ("<stdin>" if "--stdin" in argv else INPUT) in err, err
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (READERS["vla-replay-chunks"], 5, "'chunks' list"),
+        (READERS["vla-replay-chunks"], {"chunks": 3}, "'chunks' list"),
+        (READERS["vla-replay-chunks"], {"chunks": [[0.1, "a"]]}, "chunks[0]"),
+        (READERS["vla-replay-chunks"], {"chunks": [[[0.1, 0.2], [0.3]]]}, "chunks[0]"),
+        (READERS["vla-replay-chunks"], {"chunks": [[[0.1]]], "denoise_steps": "x"},
+         "'denoise_steps' must be an integer"),
+        (READERS["recipe-pools"], [1, 2], "pools must map"),
+        (READERS["recipe-pools"], {"a": 3}, "pools must map"),
+        (READERS["retarget-in"], 5, "'frames' list"),
+        (READERS["retarget-in"], {"frames": 3}, "'frames' list"),
+    ], ids=["chunks-number", "chunks-not-a-list", "chunk-non-numeric", "chunk-ragged",
+            "denoise-steps-string", "pools-list", "pool-not-a-list", "stream-number",
+            "stream-frames-not-a-list"])
+    def test_document_of_the_wrong_shape(self, argv, doc, message, tmp_path, ref_model,
+                                         monkeypatch, capsys):
+        write_valid_inputs(tmp_path, ref_model)
+        (tmp_path / INPUT).write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert INPUT in err and message in err, err

@@ -640,7 +640,7 @@ class TestLatency:
         assert stats.received >= 90
 
     def test_constant_injected_delay(self):
-        stats = measure_latency(n_samples=60, rate_hz=200.0, constant_delay_ms=30.0)
+        stats = measure_latency(n_samples=60, rate_hz=200.0, fault=FaultConfig(jitter_ms=(30.0, 30.0)))
         assert abs(stats.mean_ms - 30.0) <= 3.0
 
     def test_uniform_jitter_p95_order_statistics(self):
