@@ -347,7 +347,7 @@ def episode_to_dict(e: EpisodeResult) -> dict:
     }
 
 
-def episode_from_dict(doc: Mapping, i: int = 0) -> EpisodeResult:
+def episode_from_dict(doc: Mapping, i: int = 0, source: str = "results document") -> EpisodeResult:
     try:
         return EpisodeResult(
             clip_name=doc["clip_name"],
@@ -360,9 +360,9 @@ def episode_from_dict(doc: Mapping, i: int = 0) -> EpisodeResult:
             frames_evaluated=int(doc["frames_evaluated"]),
         )
     except KeyError as exc:
-        raise InputError(f"episode result: missing key {exc.args[0]!r}") from None
+        raise InputError(f"{source}: episodes[{i}]: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:  # an entry or value of the wrong type
-        raise InputError(f"results document: episodes[{i}]: {exc}") from None
+        raise InputError(f"{source}: episodes[{i}]: {exc}") from None
 
 
 def results_to_json(results: Sequence[EpisodeResult], method: str = "") -> str:
@@ -370,14 +370,16 @@ def results_to_json(results: Sequence[EpisodeResult], method: str = "") -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def results_from_dict(doc) -> tuple[list[EpisodeResult], str]:
+def results_from_dict(doc, source: str = "results document") -> tuple[list[EpisodeResult], str]:
+    """Episodes and method label of a results document; errors name `source`."""
     if not isinstance(doc, Mapping):
-        raise InputError(f"results document: expected an object with key 'episodes', got {type(doc).__name__}")
+        raise InputError(f"{source}: expected an object with key 'episodes', got {type(doc).__name__}")
     if "episodes" not in doc:
-        raise InputError("results document: missing key 'episodes'")
+        raise InputError(f"{source}: missing key 'episodes'")
     if not isinstance(doc["episodes"], list):
-        raise InputError(f"results document: 'episodes' is {type(doc['episodes']).__name__}, not a list")
-    return [episode_from_dict(d, i) for i, d in enumerate(doc["episodes"])], doc.get("method", "")
+        raise InputError(f"{source}: 'episodes' is {type(doc['episodes']).__name__}, not a list")
+    episodes = [episode_from_dict(d, i, source) for i, d in enumerate(doc["episodes"])]
+    return episodes, doc.get("method", "")
 
 
 @dataclass(frozen=True)

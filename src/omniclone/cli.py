@@ -9,6 +9,7 @@ a fixed --seed and newline-terminated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -16,7 +17,6 @@ import pathlib
 import sys
 import time
 import typing
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,7 +60,7 @@ class RunConfig:
         default; an int is accepted for a float field."""
         doc = read_json(path)
         if not isinstance(doc, dict):
-            raise OmniCloneError("run config must be a JSON object")
+            raise OmniCloneError(f"{path}: run config must be a JSON object")
         types = typing.get_type_hints(RunConfig)
         cfg = RunConfig()
         for key, value in doc.items():
@@ -93,11 +93,16 @@ def _load_model_arg(path: str | None) -> HumanoidModel:
     return load_model(path) if path else load_reference_model()
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _open_out(path: str | None):
+    """Stdout for None or "-"; otherwise the file at `path`, opened for writing now."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        pathlib.Path(path).write_text(text, encoding="utf-8")
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
+def _write_text(path: str | None, text: str) -> None:
+    with _open_out(path) as out:
+        out.write(text)
 
 
 def _thresholds(args, cfg: RunConfig) -> bench_mod.FailureThresholds:
@@ -173,35 +178,22 @@ def _relay_passthrough(args, forward) -> int:
 
 
 class _LiveTrackerSink:
-    """Applies an oracle tracker to the popped command stream and, given a
-    trace path, writes one JSONL line per tick as the tick happens."""
+    """Steps an oracle tracker on the joints of each popped frame and, given
+    a trace path, writes one JSONL line per tick as the tick happens."""
 
-    def __init__(self, spec: simtrack.TrackerSpec, trace_path: str | None):
-        if spec.mode == "pd":
-            raise OmniCloneError(
-                "serve-policy supports the perfect|oracle, lag:k and noise:sigma trackers, not pd"
-            )
-        self.spec = spec
-        self.rng = np.random.default_rng(spec.seed)
-        # the lagged command is the oldest of the last lag + 1 joint vectors
-        self.history: deque[np.ndarray] = deque(maxlen=spec.lag + 1)
+    def __init__(self, tracker: simtrack.Tracker, trace_path: str | None):
+        self.tracker = tracker
         self.trace_file = open(trace_path, "w", encoding="utf-8", buffering=1) if trace_path else None
         self.tick = 0
 
     def __call__(self, frame: Stamped, held: bool) -> None:
-        if frame.data:
-            self.history.append(np.asarray(frame.data[0].joint_pos, dtype=float))
-        command = None
-        if self.history:
-            command = self.history[0]
-            if self.spec.mode == "noise":
-                command = command + self.rng.normal(0.0, self.spec.noise_std, command.shape)
+        command = self.tracker.step(np.asarray(frame.data[0].joint_pos, dtype=float))
         if self.trace_file is not None:
             record = {
                 "tick": self.tick,
                 "seq": frame.seq,
                 "held": held,
-                "command": None if command is None else np.round(command, 6).tolist(),
+                "command": np.round(command, 6).tolist(),
             }
             self.trace_file.write(json.dumps(record) + "\n")
         self.tick += 1
@@ -216,11 +208,14 @@ def cmd_serve_policy(args, cfg: RunConfig) -> int:
     spec = simtrack.parse_tracker(args.tracker)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    sink = _LiveTrackerSink(spec, args.trace)
+    rate = _resolve(args.rate, cfg.rate_hz)
+    if not 0.0 < rate < float("inf"):  # the tracker steps once per 1/rate seconds
+        raise OmniCloneError(f"--rate must be positive and finite, got {rate}")
+    sink = _LiveTrackerSink(simtrack.Tracker(spec, 1.0 / rate), args.trace)
     try:
         server = PolicyServer(
             listen=parse_addr(args.listen),
-            rate_hz=_resolve(args.rate, cfg.rate_hz),
+            rate_hz=rate,
             capacity=_resolve(args.window, cfg.window),
             sink=sink,
             model=model,
@@ -288,23 +283,25 @@ def cmd_bench_run(args, cfg: RunConfig) -> int:
     entries = bench_mod.load_manifest(args.manifest)
     base = pathlib.Path(args.manifest).parent
     results = []
-    for entry in entries:
-        path = pathlib.Path(entry.path)
-        if not path.is_absolute():
-            path = base / path
-        clip = motion.load_clip(path)
-        if entry.category or entry.level:
-            clip = clip.replace(
-                category=entry.category or clip.category, level=entry.level or clip.level
+    # opened before the first episode, so an unwritable --out costs no evaluation
+    with _open_out(args.out) as out:
+        for entry in entries:
+            path = pathlib.Path(entry.path)
+            if not path.is_absolute():
+                path = base / path
+            clip = motion.load_clip(path)
+            if entry.category or entry.level:
+                clip = clip.replace(
+                    category=entry.category or clip.category, level=entry.level or clip.level
+                )
+            loaded = time.perf_counter()
+            load_s += loaded - start
+            results.append(
+                bench_mod.run_episode(tracker, clip, model, thresholds, alignment=args.alignment)
             )
-        loaded = time.perf_counter()
-        load_s += loaded - start
-        results.append(
-            bench_mod.run_episode(tracker, clip, model, thresholds, alignment=args.alignment)
-        )
-        start = time.perf_counter()
-        episodes_s += start - loaded
-    _write_text(args.out, bench_mod.results_to_json(results, method=args.method))
+            start = time.perf_counter()
+            episodes_s += start - loaded
+        out.write(bench_mod.results_to_json(results, method=args.method))
     log.info(
         "bench run: %d episodes; %.3f s loading clips, %.3f s running episodes,"
         " %.3f s writing results",
@@ -319,7 +316,7 @@ def cmd_bench_run(args, cfg: RunConfig) -> int:
 
 
 def cmd_bench_report(args, cfg: RunConfig) -> int:
-    results, method = bench_mod.results_from_dict(read_json(args.infile))
+    results, method = bench_mod.results_from_dict(read_json(args.infile), source=args.infile)
     report = bench_mod.aggregate(
         results, method=args.method or method, include_failed=args.include_failed
     )
@@ -330,7 +327,10 @@ def cmd_bench_report(args, cfg: RunConfig) -> int:
 def _collect_clip_paths(spec: str) -> list[pathlib.Path]:
     p = pathlib.Path(spec)
     if p.is_dir():
-        return sorted(p.glob("*.json"))
+        paths = sorted(p.glob("*.json"))
+        if not paths:
+            raise OmniCloneError(f"{spec}: directory holds no *.json clip files")
+        return paths
     return [pathlib.Path(part) for part in spec.split(",")]
 
 
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve-policy", help="receive a command stream and track it")
     p.add_argument("--listen", required=True, help="bind address host:port")
-    p.add_argument("--tracker", default="oracle", help="oracle|lag:k|noise:sigma")
+    p.add_argument("--tracker", default="oracle", help="oracle|lag:k|noise:sigma|pd:kp,kd[,dt]")
     p.add_argument("--rate", type=float, default=None, help="consumer rate Hz (default 50)")
     p.add_argument("--window", type=int, default=None, help="jitter-buffer depth f")
     p.add_argument("--duration", type=float, default=None, help="run time (s); default: until interrupt")
@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = bench_sub.add_parser("run", help="evaluate a tracker over a clip manifest")
     p.add_argument("--manifest", required=True, help="clip manifest JSON")
-    p.add_argument("--tracker", default="perfect", help="perfect|lag:k|noise:sigma|pd:kp,kd")
+    p.add_argument("--tracker", default="perfect", help="perfect|lag:k|noise:sigma|pd:kp,kd[,dt]")
     p.add_argument("--out", required=True, help="results JSON path")
     p.add_argument("--model", help="humanoid model file")
     p.add_argument("--method", default="", help="method label for reports")

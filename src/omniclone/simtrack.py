@@ -9,6 +9,7 @@ jointly to state and reference.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
@@ -582,7 +583,7 @@ def sample_dr(seed: int | np.random.Generator) -> DRConfig:
 
 @dataclass(frozen=True)
 class TrackerSpec:
-    """Deterministic stand-in for the learned tracking policy."""
+    """Deterministic stand-in for the learned tracking policy, run by Tracker."""
 
     mode: str  # perfect | lag | noise | pd
     lag: int = 0
@@ -636,6 +637,43 @@ def parse_tracker(text: str) -> TrackerSpec:
     raise ConfigError(f"unknown tracker {text!r}")
 
 
+class Tracker:
+    """An oracle tracker stepped frame by frame, `frame_period` seconds apart:
+    step(target joints) -> realised joints. pd starts at rest on the first
+    target, takes round(frame_period / dt) semi-implicit Euler steps a frame
+    (at most MAX_PD_STEPS_PER_FRAME) and keeps its joint velocity in `v`."""
+
+    def __init__(self, spec: TrackerSpec, frame_period: float):
+        self.spec = spec
+        self.v: np.ndarray | None = None
+        self._history: deque[np.ndarray] = deque(maxlen=spec.lag + 1)  # lag:k returns the oldest
+        self._rng = np.random.default_rng(spec.seed) if spec.mode == "noise" else None
+        if spec.mode == "pd":
+            self._dt = frame_period if spec.dt is None else spec.dt
+            self._steps = max(1, round(frame_period / self._dt))
+            if self._steps > MAX_PD_STEPS_PER_FRAME:
+                raise ConfigError(
+                    f"pd tracker dt {self._dt} takes {self._steps} steps per {round(1.0 / frame_period, 9)}"
+                    f" fps frame; at most {MAX_PD_STEPS_PER_FRAME} are allowed"
+                )
+
+    def step(self, target: np.ndarray) -> np.ndarray:
+        spec = self.spec
+        if spec.mode == "noise":
+            return target + self._rng.normal(0.0, spec.noise_std, target.shape)
+        if spec.mode == "pd":
+            if self.v is None:
+                self._q, self.v = target.copy(), np.zeros(target.shape)
+            q, v, dt = self._q, self.v, self._dt
+            for _ in range(self._steps):
+                v = v + dt * (spec.kp * (target - q) - spec.kd * v)
+                q = q + dt * v
+            self._q, self.v = q, v
+            return q
+        self._history.append(target)
+        return self._history[0]
+
+
 def track_clip(
     spec: TrackerSpec,
     clip: MotionClip,
@@ -644,32 +682,20 @@ def track_clip(
     """The motion realised under the configured tracking behaviour, as a
     MotionClip on the clip's time grid with joint velocities and key bodies.
 
-    perfect replays the reference exactly, and it and lag:0 return the
-    clip with its derived columns itself; lag:k replays frame
-    max(0, t - k); noise adds seeded zero-mean joint noise (bodies
-    recomputed through FK); pd integrates a per-joint double integrator
-    with semi-implicit Euler while the root is replayed kinematically; a
-    dt that needs more than MAX_PD_STEPS_PER_FRAME steps per frame is a
-    ConfigError.
+    perfect and lag:0 return the clip with its derived columns itself;
+    lag:k replays whole frames max(0, t - k), root and bodies included;
+    noise and pd step a Tracker over the clip's joints at its frame period
+    (bodies recomputed through FK) while the root is replayed
+    kinematically, and pd's joint velocities are the integrator's.
     """
-    if spec.mode == "pd":
-        dt = spec.dt if spec.dt is not None else 1.0 / clip.fps
-        steps_per_frame = max(1, round((1.0 / clip.fps) / dt))
-        if steps_per_frame > MAX_PD_STEPS_PER_FRAME:
-            raise ConfigError(
-                f"pd tracker dt {dt} takes {steps_per_frame} steps per {clip.fps} fps frame;"
-                f" at most {MAX_PD_STEPS_PER_FRAME} are allowed"
-            )
     clip = derive_joint_velocities(clip)
     clip = derive_body_kinematics(clip, model)
-    T = len(clip.t)
-    n = model.n_joints
 
     if spec.mode in ("perfect", "lag"):
         k = spec.lag if spec.mode == "lag" else 0
         if k == 0:  # the columns are read-only, so no copy is needed
             return clip
-        src = np.maximum(np.arange(T) - k, 0)
+        src = np.maximum(np.arange(len(clip.t)) - k, 0)
         return clip.replace(
             **{
                 key: getattr(clip, key)[src]
@@ -678,23 +704,13 @@ def track_clip(
             }
         )
 
-    if spec.mode == "noise":
-        rng = np.random.default_rng(spec.seed)
-        joint_pos = clip.joint_pos + rng.normal(0.0, spec.noise_std, (T, n))
-        joint_vel = clip.joint_vel
-    else:
-        # pd double integrator
-        q = clip.joint_pos[0].copy()
-        v = np.zeros(n)
-        joint_pos = np.empty((T, n))
-        joint_vel = np.empty((T, n))
-        for t, target in enumerate(clip.joint_pos):
-            for _ in range(steps_per_frame):
-                acc = spec.kp * (target - q) - spec.kd * v
-                v = v + dt * acc
-                q = q + dt * v
-            joint_pos[t] = q
-            joint_vel[t] = v
+    tracker = Tracker(spec, 1.0 / clip.fps)
+    joint_pos = np.empty(clip.joint_pos.shape)
+    joint_vel = np.empty(clip.joint_pos.shape) if spec.mode == "pd" else clip.joint_vel
+    for t, target in enumerate(clip.joint_pos):
+        joint_pos[t] = tracker.step(target)
+        if tracker.v is not None:  # pd
+            joint_vel[t] = tracker.v
     body_pos, body_quat = key_body_poses(model, joint_pos, clip.root_pos, clip.root_quat)
     return clip.replace(
         joint_pos=joint_pos, joint_vel=joint_vel, body_pos=body_pos, body_quat=body_quat

@@ -101,10 +101,11 @@ class PolicyServer:
     its slot bumps `overruns`; the schedule then catches up by at most one
     tick and never skips the next one.
 
-    Decode errors, frame packets whose key-body or joint count differs
-    from the model (default: the bundled one), and frame packets whose
-    payload is not finite are counted as decode_errors and never fatal to
-    the loop. Held and stale frames are counted by the queue.
+    Decode errors, frame packets that carry no frame, frame packets whose
+    key-body or joint count differs from the model (default: the bundled
+    one), and frame packets whose payload is not finite are counted as
+    decode_errors and never fatal to the loop, so every popped frame the
+    sink sees carries data. Held and stale frames are counted by the queue.
     """
 
     def __init__(
@@ -173,7 +174,8 @@ class PolicyServer:
                 self.decode_errors += 1
                 continue
             if packet.msg_type == MSG_FRAMES and (
-                (packet.n_bodies, packet.n_joints) != self.frame_counts
+                not packet.frames
+                or (packet.n_bodies, packet.n_joints) != self.frame_counts
                 or not payload_finite(data)
             ):
                 self.decode_errors += 1

@@ -19,7 +19,7 @@ from omniclone.stream import PacketFrame, Stamped
 from omniclone.synthetic import benchmark_suite, constant_velocity_clip
 from omniclone.vlabridge import ActionChunk
 
-from oracles import save_chunks, save_mapping, save_subject_stream, subject_frame_to_dict
+from oracles import save_chunks, save_mapping, save_subject_stream, sine_joint_clip, subject_frame_to_dict
 from test_retarget import MARKERS, humanoid_as_subject
 
 # every documented flag, per subcommand, for the help doc-sync test
@@ -500,16 +500,44 @@ class TestServeRelayLive:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'noise:zz'" in err
 
-    def test_serve_policy_rejects_pd(self, capsys):
-        code = cli.main(["serve-policy", "--listen", "127.0.0.1:0", "--tracker", "pd:400,40",
-                         "--duration", "0.1"])
+    def test_serve_policy_pd_step_cap_is_an_error(self, capsys):
+        # 2000 integrator steps per 50 Hz tick: refused before the server binds
+        code = cli.main(["serve-policy", "--listen", "127.0.0.1:0", "--tracker", "pd:100,20,0.00001",
+                         "--rate", "50", "--duration", "0.1"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "lag:k" in err and "noise:sigma" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "2000 steps per 50.0 fps frame" in err
+
+    @pytest.mark.parametrize("rate", ["0", "-50", "nan", "inf"])
+    def test_serve_policy_rate_must_be_positive_and_finite(self, capsys, rate):
+        code = cli.main(["serve-policy", "--listen", "127.0.0.1:0", "--tracker", "pd:400,40",
+                         "--rate", rate, "--duration", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--rate must be positive and finite" in err
+
+    @pytest.mark.parametrize("tracker", ["pd:400,40", "pd:100,20,0.005"])
+    def test_pd_trace_equals_track_clip(self, tmp_path, ref_model, tracker):
+        clip = sine_joint_clip(ref_model, joint=4, amplitude=0.5, n_frames=30, fps=50.0,
+                               with_joint_vel=False)
+        clip = clip.replace(joint_pos=clip.joint_pos.astype(np.float32).astype(float))
+        spec = simtrack.parse_tracker(tracker)
+        trace_path = tmp_path / "trace.jsonl"
+        sink = cli._LiveTrackerSink(simtrack.Tracker(spec, 1.0 / 50.0), str(trace_path))
+        try:
+            for tick, joint in enumerate(clip.joint_pos):
+                frame = PacketFrame(np.zeros(3), np.zeros((0, 3)), np.zeros((0, 4)), joint)
+                sink(Stamped(tick + 1, (frame,)), False)
+        finally:
+            sink.close()
+        commands = [json.loads(ln)["command"] for ln in trace_path.read_text().splitlines()]
+        want = simtrack.track_clip(spec, clip, ref_model).joint_pos
+        assert commands == np.round(want, 6).tolist()
 
     def test_lag_trace_written_per_tick(self, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
-        sink = cli._LiveTrackerSink(simtrack.parse_tracker("lag:2"), str(trace_path))
+        sink = cli._LiveTrackerSink(simtrack.Tracker(simtrack.parse_tracker("lag:2"), 1 / 50), str(trace_path))
         joints = [np.array([0.1 * i, -0.1 * i]) for i in range(6)]
         try:
             for tick, joint in enumerate(joints):
@@ -591,7 +619,6 @@ BAD_INPUTS = {
 NOT_APPLICABLE = {
     ("relay-stdin", "missing"), ("relay-stdin", "directory"),
     ("retarget-mapping", "malformed"),  # a two-column table, not JSON
-    ("stats-in", "directory"),  # a directory is the corpus form of --in
 }
 # outputs that cannot be written: INPUT is a directory here
 WRITERS = {
@@ -632,6 +659,11 @@ class TestInputErrors:
         stdin = io.TextIOWrapper(io.BytesIO(content or b""), encoding="utf-8")
         monkeypatch.setattr(sys, "stdin", stdin)
         monkeypatch.chdir(tmp_path)
+
+        def no_episode(*args, **kwargs):  # every case, an unwritable --out too, fails first
+            raise AssertionError("an episode ran before the error")
+
+        monkeypatch.setattr(cli.bench_mod, "run_episode", no_episode)
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
@@ -648,9 +680,11 @@ class TestInputErrors:
         (READERS["recipe-pools"], {"a": 3}, "pools must map"),
         (READERS["retarget-in"], 5, "'frames' list"),
         (READERS["retarget-in"], {"frames": 3}, "'frames' list"),
+        (READERS["run-config"], [1], "run config must be a JSON object"),
+        (READERS["bench-report-in"], [1], "expected an object with key 'episodes'"),
     ], ids=["chunks-number", "chunks-not-a-list", "chunk-non-numeric", "chunk-ragged",
             "denoise-steps-string", "pools-list", "pool-not-a-list", "stream-number",
-            "stream-frames-not-a-list"])
+            "stream-frames-not-a-list", "run-config-list", "results-list"])
     def test_document_of_the_wrong_shape(self, argv, doc, message, tmp_path, ref_model,
                                          monkeypatch, capsys):
         write_valid_inputs(tmp_path, ref_model)

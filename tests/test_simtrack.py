@@ -15,6 +15,7 @@ from omniclone.simtrack import (
     RewardConfig,
     RobotState,
     TRACKING_TERMS,
+    Tracker,
     TrackerSpec,
     _frame_key_bodies,
     build_student_obs,
@@ -593,6 +594,19 @@ class TestTrackers:
             t = t_idx / fps
             expected = target * (1.0 - (1.0 + omega * t) * math.exp(-omega * t))
             assert q0[t_idx] == pytest.approx(expected, abs=0.02)
+
+    @pytest.mark.parametrize("text", ["lag:0", "lag:3", "noise:0.05", "pd:400,40", "pd:100,20,0.005"])
+    def test_stepped_tracker_equals_track_clip(self, ref_model, text):
+        # stepped over float32-rounded joints, as serve-policy steps it on wire frames
+        clip = sine_joint_clip(ref_model, joint=4, amplitude=0.5, n_frames=24, with_joint_vel=False)
+        clip = clip.replace(joint_pos=clip.joint_pos.astype(np.float32).astype(float))
+        spec = replace(parse_tracker(text), seed=7)
+        out = track_clip(spec, clip, ref_model)
+        tracker = Tracker(spec, 1.0 / clip.fps)
+        for t, target in enumerate(clip.joint_pos.astype(np.float32)):
+            assert tracker.step(target.astype(float)).tobytes() == out.joint_pos[t].tobytes()
+            if spec.mode == "pd":
+                assert tracker.v.tobytes() == out.joint_vel[t].tobytes()
 
     def test_pd_step_cap(self, ref_model):
         # 1000 steps per 30 fps frame is the most a spec may ask for

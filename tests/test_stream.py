@@ -265,7 +265,7 @@ class TestFrameQueue:
         assert [i + 1 for i, (_, h) in enumerate(emitted) if h] == [3, 4]
 
 
-class TestRateLoop:
+class TestTickLoop:
     """The fixed-rate tick loop of PolicyServer."""
 
     def test_saturated_queue_50hz(self):
@@ -594,6 +594,17 @@ class TestLiveEndpoints:
             model=model,
         )
         assert server.decode_errors == 1
+        assert seqs and set(seqs) == {1}
+
+    def test_frameless_frame_packet_counted_as_decode_error(self):
+        # the model's counts and no frame: 30 bytes that decode cleanly
+        empty = encode_packet(
+            StreamPacket(msg_type=MSG_FRAMES, seq=3, send_ts_us=0, n_bodies=7, n_joints=29)
+        )
+        assert len(empty) == 30
+        server, seqs = serve_datagrams([empty, frame_datagram(1)])
+        assert server.decode_errors == 1
+        assert server.received == 1
         assert seqs and set(seqs) == {1}
 
     def test_decode_errors_non_fatal(self):
