@@ -82,6 +82,13 @@ def _resolve(flag_value, config_value):
     return config_value if flag_value is None else flag_value
 
 
+def _check_rate(rate: float) -> float:
+    """A --rate value, which must be positive and finite: ticks are 1/rate apart."""
+    if not 0.0 < rate < float("inf"):
+        raise OmniCloneError(f"--rate must be positive and finite, got {rate}")
+    return rate
+
+
 def _number(flag: str, text: str) -> float:
     try:
         return float(text)
@@ -135,6 +142,7 @@ def cmd_retarget(args, cfg: RunConfig) -> int:
 def cmd_relay(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
     forward = parse_addr(args.forward)
+    rate = None if args.rate is None else _check_rate(args.rate)
     if args.stdin:
         clip = motion.clip_from_dict(read_json())
     elif args.clip:
@@ -143,7 +151,7 @@ def cmd_relay(args, cfg: RunConfig) -> int:
         if not args.listen:
             raise OmniCloneError("relay needs --clip, --stdin, or --listen")
         return _relay_passthrough(args, forward)
-    sent = send_clip(clip, model, forward, rate_hz=args.rate)
+    sent = send_clip(clip, model, forward, rate_hz=rate)
     print(f"sent,{sent}")
     return 0
 
@@ -208,9 +216,7 @@ def cmd_serve_policy(args, cfg: RunConfig) -> int:
     spec = simtrack.parse_tracker(args.tracker)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    rate = _resolve(args.rate, cfg.rate_hz)
-    if not 0.0 < rate < float("inf"):  # the tracker steps once per 1/rate seconds
-        raise OmniCloneError(f"--rate must be positive and finite, got {rate}")
+    rate = _check_rate(_resolve(args.rate, cfg.rate_hz))
     sink = _LiveTrackerSink(simtrack.Tracker(spec, 1.0 / rate), args.trace)
     try:
         server = PolicyServer(
@@ -242,7 +248,7 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
         duplicate_prob=args.duplicate,
     )
     seed = _resolve(args.seed, cfg.seed)
-    rate = _resolve(args.rate, cfg.rate_hz)
+    rate = _check_rate(_resolve(args.rate, cfg.rate_hz))
     if args.live:
         stats = measure_latency(n_samples=args.samples, rate_hz=rate, fault=fault, seed=seed)
         print("mean_ms,p95_ms,sent,received")
@@ -378,6 +384,7 @@ def cmd_recipe(args, cfg: RunConfig) -> int:
 
 def cmd_vla_replay(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
+    rate = _check_rate(_resolve(args.rate, cfg.rate_hz))
     chunks = vlabridge.load_chunks(args.chunks)
     for chunk in chunks:
         if chunk.actions.shape[1] != model.n_joints:
@@ -388,7 +395,6 @@ def cmd_vla_replay(args, cfg: RunConfig) -> int:
     planner = vlabridge.scripted_planner(chunks)
     trace = vlabridge.chunk_executor(planner, ticks=ticks, execute_len=args.execute_len)
     root = RigidPose(np.array([0.0, 0.0, synthetic.DEFAULT_ROOT_Z]), np.array([1.0, 0, 0, 0]))
-    rate = _resolve(args.rate, cfg.rate_hz)
     frames = [
         vlabridge.joints_to_command(trace.actions[t], model, root, t=t / rate)
         for t in range(trace.actions.shape[0])

@@ -85,10 +85,3 @@ def quat_yaw(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     return np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
-
-
-def quat_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geodesic angle (rad) between two unit quaternions, sign-agnostic."""
-    d = quat_mul(quat_conjugate(a), b)
-    vec = np.linalg.norm(d[..., 1:], axis=-1)
-    return 2.0 * np.arctan2(vec, np.abs(d[..., 0]))

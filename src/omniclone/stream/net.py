@@ -116,8 +116,8 @@ class PolicyServer:
         sink: Callable[[Stamped, bool], None] = lambda frame, held: None,
         model: HumanoidModel | None = None,
     ):
-        if rate_hz <= 0:
-            raise InputError("rate_hz must be positive")
+        if not 0.0 < rate_hz < math.inf:
+            raise InputError(f"rate_hz must be positive and finite, got {rate_hz}")
         model = load_reference_model() if model is None else model
         self.frame_counts = (model.n_key_bodies, model.n_joints)
         self.period = 1.0 / rate_hz

@@ -72,8 +72,8 @@ def fault_schedule(
     """
     if n_packets < 0:
         raise InputError(f"packet count must be >= 0, got {n_packets}")
-    if not producer_hz > 0:
-        raise InputError(f"producer rate must be positive, got {producer_hz}")
+    if not 0.0 < producer_hz < float("inf"):
+        raise InputError(f"producer rate must be positive and finite, got {producer_hz}")
     draw = iter(np.random.default_rng(seed).random(4 * n_packets).tolist()).__next__
     arrivals: list[tuple[float, int, int]] = []
     order = 0
@@ -105,8 +105,8 @@ def simulate_stream(
     The consumer blocks until the first arrival, then ticks every
     1/consumer_hz. With no deliveries at all the trace is empty.
     """
-    if not consumer_hz > 0:
-        raise InputError(f"consumer rate must be positive, got {consumer_hz}")
+    if not 0.0 < consumer_hz < float("inf"):
+        raise InputError(f"consumer rate must be positive and finite, got {consumer_hz}")
     arrivals, delivered, dropped = fault_schedule(n_packets, producer_hz, fault, seed)
     if n_ticks is None:
         n_ticks = n_packets

@@ -19,7 +19,6 @@ from .kinematics import HumanoidModel, RigidPose, key_body_poses
 from .motion import Frame
 
 DEFAULT_EXECUTE_LEN = 8
-DEFAULT_DENOISE_STEPS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +27,6 @@ class ActionChunk:
 
     actions: np.ndarray  # (H, n)
     source_step: int = 0
-    denoise_steps: int = DEFAULT_DENOISE_STEPS
 
     def __post_init__(self):
         arr = np.asarray(self.actions, dtype=float)
@@ -169,14 +167,11 @@ def load_chunks(path) -> list[ActionChunk]:
     doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("chunks"), list):
         raise InputError(f"{path}: expected an object with a 'chunks' list")
-    denoise = doc.get("denoise_steps", DEFAULT_DENOISE_STEPS)
-    if type(denoise) is not int:
-        raise InputError(f"{path}: 'denoise_steps' must be an integer, got {denoise!r}")
     chunks = []
     for i, c in enumerate(doc["chunks"]):
         # ValueError covers a non-numeric or ragged chunk and ActionChunk's InputError
         try:
-            chunks.append(ActionChunk(c, source_step=i, denoise_steps=denoise))
+            chunks.append(ActionChunk(c, source_step=i))
         except (TypeError, ValueError) as exc:
             raise InputError(f"{path}: chunks[{i}]: {exc}") from None
     return chunks

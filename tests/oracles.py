@@ -8,7 +8,9 @@ package's quaternion core that both FK paths (level-wise numpy and the
 scalar walk over one configuration) must match bit for bit; that core is
 itself checked against numpy's cross product and stacking
 (cross_quat_rotate, stack_quat_mul). per_field_dr draws one scalar per
-field, which sample_dr's single draw must reproduce.
+field, which tables.sample_dr's single draw must reproduce.
+teacher_obs_length counts the teacher observation's blocks from the
+model's joint and key-body counts.
 student_obs_blocks and retarget_frame_per_marker are the teleop tick's
 observation and retarget steps written with one transform per block and
 one row write per marker; the package's fused forms do the same
@@ -45,11 +47,10 @@ from omniclone.kinematics import (
 )
 from omniclone.motion import BENCH_STRATA, COLUMNS, Frame, MotionClip, clip_to_dict
 from omniclone.rotations import IDENTITY_QUAT, quat_from_axis_angle, quat_mul, quat_rotate
-from omniclone.simtrack import DRConfig
 from omniclone.stream import PacketFrame, StreamPacket
 from omniclone.stream.faults import DUPLICATE_DELAY_MS, REORDER_EXTRA_MS
 from omniclone.synthetic import DEFAULT_ROOT_Z
-from omniclone.vlabridge import DEFAULT_DENOISE_STEPS
+from tables import DRConfig
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +179,11 @@ def per_link_fk(model, joint_pos, root_pos, root_quat):
             frame = quat_mul(frame, jq)
         quat[..., i, :] = frame
     return pos, quat
+
+
+def teacher_obs_length(model):
+    n, k = model.n_joints, model.n_key_bodies
+    return 2 * n + 13 * k + 3 + 3 + n + 2 * n + 7 * k
 
 
 def per_field_dr(rng, r):
@@ -404,10 +410,7 @@ def save_mapping(mapping, path):
 
 
 def save_chunks(chunks, path):
-    doc = {
-        "denoise_steps": chunks[0].denoise_steps if chunks else DEFAULT_DENOISE_STEPS,
-        "chunks": [np.asarray(c.actions).tolist() for c in chunks],
-    }
+    doc = {"chunks": [np.asarray(c.actions).tolist() for c in chunks]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

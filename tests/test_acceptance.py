@@ -32,16 +32,7 @@ from omniclone.kinematics import RigidPose, forward_kinematics_arrays
 from omniclone.motion import clip_stats, percentile
 from omniclone.retarget import CalibrationResult, calibrate, discrepancy_report, retarget_stream
 from omniclone.rotations import quat_from_yaw
-from omniclone.simtrack import (
-    DEFAULT_REWARD_WEIGHTS,
-    TRACKING_TERMS,
-    TrackerSpec,
-    build_student_obs,
-    build_teacher_obs,
-    default_system_config,
-    reward,
-    sample_dr,
-)
+from omniclone.simtrack import TrackerSpec, build_student_obs, build_teacher_obs
 from omniclone.stream import (
     FaultConfig,
     PacketFrame,
@@ -56,6 +47,7 @@ from omniclone.stream import (
 from omniclone.synthetic import SUITE_SPEEDS, benchmark_suite, constant_velocity_clip, static_clip
 from omniclone.vlabridge import ActionChunk, chunk_executor
 
+from tables import DEFAULT_REWARD_WEIGHTS, TRACKING_TERMS, default_system_config, reward, sample_dr
 from test_retarget import MARKERS, humanoid_as_subject
 from test_simtrack import random_ref, random_state, se2_frame, se2_state
 

@@ -15,10 +15,6 @@ SCANNED = ("src", "scripts", "perfbench")
 KEPT = {
     "echo_latency": "the README sends users of a remote server to it",
     "discrepancy_report": "the retarget error report that ROADMAP item 8 extends",
-    "teacher_obs_length": "layout oracle for the teacher observation",
-    "sample_dr": "the domain-randomization table the reward-fidelity test pins",
-    "reward": "the reward table the reward-fidelity test pins",
-    "default_system_config": "the system-configuration table the table tests pin",
 }
 
 

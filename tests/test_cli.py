@@ -19,7 +19,14 @@ from omniclone.stream import PacketFrame, Stamped
 from omniclone.synthetic import benchmark_suite, constant_velocity_clip
 from omniclone.vlabridge import ActionChunk
 
-from oracles import save_chunks, save_mapping, save_subject_stream, sine_joint_clip, subject_frame_to_dict
+from oracles import (
+    save_chunks,
+    save_mapping,
+    save_subject_stream,
+    sine_joint_clip,
+    subject_frame_to_dict,
+    teacher_obs_length,
+)
 from test_retarget import MARKERS, humanoid_as_subject
 
 # every documented flag, per subcommand, for the help doc-sync test
@@ -276,6 +283,14 @@ class TestStreamTestCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rate must be positive" in err
 
+    @pytest.mark.parametrize("live", [[], ["--live"]])
+    @pytest.mark.parametrize("rate", ["0", "-50", "nan", "inf"])
+    def test_rate_must_be_positive_and_finite(self, live, rate, capsys):
+        assert cli.main(["stream-test", "--rate", rate, "--packets", "20", "--samples", "20", *live]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "rate must be positive and finite" in captured.err
+
     @pytest.mark.parametrize("argv", [["--packets", "-3"], ["--live", "--samples", "-1"]])
     def test_negative_count_is_an_error(self, argv, capsys):
         assert cli.main(["stream-test", *argv]) == 1
@@ -444,6 +459,31 @@ class TestVlaReplayCommand:
         assert len(clip.frames) == 24
         assert clip.fps == 50.0
 
+    @pytest.mark.parametrize("rate", ["0", "-50", "nan", "inf"])
+    def test_rate_must_be_positive_and_finite(self, tmp_path, capsys, rate):
+        save_chunks([ActionChunk(np.zeros((8, 29)))], tmp_path / "chunks.json")
+        code = cli.main(["vla-replay", "--chunks", str(tmp_path / "chunks.json"), "--rate", rate,
+                         "--out", str(tmp_path / "commands.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--rate must be positive and finite" in err
+        assert not (tmp_path / "commands.json").exists()
+
+    def test_denoise_steps_key_replays_identically(self, tmp_path, capsys):
+        # older chunk files carry a denoise_steps key; it is read and ignored
+        rng = np.random.default_rng(4)
+        chunks = [ActionChunk(rng.uniform(-0.3, 0.3, (16, 29))) for _ in range(3)]
+        save_chunks(chunks, tmp_path / "plain.json")
+        doc = json.loads((tmp_path / "plain.json").read_text(encoding="utf-8"))
+        (tmp_path / "keyed.json").write_text(json.dumps({"denoise_steps": 4, **doc}), encoding="utf-8")
+        outputs = []
+        for name in ("plain", "keyed"):
+            argv = ["vla-replay", "--chunks", str(tmp_path / f"{name}.json"),
+                    "--out", str(tmp_path / f"{name}.out.json")]
+            assert cli.main(argv) == 0
+            outputs.append((capsys.readouterr().out, (tmp_path / f"{name}.out.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 class TestPrintLayout:
     def test_layout_tables(self, capsys):
@@ -451,6 +491,22 @@ class TestPrintLayout:
         out = capsys.readouterr().out
         assert "# teacher" in out and "# student" in out
         assert "name,offset,length" in out
+
+    def test_teacher_blocks_in_order(self, capsys, ref_model):
+        assert cli.main(["print-layout", "--policy", "teacher"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["# teacher", "name,offset,length"]
+        n, k = ref_model.n_joints, ref_model.n_key_bodies
+        blocks = [
+            ("joint_pos", n), ("joint_vel", n), ("body_pos", 3 * k), ("body_quat", 4 * k),
+            ("body_lin_vel", 3 * k), ("body_ang_vel", 3 * k), ("gravity", 3),
+            ("root_ang_vel", 3), ("last_action", n), ("ref_joint_pos", n),
+            ("ref_joint_vel", n), ("ref_body_pos", 3 * k), ("ref_body_quat", 4 * k),
+        ]
+        offsets = np.cumsum([0] + [length for _, length in blocks])
+        assert lines[2:] == [f"{name},{offset},{length}"
+                             for (name, length), offset in zip(blocks, offsets)]
+        assert offsets[-1] == teacher_obs_length(ref_model)
 
     def test_deterministic(self, capsys):
         cli.main(["print-layout", "--policy", "student", "--window", "3"])
@@ -516,6 +572,16 @@ class TestServeRelayLive:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--rate must be positive and finite" in err
+
+    @pytest.mark.parametrize("rate", ["0", "-50", "nan", "inf"])
+    def test_relay_rate_must_be_positive_and_finite(self, tmp_path, ref_model, capsys, rate):
+        save_clip(constant_velocity_clip(ref_model, 0.9, n_frames=5), tmp_path / "clip.json")
+        code = cli.main(["relay", "--forward", "127.0.0.1:9", "--clip", str(tmp_path / "clip.json"),
+                         "--rate", rate])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--rate must be positive and finite" in captured.err
 
     @pytest.mark.parametrize("tracker", ["pd:400,40", "pd:100,20,0.005"])
     def test_pd_trace_equals_track_clip(self, tmp_path, ref_model, tracker):
@@ -674,8 +740,6 @@ class TestInputErrors:
         (READERS["vla-replay-chunks"], {"chunks": 3}, "'chunks' list"),
         (READERS["vla-replay-chunks"], {"chunks": [[0.1, "a"]]}, "chunks[0]"),
         (READERS["vla-replay-chunks"], {"chunks": [[[0.1, 0.2], [0.3]]]}, "chunks[0]"),
-        (READERS["vla-replay-chunks"], {"chunks": [[[0.1]]], "denoise_steps": "x"},
-         "'denoise_steps' must be an integer"),
         (READERS["recipe-pools"], [1, 2], "pools must map"),
         (READERS["recipe-pools"], {"a": 3}, "pools must map"),
         (READERS["retarget-in"], 5, "'frames' list"),
@@ -683,7 +747,7 @@ class TestInputErrors:
         (READERS["run-config"], [1], "run config must be a JSON object"),
         (READERS["bench-report-in"], [1], "expected an object with key 'episodes'"),
     ], ids=["chunks-number", "chunks-not-a-list", "chunk-non-numeric", "chunk-ragged",
-            "denoise-steps-string", "pools-list", "pool-not-a-list", "stream-number",
+            "pools-list", "pool-not-a-list", "stream-number",
             "stream-frames-not-a-list", "run-config-list", "results-list"])
     def test_document_of_the_wrong_shape(self, argv, doc, message, tmp_path, ref_model,
                                          monkeypatch, capsys):

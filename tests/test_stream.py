@@ -433,6 +433,17 @@ class TestFaultInjector:
             with pytest.raises(InputError):
                 measure_latency(n_samples=20, rate_hz=rate)
 
+    @pytest.mark.parametrize("rate", [0.0, -50.0, float("nan"), float("inf")])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        for call in (
+            lambda: fault_schedule(10, rate, FaultConfig(), seed=0),
+            lambda: simulate_stream(10, producer_hz=rate),
+            lambda: simulate_stream(10, consumer_hz=rate),
+            lambda: measure_latency(n_samples=20, rate_hz=rate),
+        ):
+            with pytest.raises(InputError, match="rate must be positive and finite"):
+                call()
+
     @pytest.mark.parametrize("fault", [
         FaultConfig(),
         FaultConfig(drop_prob=1.0),
@@ -632,6 +643,11 @@ class TestLiveEndpoints:
         finally:
             server.close()
             sock.close()
+
+    @pytest.mark.parametrize("rate", [0.0, -50.0, float("nan"), float("inf")])
+    def test_server_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(InputError, match="rate_hz must be positive and finite"):
+            PolicyServer(("127.0.0.1", 0), rate_hz=rate)
 
     def test_run_without_sender_returns_on_time(self):
         server = PolicyServer(("127.0.0.1", 0), rate_hz=50.0)

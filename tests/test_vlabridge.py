@@ -176,7 +176,6 @@ class TestChunkFiles:
         assert len(again) == 3
         for a, b in zip(again, chunks):
             assert np.allclose(a.actions, b.actions)
-            assert a.denoise_steps == 4
 
     def test_scripted_planner_replays_and_holds(self):
         chunks = [ActionChunk(np.full((8, 2), float(i))) for i in range(2)]
