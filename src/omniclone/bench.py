@@ -79,17 +79,6 @@ class BenchReport:
 # Error metrics
 # ---------------------------------------------------------------------------
 
-def mpjpe(pred_bodies: np.ndarray, ref_bodies: np.ndarray) -> float:
-    """Mean Euclidean key-body error in millimetres over a (T, K, 3) pair."""
-    pred = np.asarray(pred_bodies, dtype=float)
-    ref = np.asarray(ref_bodies, dtype=float)
-    if pred.shape != ref.shape or pred.ndim != 3 or pred.shape[-1] != 3:
-        raise InputError(f"shape mismatch: {pred.shape} vs {ref.shape}")
-    if pred.shape[0] < 1:
-        raise InputError("need at least one frame")
-    return 1000.0 * float(np.mean(np.linalg.norm(pred - ref, axis=-1)))
-
-
 def planar_alignment(
     pred_root_pos: np.ndarray,
     pred_root_quat: np.ndarray,

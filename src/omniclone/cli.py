@@ -89,6 +89,12 @@ def _check_rate(rate: float) -> float:
     return rate
 
 
+def _at_least_one(flag: str, count: int) -> int:
+    if count < 1:
+        raise OmniCloneError(f"{flag} must be >= 1, got {count}")
+    return count
+
+
 def _number(flag: str, text: str) -> float:
     try:
         return float(text)
@@ -213,9 +219,7 @@ class _LiveTrackerSink:
 
 def cmd_serve_policy(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    spec = simtrack.parse_tracker(args.tracker)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+    spec = replace(simtrack.parse_tracker(args.tracker), seed=_resolve(args.seed, cfg.seed))
     rate = _check_rate(_resolve(args.rate, cfg.rate_hz))
     sink = _LiveTrackerSink(simtrack.Tracker(spec, 1.0 / rate), args.trace)
     try:
@@ -391,7 +395,9 @@ def cmd_vla_replay(args, cfg: RunConfig) -> int:
             raise OmniCloneError(
                 f"chunk has {chunk.actions.shape[1]} joints, model has {model.n_joints}"
             )
-    ticks = args.ticks or len(chunks) * args.execute_len
+    ticks = len(chunks) * args.execute_len
+    if args.ticks is not None:
+        ticks = _at_least_one("--ticks", args.ticks)
     planner = vlabridge.scripted_planner(chunks)
     trace = vlabridge.chunk_executor(planner, ticks=ticks, execute_len=args.execute_len)
     root = RigidPose(np.array([0.0, 0.0, synthetic.DEFAULT_ROOT_Z]), np.array([1.0, 0, 0, 0]))
@@ -410,7 +416,7 @@ def cmd_vla_replay(args, cfg: RunConfig) -> int:
 
 def cmd_print_layout(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    window = _resolve(args.window, cfg.window)
+    window = _at_least_one("--window", _resolve(args.window, cfg.window))
     zero = synthetic.static_clip(model, n_frames=max(2, window), fps=30.0)
     zero = motion.derive_joint_velocities(zero)
     state = simtrack.state_from_frame(zero.frames[0], model)

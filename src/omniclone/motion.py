@@ -241,8 +241,8 @@ class MotionClip:
         whatever it names, since the joint and key-body counts come from the
         columns."""
         checks = lambda *keys: check is None or not check.isdisjoint(keys)
-        if checks("fps") and fps <= 0:
-            raise InputError("fps must be positive")
+        if checks("fps") and not 0 < fps < math.inf:
+            raise InputError(f"fps must be positive and finite, got {fps}")
         if checks("category", "level"):
             if category not in CATEGORIES:
                 raise InputError(f"unknown category {category!r}")
@@ -465,8 +465,8 @@ def clip_from_dict(doc: Mapping) -> MotionClip:
         k = int(header.get("K", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ClipParseError(f"header: {exc}") from None
-    if fps <= 0:
-        raise ClipParseError("header.fps: fps must be positive")
+    if not 0 < fps < math.inf:
+        raise ClipParseError(f"header.fps: fps must be positive and finite, got {fps}")
     if has_frames:
         frames_doc = doc["frames"]
         if not frames_doc:
@@ -687,6 +687,11 @@ def largest_remainder_counts(
 ) -> dict[str, int]:
     """Round fraction*total to integers summing to total (largest remainder,
     ties broken by label order)."""
+    if total < 0:
+        raise ConfigError(f"total must be >= 0, got {total}")
+    for label, fraction in fractions.items():
+        if not 0.0 <= fraction <= 1.0:
+            raise ConfigError(f"fraction of {label!r} must be in [0, 1], got {fraction}")
     if abs(sum(fractions.values()) - 1.0) > 1e-9:
         raise ConfigError(f"fractions sum to {sum(fractions.values())}, expected 1")
     labels = sorted(fractions)

@@ -33,8 +33,8 @@ from .motion import (
     derive_joint_velocities,
 )
 from .rotations import quat_canonical, quat_conjugate, quat_mul, quat_rotate
+from .stream.jitter import DEFAULT_WINDOW
 
-DEFAULT_FUTURE_WINDOW = 5  # f: queue depth and future-window length share one knob
 # pd integrator steps per clip frame. A step costs under 10 µs, so the cap
 # keeps a frame's integration near 10 ms at worst while a 1 ms step still fits
 # a 1 fps clip; without it an accepted but tiny dt stalls bench run for hours.
@@ -205,7 +205,7 @@ def build_student_obs(
     state: RobotState,
     ref_window: Sequence[Frame],
     model: HumanoidModel,
-    future_window: int = DEFAULT_FUTURE_WINDOW,
+    future_window: int = DEFAULT_WINDOW,
 ) -> ObservationVector:
     """Deployable observation: proprioception that is reliable on hardware
     plus a window of future reference commands.
@@ -259,7 +259,7 @@ def build_student_obs(
     return ObservationVector(values, tuple(layout))
 
 
-def student_obs_length(model: HumanoidModel, future_window: int = DEFAULT_FUTURE_WINDOW) -> int:
+def student_obs_length(model: HumanoidModel, future_window: int = DEFAULT_WINDOW) -> int:
     n, k = model.n_joints, model.n_key_bodies
     return n + 3 + 3 + n + future_window * (7 * k + 3)
 

@@ -3,10 +3,10 @@ hold, a policy server that receives and ticks at a fixed rate, a seeded
 fault model, latency probes, and a virtual-time pipeline simulator. The
 server and the one-way latency probe each run on the caller's thread, and
 nothing here starts a thread. The probe takes its packet fates from the
-same `fault_schedule` as the simulator, so a given seed drops the same
-seqs in both."""
+same `faults.fault_schedule` as the simulator, so a given seed drops the
+same seqs in both."""
 
-from .faults import Decision, FaultConfig, decide
+from .faults import FaultConfig, fault_schedule
 from .jitter import (
     DEFAULT_WINDOW,
     PUSH_ACCEPTED,
@@ -17,7 +17,6 @@ from .jitter import (
 from .net import (
     LatencyStats,
     PolicyServer,
-    clip_packets,
     echo_latency,
     measure_latency,
     now_us,
@@ -42,11 +41,10 @@ from .packet import (
     packet_bytes,
     packet_frame_from_motion,
 )
-from .sim import StreamTrace, TraceEntry, fault_schedule, simulate_stream
+from .sim import StreamTrace, TraceEntry, simulate_stream
 
 __all__ = [
     "DEFAULT_WINDOW",
-    "Decision",
     "FaultConfig",
     "FrameQueue",
     "HEADER_LEN",
@@ -65,8 +63,6 @@ __all__ = [
     "StreamTrace",
     "TraceEntry",
     "VERSION",
-    "clip_packets",
-    "decide",
     "decode_packet",
     "echo_latency",
     "encode_packet",

@@ -1,22 +1,19 @@
 """Deterministic network fault model for datagram transports.
 
-Per-packet random draws happen in a fixed order (drop, jitter, reorder,
-duplicate) so a seeded run is exactly reproducible and a test can replay
-the same generator to predict the delivered trace. `decide` alone holds
-that order, whether it draws from a Generator or from a block of doubles.
-`sim.fault_schedule` applies it to a stream of packets; the virtual
-simulator and the live loopback probe both take their fates from there,
-so a given seed drops the same seqs in both.
+`fault_schedule` alone holds the per-packet draw order (drop, jitter,
+reorder, duplicate), so a seeded run is exactly reproducible and a test can
+replay the same generator to predict the delivered trace. The virtual
+simulator and the live loopback probe both take their fates from it, so a
+given seed drops the same seqs in both.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, InputError
 
 #: extra delay of a packet drawn for reordering, and of a duplicate copy
 #: behind its original
@@ -41,32 +38,44 @@ class FaultConfig:
             raise ConfigError(f"jitter_ms range ({lo}, {hi}) invalid")
 
 
-@dataclass(frozen=True)
-class Decision:
-    dropped: bool
-    delays_s: tuple[float, ...]  # one entry per delivered copy
+def fault_schedule(
+    n_packets: int,
+    producer_hz: float,
+    fault: FaultConfig,
+    seed: int,
+) -> tuple[list[tuple[float, int, int]], int, int]:
+    """Arrival events (time, order, seq) for packets seq=1..n sent on a fixed
+    cadence through the seeded fault model. Returns (arrivals, delivered, dropped).
 
-
-def decide(config: FaultConfig, rng: np.random.Generator | Callable[[], float]) -> Decision:
-    """Draw the fate of one packet. Draw order is part of the wire contract
-    for reproducibility: drop, jitter, reorder, duplicate.
-
-    rng is a Generator or a callable returning its next double in [0, 1),
-    such as one over a block of `Generator.random` draws: a packet takes one
-    double if dropped, else four. Jitter is `lo + (hi - lo) * u`, the
-    arithmetic of `Generator.uniform`, so both forms give the same bits.
+    Each packet's fate is read in the wire order drop, jitter, reorder,
+    duplicate from one block of 4 * n_packets `Generator.random` draws of
+    `default_rng(seed)`: one double if it is dropped, four if it is
+    delivered. Jitter is `lo + (hi - lo) * u`, the arithmetic of
+    `Generator.uniform`, and a block holds the same doubles as that many
+    scalar draws, so the arrivals are those of one `random`/`uniform` call
+    per draw, bit for bit; the unused tail of the block is discarded.
     """
-    draw = rng.random if isinstance(rng, np.random.Generator) else rng
-    if draw() < config.drop_prob:
-        return _DROPPED
-    lo, hi = config.jitter_ms
-    lo, hi = float(lo), float(hi)  # as Generator.uniform converts its bounds
-    delay_ms = lo + (hi - lo) * draw()
-    if draw() < config.reorder_prob:
-        delay_ms += REORDER_EXTRA_MS
-    if draw() < config.duplicate_prob:
-        return Decision(False, (delay_ms / 1000.0, (delay_ms + DUPLICATE_DELAY_MS) / 1000.0))
-    return Decision(False, (delay_ms / 1000.0,))
-
-
-_DROPPED = Decision(dropped=True, delays_s=())
+    if n_packets < 0:
+        raise InputError(f"packet count must be >= 0, got {n_packets}")
+    if not 0.0 < producer_hz < math.inf:
+        raise InputError(f"producer rate must be positive and finite, got {producer_hz}")
+    u = np.random.default_rng(seed).random(4 * n_packets).tolist()
+    lo, hi = map(float, fault.jitter_ms)  # as Generator.uniform converts its bounds
+    arrivals: list[tuple[float, int, int]] = []
+    k = dropped = 0  # k: the next unread double
+    for i in range(n_packets):
+        if u[k] < fault.drop_prob:
+            dropped += 1
+            k += 1
+            continue
+        delay_ms = lo + (hi - lo) * u[k + 1]
+        if u[k + 2] < fault.reorder_prob:
+            delay_ms += REORDER_EXTRA_MS
+        t_send = i / producer_hz
+        arrivals.append((t_send + delay_ms / 1000.0, len(arrivals), i + 1))
+        if u[k + 3] < fault.duplicate_prob:
+            arrivals.append((t_send + (delay_ms + DUPLICATE_DELAY_MS) / 1000.0, len(arrivals), i + 1))
+        k += 4
+    delivered = len(arrivals)
+    arrivals.sort()
+    return arrivals, delivered, dropped

@@ -1,15 +1,17 @@
 """Consumer-side jitter buffer: a bounded FIFO keyed by sequence number with
-zero-order hold.
+zero-order hold. The held frames live in one dict keyed by seq; the oldest
+is always the smallest seq.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Any
 
 from ..errors import InputError, NeverFedError
 
-DEFAULT_WINDOW = 5  # queue depth f; the future-window length is a config knob
+#: f, both the jitter-buffer depth and the student observation's
+#: future-window length (`simtrack.build_student_obs`)
+DEFAULT_WINDOW = 5
 
 PUSH_ACCEPTED = "accepted"
 PUSH_STALE = "stale"
@@ -37,35 +39,29 @@ class FrameQueue:
         if capacity < 1:
             raise InputError("queue capacity must be >= 1")
         self.capacity = capacity
-        self._seqs: list[int] = []
         self._items: dict[int, Stamped] = {}
         self._last: Stamped | None = None
         self.held_count = 0
         self.stale_count = 0
 
     def __len__(self) -> int:
-        return len(self._seqs)
+        return len(self._items)
 
     def push(self, frame: Stamped) -> str:
-        seq, seqs = frame.seq, self._seqs
-        if self._last is not None and seq <= self._last.seq:
+        """Stale if its seq is already held or is <= the last popped seq."""
+        seq, items = frame.seq, self._items
+        if seq in items or (self._last is not None and seq <= self._last.seq):
             self.stale_count += 1
             return PUSH_STALE
-        pos = bisect.bisect_left(seqs, seq)
-        if pos < len(seqs) and seqs[pos] == seq:
-            self.stale_count += 1
-            return PUSH_STALE
-        seqs.insert(pos, seq)
-        self._items[seq] = frame
-        if len(seqs) > self.capacity:
-            del self._items[seqs.pop(0)]
+        items[seq] = frame
+        if len(items) > self.capacity:
+            del items[min(items)]
         return PUSH_ACCEPTED
 
     def pop(self) -> tuple[Stamped, bool]:
-        if self._seqs:
-            frame = self._items.pop(self._seqs.pop(0))
-            self._last = frame
-            return frame, False
+        if self._items:
+            self._last = self._items.pop(min(self._items))
+            return self._last, False
         if self._last is None:
             raise NeverFedError("pop before any frame was pushed")
         self.held_count += 1

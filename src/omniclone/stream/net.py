@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import InputError, InsufficientDataError, ProtocolError
 from ..kinematics import HumanoidModel, load_reference_model
 from ..motion import MotionClip, derive_body_kinematics, percentile
-from .faults import FaultConfig
+from .faults import FaultConfig, fault_schedule
 from .jitter import DEFAULT_WINDOW, FrameQueue, Stamped
 from .packet import (
     MSG_FRAMES,
@@ -33,7 +33,6 @@ from .packet import (
     heartbeat,
     payload_finite,
 )
-from .sim import fault_schedule
 
 
 def now_us() -> int:
@@ -47,45 +46,28 @@ def parse_addr(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def clip_packets(clip: MotionClip, model):
-    """Generate one single-frame packet per clip frame, seq 1 first."""
-    clip = derive_body_kinematics(clip, model)
-    rows = zip(clip.root_lin_vel, clip.body_pos, clip.body_quat, clip.joint_pos)
-    for i, row in enumerate(rows):
-        yield StreamPacket(
-            msg_type=MSG_FRAMES,
-            seq=i + 1,
-            send_ts_us=0,  # stamped at send time
-            frames=(PacketFrame(*row),),
-        )
-
-
 def send_clip(
     clip: MotionClip,
     model,
     forward: tuple[str, int],
     rate_hz: float | None = None,
 ) -> int:
-    """Stream a clip to the forward address at its fps (or rate_hz). Returns
-    the number of packets handed to the transport."""
+    """Stream a clip to the forward address at its fps (or rate_hz), one
+    single-frame packet per clip frame, seq 1 first, each stamped as it is
+    sent. Returns the number of packets handed to the transport."""
+    clip = derive_body_kinematics(clip, model)
+    rows = zip(clip.root_lin_vel, clip.body_pos, clip.body_quat, clip.joint_pos)
     period = 1.0 / (rate_hz or clip.fps)
     deadline = time.monotonic()
-    count = 0
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-        for packet in clip_packets(clip, model):
+        for seq, row in enumerate(rows, start=1):
             now = time.monotonic()
             if now < deadline:
                 time.sleep(deadline - now)
-            stamped = StreamPacket(
-                msg_type=packet.msg_type,
-                seq=packet.seq,
-                send_ts_us=now_us(),
-                frames=packet.frames,
-            )
-            sock.sendto(encode_packet(stamped), forward)
-            count += 1
+            packet = StreamPacket(MSG_FRAMES, seq, now_us(), (PacketFrame(*row),))
+            sock.sendto(encode_packet(packet), forward)
             deadline += period
-    return count
+    return len(clip.t)
 
 
 class PolicyServer:

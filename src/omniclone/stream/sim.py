@@ -1,19 +1,17 @@
 """Virtual-time simulation of the producer -> lossy network -> jitter buffer
 -> fixed-rate consumer pipeline.
 
-Runs the real FrameQueue against a deterministic event schedule, so a
-seeded run is exactly reproducible and can be checked byte-for-byte
-against an independently written oracle. Arrival events that coincide
-with a consumer tick are processed before the tick.
+Runs the real FrameQueue against the arrivals that `faults.fault_schedule`
+draws, so a seeded run is exactly reproducible and can be checked
+byte-for-byte against an independently written oracle. Arrival events that
+coincide with a consumer tick are processed before the tick.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import InputError
-from .faults import FaultConfig, decide
+from .faults import FaultConfig, fault_schedule
 from .jitter import DEFAULT_WINDOW, FrameQueue, Stamped
 
 
@@ -52,43 +50,6 @@ class StreamTrace:
         for e in self.entries:
             lines.append(f"{e.tick},{e.seq},{int(e.held)}")
         return "\n".join(lines) + "\n"
-
-
-def fault_schedule(
-    n_packets: int,
-    producer_hz: float,
-    fault: FaultConfig,
-    seed: int,
-) -> tuple[list[tuple[float, int, int]], int, int]:
-    """Arrival events (time, order, seq) for packets seq=1..n sent on a fixed
-    cadence through the seeded fault model. Returns (arrivals, delivered, dropped).
-
-    The doubles come from one block of 4 * n_packets `Generator.random`
-    draws of `default_rng(seed)`, which `decide` consumes in order, one
-    for a dropped packet and four for a delivered one. A block holds the
-    same doubles as that many scalar draws, so the arrivals are those of
-    one `Generator.random`/`uniform` call per draw, bit for bit; the
-    unused tail of the block is discarded with the local generator.
-    """
-    if n_packets < 0:
-        raise InputError(f"packet count must be >= 0, got {n_packets}")
-    if not 0.0 < producer_hz < float("inf"):
-        raise InputError(f"producer rate must be positive and finite, got {producer_hz}")
-    draw = iter(np.random.default_rng(seed).random(4 * n_packets).tolist()).__next__
-    arrivals: list[tuple[float, int, int]] = []
-    order = 0
-    dropped = 0
-    for i in range(n_packets):
-        t_send = i / producer_hz
-        decision = decide(fault, draw)
-        if decision.dropped:
-            dropped += 1
-            continue
-        for delay in decision.delays_s:
-            arrivals.append((t_send + delay, order, i + 1))
-            order += 1
-    arrivals.sort()
-    return arrivals, order, dropped
 
 
 def simulate_stream(

@@ -16,7 +16,8 @@ from omniclone.errors import ConfigError, InputError
 from omniclone.kinematics import HumanoidModel, to_base_point
 from omniclone.motion import Frame
 from omniclone.rotations import quat_conjugate, quat_mul, quat_rotate_inverse
-from omniclone.simtrack import DEFAULT_FUTURE_WINDOW, RobotState, _frame_key_bodies
+from omniclone.simtrack import RobotState, _frame_key_bodies
+from omniclone.stream.jitter import DEFAULT_WINDOW
 
 
 def quat_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -351,6 +352,6 @@ def default_system_config() -> dict:
         },
         "observation": {
             "include_ref_joint_vel": True,
-            "future_window": DEFAULT_FUTURE_WINDOW,
+            "future_window": DEFAULT_WINDOW,
         },
     }

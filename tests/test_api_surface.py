@@ -4,7 +4,9 @@ build up again.
 
 A name counts as called when it appears as a name or an attribute outside
 its own definition; an import alone, such as a re-export in a package
-__init__, does not count. Names kept on purpose sit in KEPT with a reason.
+__init__, does not count, and neither does a name that the enclosing
+function or lambda binds itself (a parameter or an assignment target), since
+that is a local variable. Names kept on purpose sit in KEPT with a reason.
 """
 import ast
 import pathlib
@@ -18,6 +20,37 @@ KEPT = {
 }
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(function) -> set[str]:
+    """The names a function or lambda binds itself: its parameters and the
+    names it assigns, not those of the functions and lambdas nested in it."""
+    a = function.args
+    bound = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
+    todo = list(function.body) if isinstance(function.body, list) else [function.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif not isinstance(node, FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _names(node, local: frozenset[str] = frozenset()) -> set[str]:
+    """The names and attribute names under node, less the names that an
+    enclosing function or lambda binds."""
+    if isinstance(node, FUNCTIONS):
+        local = local | _bound(node)
+    if isinstance(node, ast.Name):
+        return set() if node.id in local else {node.id}
+    names = {node.attr} if isinstance(node, ast.Attribute) else set()
+    for child in ast.iter_child_nodes(node):
+        names |= _names(child, local)
+    return names
+
+
 def _scan():
     defined: dict[str, str] = {}
     named: set[str] = set()
@@ -25,11 +58,7 @@ def _scan():
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             for stmt in tree.body:
-                names = {
-                    node.id if isinstance(node, ast.Name) else node.attr
-                    for node in ast.walk(stmt)
-                    if isinstance(node, (ast.Name, ast.Attribute))
-                }
+                names = _names(stmt)
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     names.discard(stmt.name)
                     if top == "src" and not stmt.name.startswith("_"):

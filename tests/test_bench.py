@@ -18,7 +18,6 @@ from omniclone.bench import (
     episode_to_dict,
     first_failure,
     load_manifest,
-    mpjpe,
     parse_report_json,
     results_from_dict,
     results_to_json,
@@ -35,7 +34,7 @@ from omniclone.motion import (
     load_clip,
     save_clip,
 )
-from omniclone.simtrack import RobotState, TrackerSpec, parse_tracker
+from omniclone.simtrack import RobotState, TrackerSpec, parse_tracker, track_clip
 from omniclone.synthetic import constant_velocity_clip, static_clip
 
 
@@ -53,36 +52,36 @@ def episode(category, level, mpjpe_mm, success=True, name="ep"):
 
 
 class TestMpjpe:
-    def test_identical_zero(self, rng):
-        x = rng.normal(size=(10, 7, 3))
-        assert mpjpe(x, x) == 0.0
+    """run_episode's MPJPE on noise episodes: the tracker's joints go through
+    FK, while the reference keeps the key bodies its clip carries."""
 
-    def test_uniform_offset(self, rng):
-        ref = rng.normal(size=(5, 7, 3))
-        pred = ref + np.array([0.0, 0.0, 0.010])
-        assert mpjpe(pred, ref) == pytest.approx(10.0, abs=1e-9)
+    NOISE_FREE = TrackerSpec(mode="noise", noise_std=0.0)
 
-    def test_matches_double_loop_oracle(self, rng):
-        pred = rng.normal(size=(8, 5, 3))
-        ref = rng.normal(size=(8, 5, 3))
-        assert mpjpe(pred, ref) == pytest.approx(double_loop_mpjpe(pred, ref), abs=1e-9)
+    def test_identical_zero(self, ref_model):
+        clip = constant_velocity_clip(ref_model, 1.0, n_frames=10)
+        result = run_episode(self.NOISE_FREE, clip, ref_model)
+        assert result.mpjpe_mm == pytest.approx(0.0, abs=1e-9)
 
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(InputError):
-            mpjpe(rng.normal(size=(3, 7, 3)), rng.normal(size=(4, 7, 3)))
+    def test_uniform_offset(self, ref_model):
+        # recorded key bodies 10 mm above the pose's FK: every frame reads 10 mm
+        clip = derive_body_kinematics(constant_velocity_clip(ref_model, 1.0, n_frames=10), ref_model)
+        clip = clip.replace(body_pos=clip.body_pos + np.array([0.0, 0.0, 0.010]))
+        result = run_episode(self.NOISE_FREE, clip, ref_model)
+        assert result.frames_evaluated == 10
+        assert np.allclose(result.per_frame_error_mm, 10.0, atol=1e-9)
+        assert result.mpjpe_mm == pytest.approx(10.0, abs=1e-9)
 
-    def test_body_permutation_invariance(self, rng):
-        pred = rng.normal(size=(6, 7, 3))
-        ref = rng.normal(size=(6, 7, 3))
-        perm = rng.permutation(7)
-        assert mpjpe(pred[:, perm], ref[:, perm]) == pytest.approx(mpjpe(pred, ref))
-
-    def test_concatenation_additivity(self, rng):
-        a_pred, a_ref = rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 3, 3))
-        b_pred, b_ref = rng.normal(size=(6, 3, 3)), rng.normal(size=(6, 3, 3))
-        joined = mpjpe(np.concatenate([a_pred, b_pred]), np.concatenate([a_ref, b_ref]))
-        expected = (4 * mpjpe(a_pred, a_ref) + 6 * mpjpe(b_pred, b_ref)) / 10
-        assert joined == pytest.approx(expected, abs=1e-9)
+    def test_matches_double_loop_oracle(self, ref_model):
+        clip = constant_velocity_clip(ref_model, 1.0, n_frames=12)
+        spec = TrackerSpec(mode="noise", noise_std=0.05, seed=3)
+        result = run_episode(spec, clip, ref_model)
+        pred = track_clip(spec, clip, ref_model).body_pos
+        ref = derive_body_kinematics(clip, ref_model).body_pos
+        assert result.success and result.frames_evaluated == 12
+        assert result.mpjpe_mm > 1.0
+        assert result.mpjpe_mm == pytest.approx(double_loop_mpjpe(pred, ref), abs=1e-9)
+        per_frame = [double_loop_mpjpe(pred[t : t + 1], ref[t : t + 1]) for t in range(12)]
+        assert np.allclose(result.per_frame_error_mm, per_frame, atol=1e-9)
 
 
 def _static_kinematics(model, root_z):

@@ -247,6 +247,26 @@ class TestBenchWorkflow:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "steps per" in err
 
+    @pytest.mark.parametrize("fps", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", ["bench", "relay"])
+    def test_non_finite_clip_fps_is_one_error_line(self, tmp_path, ref_model, capsys, fps, command):
+        path = tmp_path / "clip.json"
+        save_clip(constant_velocity_clip(ref_model, 1.0, n_frames=10), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(re.sub(r'"fps": [0-9.]+', f'"fps": {fps}', text, count=1), encoding="utf-8")
+        if command == "bench":
+            manifest = tmp_path / "manifest.json"
+            save_manifest([ManifestEntry(path=str(path))], manifest)
+            argv = ["bench", "run", "--manifest", str(manifest), "--tracker", "pd:400,40",
+                    "--out", str(tmp_path / "results.json")]
+        else:
+            argv = ["relay", "--forward", "127.0.0.1:9", "--clip", str(path)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "fps must be positive and finite" in captured.err
+
     def test_deterministic_outputs(self, tmp_path, ref_model):
         manifest = write_suite(tmp_path, ref_model)
         outs = []
@@ -368,6 +388,21 @@ class TestRecipeCommand:
             counts[row["label"]] = counts.get(row["label"], 0) + 1
         assert counts == {"manip": 6, "dynamic": 2, "stable": 2}
 
+    @pytest.mark.parametrize("fractions, total, message", [
+        ("a=0.5,b=0.5", "-2", "total must be >= 0, got -2"),
+        ("a=1.5,b=-0.5", "4", "fraction of 'a' must be in [0, 1], got 1.5"),
+    ])
+    def test_negative_total_or_fraction_outside_unit_interval_is_an_error(
+        self, tmp_path, capsys, fractions, total, message
+    ):
+        pools_path = tmp_path / "pools.json"
+        pools_path.write_text(json.dumps({"a": ["x", "y"], "b": ["z"]}), encoding="utf-8")
+        argv = ["recipe", "--pools", str(pools_path), "--fractions", fractions, "--total", total]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_non_numeric_fraction_is_an_error(self, tmp_path, capsys):
         pools_path = tmp_path / "pools.json"
         pools_path.write_text(json.dumps({"a": ["x"]}), encoding="utf-8")
@@ -469,6 +504,17 @@ class TestVlaReplayCommand:
         assert err.startswith("error:") and "--rate must be positive and finite" in err
         assert not (tmp_path / "commands.json").exists()
 
+    @pytest.mark.parametrize("ticks", ["0", "-3"])
+    def test_ticks_below_one_is_an_error(self, tmp_path, capsys, ticks):
+        save_chunks([ActionChunk(np.zeros((8, 29)))], tmp_path / "chunks.json")
+        code = cli.main(["vla-replay", "--chunks", str(tmp_path / "chunks.json"), "--ticks", ticks,
+                         "--out", str(tmp_path / "commands.json")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --ticks must be >= 1, got {ticks}\n"
+        assert not (tmp_path / "commands.json").exists()
+
     def test_denoise_steps_key_replays_identically(self, tmp_path, capsys):
         # older chunk files carry a denoise_steps key; it is read and ignored
         rng = np.random.default_rng(4)
@@ -507,6 +553,13 @@ class TestPrintLayout:
         assert lines[2:] == [f"{name},{offset},{length}"
                              for (name, length), offset in zip(blocks, offsets)]
         assert offsets[-1] == teacher_obs_length(ref_model)
+
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_window_below_one_is_an_error(self, capsys, window):
+        assert cli.main(["print-layout", "--policy", "student", "--window", window]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --window must be >= 1, got {window}\n"
 
     def test_deterministic(self, capsys):
         cli.main(["print-layout", "--policy", "student", "--window", "3"])
@@ -564,6 +617,30 @@ class TestServeRelayLive:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "2000 steps per 50.0 fps frame" in err
+
+    @pytest.mark.parametrize("config, flag, seed", [
+        (None, None, 0),
+        ({"seed": 5}, None, 5),
+        (None, "7", 7),
+        ({"seed": 5}, "7", 7),
+    ])
+    def test_serve_policy_seed_from_run_config(self, tmp_path, monkeypatch, capsys, config, flag, seed):
+        seeds = []
+        tracker = simtrack.Tracker
+
+        def recorded(spec, frame_period):
+            seeds.append(spec.seed)
+            return tracker(spec, frame_period)
+
+        monkeypatch.setattr(simtrack, "Tracker", recorded)
+        argv = ["serve-policy", "--listen", "127.0.0.1:0", "--tracker", "noise:0.1", "--duration", "0"]
+        if flag is not None:
+            argv += ["--seed", flag]
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = ["--run-config", str(tmp_path / "run.json"), *argv]
+        assert cli.main(argv) == 0
+        assert seeds == [seed]
 
     @pytest.mark.parametrize("rate", ["0", "-50", "nan", "inf"])
     def test_serve_policy_rate_must_be_positive_and_finite(self, capsys, rate):

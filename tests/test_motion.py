@@ -40,14 +40,14 @@ from omniclone.synthetic import constant_velocity_clip, static_clip
 
 def simple_clip(n_frames=3, fps=30.0, n=2, category="other", level="none", **kwargs):
     frames = []
-    grid_fps = fps if fps > 0 else 30.0
+    grid_fps = fps if 0 < fps < float("inf") else 30.0  # an invalid fps reaches the clip's check
     for i in range(n_frames):
         t = i / grid_fps
         frames.append(
             Frame(
                 t=t,
                 root=RigidPose(np.array([0.1 * i, 0.0, 0.8]), IDENTITY_QUAT.copy()),
-                root_lin_vel=np.array([0.1 * fps, 0.0, 0.0]),
+                root_lin_vel=np.array([0.1 * grid_fps, 0.0, 0.0]),
                 root_ang_vel=np.zeros(3),
                 joint_pos=np.linspace(0, 0.1 * i, n),
                 **kwargs,
@@ -78,8 +78,9 @@ def speed_clip(root_speeds, fps=30.0, name="speeds"):
 
 class TestClipModel:
     def test_fps_positive(self):
-        with pytest.raises(InputError, match="fps must be positive"):
-            simple_clip(fps=0.0)
+        for fps in (0.0, -30.0, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="fps must be positive"):
+                simple_clip(fps=fps)
 
     def test_bad_spacing_rejected(self):
         good = simple_clip(n_frames=3)
@@ -187,6 +188,8 @@ class TestReplace:
         ({"category": "dance"}, "unknown category 'dance'"),
         ({"category": "squat"}, "level 'slow' not allowed for category 'squat'"),
         ({"level": "high"}, "level 'high' not allowed for category 'walk'"),
+        ({"fps": float("nan")}, "fps must be positive and finite, got nan"),
+        ({"fps": float("inf")}, "fps must be positive and finite, got inf"),
     ])
     def test_changed_metadata_and_root_columns_checked(self, clip, changes, message):
         assert (clip.category, clip.level) == ("walk", "slow")
@@ -225,9 +228,10 @@ class TestClipFile:
 
     def test_fps_zero_parse_error(self):
         doc = clip_to_dict(simple_clip())
-        doc["header"]["fps"] = 0
-        with pytest.raises(ClipParseError, match="fps must be positive"):
-            clip_from_dict(doc)
+        for fps in (0, float("nan"), float("inf")):
+            doc["header"]["fps"] = fps
+            with pytest.raises(ClipParseError, match="fps must be positive"):
+                clip_from_dict(doc)
 
     def test_dimension_mismatch_context(self):
         doc = rows_clip_doc(simple_clip(n=2))
@@ -425,6 +429,19 @@ class TestRecipe:
     def test_empty_pool_error(self):
         with pytest.raises(ConfigError):
             compose_recipe({"a": [], "b": ["x"]}, {"a": 0.5, "b": 0.5}, 4, seed=0)
+
+    def test_negative_total_rejected(self):
+        with pytest.raises(ConfigError, match="total must be >= 0, got -2"):
+            compose_recipe({"a": ["x"], "b": ["y"]}, {"a": 0.5, "b": 0.5}, -2, seed=0)
+
+    @pytest.mark.parametrize("fractions, label", [
+        ({"a": 1.5, "b": -0.5}, "a"),
+        ({"a": -0.5, "b": 1.5}, "a"),
+        ({"a": 1.0, "b": float("nan")}, "b"),
+    ])
+    def test_fraction_outside_unit_interval_rejected(self, fractions, label):
+        with pytest.raises(ConfigError, match=f"fraction of '{label}' must be in \\[0, 1\\]"):
+            compose_recipe({"a": ["x"], "b": ["y"]}, fractions, 4, seed=0)
 
     def test_wrap_with_replacement_flagged(self):
         manifest = compose_recipe({"a": ["x", "y"]}, {"a": 1.0}, 5, seed=1)
