@@ -395,11 +395,12 @@ def cmd_vla_replay(args, cfg: RunConfig) -> int:
             raise OmniCloneError(
                 f"chunk has {chunk.actions.shape[1]} joints, model has {model.n_joints}"
             )
-    ticks = len(chunks) * args.execute_len
+    execute_len = _at_least_one("--execute-len", args.execute_len)
+    ticks = len(chunks) * execute_len
     if args.ticks is not None:
         ticks = _at_least_one("--ticks", args.ticks)
     planner = vlabridge.scripted_planner(chunks)
-    trace = vlabridge.chunk_executor(planner, ticks=ticks, execute_len=args.execute_len)
+    trace = vlabridge.chunk_executor(planner, ticks=ticks, execute_len=execute_len)
     root = RigidPose(np.array([0.0, 0.0, synthetic.DEFAULT_ROOT_Z]), np.array([1.0, 0, 0, 0]))
     frames = [
         vlabridge.joints_to_command(trace.actions[t], model, root, t=t / rate)

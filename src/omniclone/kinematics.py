@@ -153,7 +153,10 @@ class HumanoidModel:
         self.key_bodies: tuple[str, ...] = tuple(key_bodies)
         self.calibration_chain: tuple[str, ...] = tuple(calibration_chain)
         self._validate()
-        self.key_body_index = np.array([self._index[b] for b in self.key_bodies])
+        # the key bodies' link rows: a tuple for the walk over one
+        # configuration, an index array for a batch
+        self.key_body_rows: tuple[int, ...] = tuple(self._index[b] for b in self.key_bodies)
+        self.key_body_index = np.array(self.key_body_rows, dtype=int)
 
     @property
     def n_joints(self) -> int:
@@ -307,77 +310,75 @@ class HumanoidModel:
             raise ConfigError(f"calibration_chain must end at a leaf, {leaf!r} has children")
 
 
-def forward_kinematics_arrays(
-    model: HumanoidModel,
-    joint_pos: np.ndarray,
-    root_pos: np.ndarray,
-    root_quat: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Core FK on raw arrays. Supports batched inputs.
-
-    joint_pos: (..., n); root_pos: (..., 3); root_quat: (..., 4).
-    Returns positions (..., L, 3) and orientations (..., L, 4) in link order.
-
-    One configuration (joint_pos (n,), root_pos (3,), root_quat (4,)) walks
-    the links in order with Python floats. Any other shape walks the levels
-    of model.fk_levels, one tree depth at a time, on component-major
-    (3, L, B) and (4, L, B) arrays of the B configurations, _FK_CHUNK of
-    them at a time; sin and cos of the half-angles are taken once, and each
-    cross product and quaternion product is a few numpy calls over the
-    whole level. Both do the arithmetic of rotations' quat_rotate, quat_mul
-    and quat_from_axis_angle per link, in the same order, so both are
-    bit-identical to a link-by-link walk. A batch's outputs are transposed
-    views of those arrays, not C-contiguous copies.
-    """
+def _fk_inputs(model: HumanoidModel, joint_pos, root_pos, root_quat):
+    """The FK inputs as float arrays, checked, and whether they are one
+    configuration: joint_pos (n,), root_pos (3,) and root_quat (4,)."""
     joint_pos = np.asarray(joint_pos, dtype=float)
     root_pos = np.asarray(root_pos, dtype=float)
     root_quat = np.asarray(root_quat, dtype=float)
     n = model.n_joints
     if joint_pos.shape[-1] != n:
         raise InputError(f"joint_pos: expected {n} joints, got {joint_pos.shape[-1]}")
-    if not (np.all(np.isfinite(joint_pos)) and np.all(np.isfinite(root_pos))):
+    if root_pos.shape[-1:] != (3,):
+        raise InputError(f"root_pos: expected shape (..., 3), got {root_pos.shape}")
+    if root_quat.shape[-1:] != (4,):
+        raise InputError(f"root_quat: expected shape (..., 4), got {root_quat.shape}")
+    if not (
+        np.isfinite(joint_pos).all() and np.isfinite(root_pos).all() and np.isfinite(root_quat).all()
+    ):
         raise InputError("forward_kinematics_arrays: non-finite input")
-    if joint_pos.ndim == 1 and root_pos.shape == (3,) and root_quat.shape == (4,):
-        # numpy's sin/cos, not math's, whose bits may differ
-        half = joint_pos / 2.0
-        sin = np.sin(half).tolist()
-        cos = np.cos(half).tolist()
-        pos_l = [None] * len(model.links)
-        quat_l = [None] * len(model.links)
-        pos_l[model.root_index] = root_pos.tolist()
-        quat_l[model.root_index] = root_quat.tolist()
-        for i, parent, col, (vx, vy, vz), (bw, bx, by, bz), (ux, uy, uz) in model.fk_links:
-            px, py, pz = pos_l[parent]
-            w, x, y, z = quat_l[parent]
-            # quat_rotate(parent, offset_pos)
-            tx = y * vz - z * vy
-            ty = z * vx - x * vz
-            tz = x * vy - y * vx
-            pos_l[i] = [
-                px + (vx + 2.0 * (w * tx + (y * tz - z * ty))),
-                py + (vy + 2.0 * (w * ty + (z * tx - x * tz))),
-                pz + (vz + 2.0 * (w * tz + (x * ty - y * tx))),
-            ]
-            # quat_mul(parent, offset_quat)
-            fw = w * bw - x * bx - y * by - z * bz
-            fx = w * bx + x * bw + y * bz - z * by
-            fy = w * by - x * bz + y * bw + z * bx
-            fz = w * bz + x * by - y * bx + z * bw
-            if col >= 0:
-                # quat_mul(frame, quat_from_axis_angle(axis, joint angle))
-                c = cos[col]
-                s = sin[col]
-                jx = ux * s
-                jy = uy * s
-                jz = uz * s
-                fw, fx, fy, fz = (
-                    fw * c - fx * jx - fy * jy - fz * jz,
-                    fw * jx + fx * c + fy * jz - fz * jy,
-                    fw * jy - fx * jz + fy * c + fz * jx,
-                    fw * jz + fx * jy - fy * jx + fz * c,
-                )
-            quat_l[i] = [fw, fx, fy, fz]
-        return np.array(pos_l), np.array(quat_l)
+    single = joint_pos.ndim == 1 and root_pos.ndim == 1 and root_quat.ndim == 1
+    return joint_pos, root_pos, root_quat, single
+
+
+def _fk_walk(model: HumanoidModel, joint_pos, root_pos, root_quat) -> tuple[list, list]:
+    """One configuration's link positions and quaternions, per link in link
+    order, as lists of Python floats: a walk over model.fk_links."""
+    # numpy's sin/cos, not math's, whose bits may differ
+    half = joint_pos / 2.0
+    sin = np.sin(half).tolist()
+    cos = np.cos(half).tolist()
+    pos_l = [None] * len(model.links)
+    quat_l = [None] * len(model.links)
+    pos_l[model.root_index] = root_pos.tolist()
+    quat_l[model.root_index] = root_quat.tolist()
+    for i, parent, col, (vx, vy, vz), (bw, bx, by, bz), (ux, uy, uz) in model.fk_links:
+        px, py, pz = pos_l[parent]
+        w, x, y, z = quat_l[parent]
+        # quat_rotate(parent, offset_pos)
+        tx = y * vz - z * vy
+        ty = z * vx - x * vz
+        tz = x * vy - y * vx
+        pos_l[i] = [
+            px + (vx + 2.0 * (w * tx + (y * tz - z * ty))),
+            py + (vy + 2.0 * (w * ty + (z * tx - x * tz))),
+            pz + (vz + 2.0 * (w * tz + (x * ty - y * tx))),
+        ]
+        # quat_mul(parent, offset_quat)
+        fw = w * bw - x * bx - y * by - z * bz
+        fx = w * bx + x * bw + y * bz - z * by
+        fy = w * by - x * bz + y * bw + z * bx
+        fz = w * bz + x * by - y * bx + z * bw
+        if col >= 0:
+            # quat_mul(frame, quat_from_axis_angle(axis, joint angle))
+            c = cos[col]
+            s = sin[col]
+            jx = ux * s
+            jy = uy * s
+            jz = uz * s
+            fw, fx, fy, fz = (
+                fw * c - fx * jx - fy * jy - fz * jz,
+                fw * jx + fx * c + fy * jz - fz * jy,
+                fw * jy - fx * jz + fy * c + fz * jx,
+                fw * jz + fx * jy - fy * jx + fz * c,
+            )
+        quat_l[i] = [fw, fx, fy, fz]
+    return pos_l, quat_l
+
+
+def _fk_batch(model: HumanoidModel, joint_pos, root_pos, root_quat) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of configurations, level by level over model.fk_levels."""
+    n = model.n_joints
     batch = joint_pos.shape[:-1]
     B = math.prod(batch)
     L = len(model.links)
@@ -414,14 +415,59 @@ def forward_kinematics_arrays(
     return pos, quat
 
 
+def forward_kinematics_arrays(
+    model: HumanoidModel,
+    joint_pos: np.ndarray,
+    root_pos: np.ndarray,
+    root_quat: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Core FK on raw arrays. Supports batched inputs.
+
+    joint_pos: (..., n); root_pos: (..., 3); root_quat: (..., 4).
+    Returns positions (..., L, 3) and orientations (..., L, 4) in link order.
+    Raises InputError for another joint count, a root whose last axis is
+    not 3 (position) or 4 (quaternion), or a non-finite joint angle, root
+    position or root quaternion component.
+
+    One configuration (joint_pos (n,), root_pos (3,), root_quat (4,)) walks
+    the links in order with Python floats. Any other shape walks the levels
+    of model.fk_levels, one tree depth at a time, on component-major
+    (3, L, B) and (4, L, B) arrays of the B configurations, _FK_CHUNK of
+    them at a time; sin and cos of the half-angles are taken once, and each
+    cross product and quaternion product is a few numpy calls over the
+    whole level. Both do the arithmetic of rotations' quat_rotate, quat_mul
+    and quat_from_axis_angle per link, in the same order, so both are
+    bit-identical to a link-by-link walk. A batch's outputs are transposed
+    views of those arrays, not C-contiguous copies.
+    """
+    joint_pos, root_pos, root_quat, single = _fk_inputs(model, joint_pos, root_pos, root_quat)
+    if single:
+        pos_l, quat_l = _fk_walk(model, joint_pos, root_pos, root_quat)
+        return np.array(pos_l), np.array(quat_l)
+    return _fk_batch(model, joint_pos, root_pos, root_quat)
+
+
 def key_body_poses(
     model: HumanoidModel,
     joint_pos: np.ndarray,
     root_pos: np.ndarray,
     root_quat: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """FK restricted to the key-body set: (..., K, 3), (..., K, 4)."""
-    pos, quat = forward_kinematics_arrays(model, joint_pos, root_pos, root_quat)
+    """FK restricted to the key-body set: (..., K, 3), (..., K, 4).
+
+    Takes and checks the inputs of forward_kinematics_arrays, and its
+    values bit for bit. One configuration turns only the K key-body rows
+    of the walk into arrays; a batch gathers them from the whole batch.
+    """
+    joint_pos, root_pos, root_quat, single = _fk_inputs(model, joint_pos, root_pos, root_quat)
+    if single:
+        pos_l, quat_l = _fk_walk(model, joint_pos, root_pos, root_quat)
+        rows = model.key_body_rows
+        return (
+            np.array([pos_l[i] for i in rows]).reshape(len(rows), 3),
+            np.array([quat_l[i] for i in rows]).reshape(len(rows), 4),
+        )
+    pos, quat = _fk_batch(model, joint_pos, root_pos, root_quat)
     idx = model.key_body_index
     return pos[..., idx, :], quat[..., idx, :]
 

@@ -53,14 +53,22 @@ _TIME_TOL = 1e-6
 
 
 def _opt_array(x, shape, name):
+    """x as a float array of the given shape, or None for None."""
     if x is None:
         return None
     arr = np.asarray(x, dtype=float)
     if arr.shape != shape:
         raise InputError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InputError(f"{name}: non-finite values")
     return arr
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass built without __post_init__, for
+    fields the caller has already checked and converted as the constructor
+    would."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,16 +91,22 @@ class Frame:
         if jp.ndim != 1:
             raise InputError(f"joint_pos: expected a 1-D vector, got shape {jp.shape}")
         n = jp.shape[0]
-        object.__setattr__(self, "joint_pos", _opt_array(jp, (n,), "joint_pos"))
-        object.__setattr__(self, "root_lin_vel", _opt_array(self.root_lin_vel, (3,), "root_lin_vel"))
-        object.__setattr__(self, "root_ang_vel", _opt_array(self.root_ang_vel, (3,), "root_ang_vel"))
-        object.__setattr__(self, "joint_vel", _opt_array(self.joint_vel, (n,), "joint_vel"))
+        object.__setattr__(self, "joint_pos", jp)
+        shapes = [("joint_pos", (n,)), ("root_lin_vel", (3,)), ("root_ang_vel", (3,)), ("joint_vel", (n,))]
         if self.body_pos is not None:
             k = np.asarray(self.body_pos).shape[0]
-            object.__setattr__(self, "body_pos", _opt_array(self.body_pos, (k, 3), "body_pos"))
-            object.__setattr__(self, "body_quat", _opt_array(self.body_quat, (k, 4), "body_quat"))
-            object.__setattr__(self, "body_lin_vel", _opt_array(self.body_lin_vel, (k, 3), "body_lin_vel"))
-            object.__setattr__(self, "body_ang_vel", _opt_array(self.body_ang_vel, (k, 3), "body_ang_vel"))
+            shapes += [("body_pos", (k, 3)), ("body_quat", (k, 4)), ("body_lin_vel", (k, 3)), ("body_ang_vel", (k, 3))]
+        present = []
+        for name, shape in shapes:
+            arr = _opt_array(getattr(self, name), shape, name)
+            object.__setattr__(self, name, arr)
+            if arr is not None:
+                present.append((name, arr))
+        # one finiteness check over every array; the first non-finite field
+        # in field order is looked for only when it fails
+        if not np.isfinite(np.concatenate([arr for _, arr in present], axis=None)).all():
+            name = next(name for name, arr in present if not np.isfinite(arr).all())
+            raise InputError(f"{name}: non-finite values")
         if not np.isfinite(self.t):
             raise InputError("t: non-finite")
 

@@ -22,10 +22,11 @@ no more than a length check.
 decode_packet checks the length, magic, version, exact size and CRC, then
 views the payload once as a (frame_count, 3 + 7K + n) float32 array. The
 checked header fixes every frame's shapes, so the decoded PacketFrames and
-StreamPacket are built from those views without re-running their
-constructors' checks: root_lin_vel and joint_pos are read-only views of
-the datagram, and body_pos and body_quat are rows of one copy each per
-packet. Every other caller goes through the checking constructors.
+StreamPacket are built from those views with motion._unchecked, without
+re-running their constructors' checks: root_lin_vel and joint_pos are
+read-only views of the datagram, and body_pos and body_quat are rows of one
+copy each per packet. Every other caller goes through the checking
+constructors.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CorruptionError, InputError, ProtocolError, TruncationError
+from ..motion import _unchecked
 
 MAGIC = b"OCL1"
 VERSION = 1
@@ -200,14 +202,6 @@ def decode_packet(data: bytes) -> StreamPacket:
         n_bodies=k,
         n_joints=n,
     )
-
-
-def _unchecked(cls, **fields):
-    """An instance of a frozen dataclass built without __post_init__, for
-    fields the caller has already checked."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def payload_finite(data: bytes) -> bool:

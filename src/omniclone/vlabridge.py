@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError, PlannerContractError, PlannerTimeout
 from .files import read_json
 from .kinematics import HumanoidModel, RigidPose, key_body_poses
-from .motion import Frame
+from .motion import Frame, _unchecked
 
 DEFAULT_EXECUTE_LEN = 8
 
@@ -126,12 +126,24 @@ def joints_to_command(
     frame, so downstream observation building and benchmarking treat the
     two sources identically. The root pose comes from the runtime since
     planner outputs are joint-space only.
+
+    joint_targets must be a finite (n,) vector for the model's n joints and
+    t finite, or InputError is raised. The Frame is built from these
+    checked parts without re-running its constructor's checks; its fields
+    are those the constructor would store: float64 arrays, zero root and
+    joint velocities, no body velocities.
     """
     joint_targets = np.asarray(joint_targets, dtype=float)
+    if joint_targets.ndim != 1:
+        raise InputError(f"joint_pos: expected a 1-D vector, got shape {joint_targets.shape}")
+    # key_body_poses checks the joint count and that the joints are finite
     body_pos, body_quat = key_body_poses(
         model, joint_targets, assumed_root.position, assumed_root.orientation
     )
-    return Frame(
+    if not np.isfinite(t):
+        raise InputError("t: non-finite")
+    return _unchecked(
+        Frame,
         t=t,
         root=assumed_root,
         root_lin_vel=np.zeros(3),
@@ -140,6 +152,8 @@ def joints_to_command(
         joint_vel=np.zeros(model.n_joints),
         body_pos=body_pos,
         body_quat=body_quat,
+        body_lin_vel=None,
+        body_ang_vel=None,
     )
 
 

@@ -515,6 +515,19 @@ class TestVlaReplayCommand:
         assert captured.err == f"error: --ticks must be >= 1, got {ticks}\n"
         assert not (tmp_path / "commands.json").exists()
 
+    @pytest.mark.parametrize("ticks", [[], ["--ticks", "5"]])
+    @pytest.mark.parametrize("execute_len", ["0", "-2"])
+    def test_execute_len_below_one_is_an_error(self, tmp_path, capsys, execute_len, ticks):
+        # refused by name before the default tick count (chunks x execute-len) is taken
+        save_chunks([ActionChunk(np.zeros((8, 29)))], tmp_path / "chunks.json")
+        code = cli.main(["vla-replay", "--chunks", str(tmp_path / "chunks.json"),
+                         "--execute-len", execute_len, *ticks, "--out", str(tmp_path / "commands.json")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --execute-len must be >= 1, got {execute_len}\n"
+        assert not (tmp_path / "commands.json").exists()
+
     def test_denoise_steps_key_replays_identically(self, tmp_path, capsys):
         # older chunk files carry a denoise_steps key; it is read and ignored
         rng = np.random.default_rng(4)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -26,6 +27,7 @@ from omniclone.kinematics import (
     RigidPose,
     chain_height,
     forward_kinematics_arrays,
+    key_body_poses,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -309,21 +311,83 @@ class TestLevelwiseFK:
             forward_kinematics_arrays(ref_model, joint_pos, root_pos, root_quat)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("fault", ["joint_count", "nan_joint", "nan_root_pos"])
+    @pytest.mark.parametrize(
+        "fault", ["joint_count", "nan_joint", "nan_root_pos", "nan_root_quat", "inf_root_quat"]
+    )
     def test_single_and_batched_errors_match(self, ref_model, rng, fault):
         messages = []
-        for batch in ((), (4,)):
+        for fk, batch in itertools.product((forward_kinematics_arrays, key_body_poses), ((), (4,))):
             joint_pos, root_pos, root_quat = random_batch(rng, ref_model, batch)
             if fault == "joint_count":
                 joint_pos = joint_pos[..., 1:]
             elif fault == "nan_joint":
                 joint_pos[..., 3] = np.nan
-            else:
+            elif fault == "nan_root_pos":
                 root_pos[..., 1] = np.nan
+            else:
+                root_quat[..., 0] = np.nan if fault == "nan_root_quat" else np.inf
             with pytest.raises(InputError) as err:
-                forward_kinematics_arrays(ref_model, joint_pos, root_pos, root_quat)
+                fk(ref_model, joint_pos, root_pos, root_quat)
             messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        assert len(set(messages)) == 1
+
+    @pytest.mark.parametrize("fk", [forward_kinematics_arrays, key_body_poses])
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    def test_root_of_another_width_rejected(self, ref_model, rng, batch, fk):
+        joint_pos, root_pos, root_quat = random_batch(rng, ref_model, batch)
+        with pytest.raises(InputError, match=r"root_pos: expected shape \(\.\.\., 3\)"):
+            fk(ref_model, joint_pos, root_pos[..., :2], root_quat)
+        with pytest.raises(InputError, match=r"root_quat: expected shape \(\.\.\., 4\)"):
+            fk(ref_model, joint_pos, root_pos, root_quat[..., :3])
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bits, sign of zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKeyBodyPoses:
+    """key_body_poses on one configuration turns only the key-body rows of
+    the walk into arrays; it must give the bits of a full FK gather."""
+
+    @staticmethod
+    def shuffled_key_model(rng):
+        # key bodies listed out of link order, a fixed link among them
+        model = random_tree_model(rng, 6, fixed_share=0.3)
+        names = list(model.link_names)
+        keys = [names[i] for i in (5, 0, 3, 6)]
+        return HumanoidModel(model.links, keys, [])
+
+    @staticmethod
+    def configurations(rng, model):
+        """Random joints and roots, then -0.0 and +-pi joints with roots
+        holding -0.0 components."""
+        n = model.n_joints
+        yield random_batch(rng, model, ())
+        edge = np.resize(np.array([-0.0, np.pi, -np.pi, 0.0]), n)
+        yield edge, np.array([-0.0, 0.25, -0.0]), np.array([1.0, -0.0, 0.0, -0.0])
+        quat = quat_normalize(np.array([-0.0, 0.6, -0.0, 0.8]))
+        yield -edge, np.array([-0.0, -0.0, -0.0]), quat
+
+    def test_single_matches_full_fk_and_batch_row(self, ref_model, rng):
+        for model in (ref_model, self.shuffled_key_model(rng)):
+            assert model.key_body_rows == tuple(model.key_body_index.tolist())
+            configs = list(self.configurations(rng, model))
+            batch = [np.stack(parts) for parts in zip(*configs)]
+            batch_pos, batch_quat = key_body_poses(model, *batch)
+            for b, (joint_pos, root_pos, root_quat) in enumerate(configs):
+                pos, quat = key_body_poses(model, joint_pos, root_pos, root_quat)
+                full_pos, full_quat = forward_kinematics_arrays(model, joint_pos, root_pos, root_quat)
+                assert same_bits(pos, full_pos[model.key_body_index])
+                assert same_bits(quat, full_quat[model.key_body_index])
+                assert same_bits(pos, batch_pos[b]) and same_bits(quat, batch_quat[b])
+
+    def test_model_without_key_bodies(self, rng):
+        model = HumanoidModel(random_tree_model(rng, 3).links, [], [])
+        for batch in ((), (2,)):
+            pos, quat = key_body_poses(model, *random_batch(rng, model, batch))
+            assert pos.shape == batch + (0, 3) and quat.shape == batch + (0, 4)
 
 
 class TestQuaternionCore:

@@ -110,6 +110,47 @@ class TestClipModel:
         assert ("jump", "low") in BENCH_STRATA
 
 
+class TestFrameChecks:
+    FIELDS = (
+        "joint_pos", "root_lin_vel", "root_ang_vel", "joint_vel",
+        "body_pos", "body_quat", "body_lin_vel", "body_ang_vel",
+    )
+
+    @staticmethod
+    def fields(n=4, k=3):
+        return dict(
+            root_lin_vel=np.zeros(3), root_ang_vel=np.zeros(3),
+            joint_pos=np.zeros(n), joint_vel=np.zeros(n),
+            body_pos=np.zeros((k, 3)), body_quat=np.tile([1.0, 0.0, 0.0, 0.0], (k, 1)),
+            body_lin_vel=np.zeros((k, 3)), body_ang_vel=np.zeros((k, 3)),
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("key", FIELDS)
+    def test_one_non_finite_value_names_its_field(self, key, bad):
+        fields = self.fields()
+        fields[key].flat[-1] = bad
+        with pytest.raises(InputError) as err:
+            Frame(t=0.0, root=RigidPose(np.zeros(3), IDENTITY_QUAT), **fields)
+        assert str(err.value) == f"{key}: non-finite values"
+
+    def test_first_non_finite_field_in_field_order(self):
+        fields = self.fields()
+        for key in reversed(self.FIELDS):
+            fields[key].flat[0] = np.nan
+            with pytest.raises(InputError) as err:
+                Frame(t=0.0, root=RigidPose(np.zeros(3), IDENTITY_QUAT), **fields)
+            assert str(err.value) == f"{key}: non-finite values"
+
+    def test_finite_extremes_accepted(self):
+        # values whose sum overflows are finite all the same
+        fields = self.fields()
+        fields["body_pos"][:] = np.finfo(float).max
+        fields["joint_pos"][:] = -np.finfo(float).max
+        frame = Frame(t=0.0, root=RigidPose(np.zeros(3), IDENTITY_QUAT), **fields)
+        assert np.array_equal(frame.body_pos, fields["body_pos"])
+
+
 class TestColumns:
     def test_array_accessors_return_stored_read_only_column(self, ref_model):
         clip = constant_velocity_clip(ref_model, 1.0, n_frames=5)

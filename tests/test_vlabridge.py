@@ -7,6 +7,7 @@ from oracles import chunk_schedule_oracle, links_from_model, matrix_fk, save_chu
 
 from omniclone.errors import InputError, PlannerContractError, PlannerTimeout
 from omniclone.kinematics import RigidPose
+from omniclone.motion import Frame
 from omniclone.simtrack import build_student_obs, state_from_frame
 from omniclone.vlabridge import (
     ActionChunk,
@@ -165,6 +166,62 @@ class TestJointsToCommand:
         assert frame.body_pos.shape == (7, 3)
         assert frame.body_quat.shape == (7, 4)
         assert np.all(np.isfinite(frame.body_pos))
+
+
+class TestJointsToCommandChecks:
+    """joints_to_command checks its inputs once and builds its Frame from the
+    checked parts, without the constructor's second pass."""
+
+    ROOT = RigidPose(np.array([0.1, -0.2, 0.75]), np.array([0.6, 0.0, 0.0, 0.8]))
+
+    @pytest.mark.parametrize("joints", ["array", "list", "float32"])
+    def test_frame_equals_checked_frame(self, ref_model, rng, joints):
+        q = rng.uniform(-np.pi, np.pi, 29)
+        q[:3] = [-0.0, np.pi, -np.pi]
+        given = {"array": q, "list": q.tolist(), "float32": q.astype(np.float32)}[joints]
+        frame = joints_to_command(given, ref_model, self.ROOT, t=0.5)
+        checked = Frame(
+            t=0.5,
+            root=self.ROOT,
+            root_lin_vel=np.zeros(3),
+            root_ang_vel=np.zeros(3),
+            joint_pos=given,
+            joint_vel=np.zeros(29),
+            body_pos=frame.body_pos.copy(),
+            body_quat=frame.body_quat.copy(),
+        )
+        for name, want in vars(checked).items():
+            got = getattr(frame, name)
+            if want is None or not isinstance(want, np.ndarray):
+                assert got is want or got == want, name
+            else:
+                assert got.dtype == want.dtype == np.float64, name
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert vars(frame).keys() == vars(checked).keys()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("2-D joints", "joint_pos: expected a 1-D vector, got shape (2, 29)"),
+            ("joint count", "joint_pos: expected 29 joints, got 28"),
+            ("NaN joint", "forward_kinematics_arrays: non-finite input"),
+            ("NaN t", "t: non-finite"),
+            ("infinite t", "t: non-finite"),
+        ],
+    )
+    def test_bad_input_rejected(self, ref_model, fault, message):
+        q, t = np.zeros(29), 0.0
+        if fault == "2-D joints":
+            q = np.zeros((2, 29))
+        elif fault == "joint count":
+            q = np.zeros(28)
+        elif fault == "NaN joint":
+            q[4] = np.nan
+        else:
+            t = np.nan if fault == "NaN t" else np.inf
+        with pytest.raises(InputError) as err:
+            joints_to_command(q, ref_model, self.ROOT, t=t)
+        assert str(err.value) == message
 
 
 class TestChunkFiles:
