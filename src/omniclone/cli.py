@@ -286,7 +286,7 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
 
 def cmd_bench_run(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    tracker = simtrack.parse_tracker(args.tracker)
+    tracker = replace(simtrack.parse_tracker(args.tracker), seed=cfg.seed)
     thresholds = _thresholds(args, cfg)
     load_s = episodes_s = 0.0
     start = time.perf_counter()

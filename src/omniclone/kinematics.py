@@ -156,6 +156,8 @@ class HumanoidModel:
         # the key bodies' link rows: a tuple for the walk over one
         # configuration, an index array for a batch
         self.key_body_rows: tuple[int, ...] = tuple(self._index[b] for b in self.key_bodies)
+        # each key body's row in a (K, ...) key-body array
+        self.key_body_slots: dict[str, int] = {b: i for i, b in enumerate(self.key_bodies)}
         self.key_body_index = np.array(self.key_body_rows, dtype=int)
 
     @property
@@ -317,6 +319,8 @@ def _fk_inputs(model: HumanoidModel, joint_pos, root_pos, root_quat):
     root_pos = np.asarray(root_pos, dtype=float)
     root_quat = np.asarray(root_quat, dtype=float)
     n = model.n_joints
+    if joint_pos.ndim == 0:
+        raise InputError(f"joint_pos: expected shape (..., {n}), got {joint_pos.shape}")
     if joint_pos.shape[-1] != n:
         raise InputError(f"joint_pos: expected {n} joints, got {joint_pos.shape[-1]}")
     if root_pos.shape[-1:] != (3,):

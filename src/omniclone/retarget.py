@@ -163,7 +163,7 @@ def retarget_frame(
         return replace(previous, t=raw.t), True
     s = cal.scale
     origin = np.asarray(cal.session_origin)
-    slot = {body: i for i, body in enumerate(model.key_bodies)}
+    slot = model.key_body_slots
     # an unmapped key body keeps position zero (origin - origin is +0.0) and
     # the identity orientation
     points = [origin] * len(slot)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +30,8 @@ from .motion import (
     COLUMNS,
     Frame,
     MotionClip,
+    _opt_array,
+    _unchecked,
     derive_body_kinematics,
     derive_joint_velocities,
 )
@@ -48,22 +51,30 @@ MAX_PD_STEPS_PER_FRAME = 1000
 @dataclass(frozen=True, eq=False)
 class RobotState:
     """Proprioceptive snapshot. root_ang_vel is base-frame; body poses and
-    velocities are world-frame per key body."""
+    velocities are world-frame per key body.
+
+    As on a Frame, the key-body poses are optional: body_pos and body_quat
+    are both given or both None. A reader that needs them takes them through
+    _frame_key_bodies, which derives them from the state's own joints at its
+    root. body_lin_vel and body_ang_vel are always given.
+    """
 
     root: RigidPose
     root_ang_vel: np.ndarray  # (3,) base frame
     joint_pos: np.ndarray  # (n,)
     joint_vel: np.ndarray  # (n,)
-    body_pos: np.ndarray  # (K, 3)
-    body_quat: np.ndarray  # (K, 4)
+    body_pos: np.ndarray | None  # (K, 3)
+    body_quat: np.ndarray | None  # (K, 4)
     body_lin_vel: np.ndarray  # (K, 3)
     body_ang_vel: np.ndarray  # (K, 3)
     last_action: np.ndarray  # (n,)
     gravity_world: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
 
     def __post_init__(self):
+        if (self.body_pos is None) != (self.body_quat is None):
+            raise InputError("body_pos and body_quat: give both or neither")
         n = self.joint_pos.shape[0]
-        k = self.body_pos.shape[0]
+        k = self.body_lin_vel.shape[0]
         checks = {
             "root_ang_vel": ((3,), self.root_ang_vel),
             "joint_pos": ((n,), self.joint_pos),
@@ -76,6 +87,8 @@ class RobotState:
             "gravity_world": ((3,), self.gravity_world),
         }
         for name, (shape, val) in checks.items():
+            if val is None and name in ("body_pos", "body_quat"):
+                continue
             arr = np.asarray(val, dtype=float)
             if arr.shape != shape:
                 raise InputError(f"{name}: expected shape {shape}, got {arr.shape}")
@@ -87,11 +100,14 @@ class RobotState:
 
     @property
     def n_bodies(self) -> int:
-        return self.body_pos.shape[0]
+        return self.body_lin_vel.shape[0]
 
 
-def _frame_key_bodies(frame: Frame, model: HumanoidModel) -> tuple[np.ndarray, np.ndarray]:
-    """Key-body positions and orientations the frame carries, else FK of its joints."""
+def _frame_key_bodies(
+    frame: Frame | RobotState, model: HumanoidModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Key-body positions and orientations a frame or state carries, else
+    key_body_poses of its joints at its root."""
     if frame.body_pos is not None and frame.body_quat is not None:
         return frame.body_pos, frame.body_quat
     return key_body_poses(model, frame.joint_pos, frame.root.position, frame.root.orientation)
@@ -102,22 +118,38 @@ def state_from_frame(
     model: HumanoidModel,
     last_action: np.ndarray | None = None,
 ) -> RobotState:
-    """Robot state that exactly realizes the given reference frame."""
-    joint_vel = frame.joint_vel if frame.joint_vel is not None else np.zeros(model.n_joints)
-    body_pos, body_quat = _frame_key_bodies(frame, model)
-    k = body_pos.shape[0]
-    body_lin = frame.body_lin_vel if frame.body_lin_vel is not None else np.zeros((k, 3))
-    body_ang = frame.body_ang_vel if frame.body_ang_vel is not None else np.zeros((k, 3))
-    return RobotState(
+    """Robot state that exactly realizes the given reference frame.
+
+    Runs no FK. The state carries the frame's key-body poses if the frame
+    carries both, else neither; missing joint and body velocities are zero,
+    for the frame's key bodies or else the model's. The frame's arrays were
+    checked when it was built, so only the joint count, the body velocities
+    and last_action (default: the frame's joints) are checked here.
+    """
+    n = model.n_joints
+    if frame.joint_pos.shape[0] != n:
+        raise InputError(f"joint_pos: expected {n} joints, got {frame.joint_pos.shape[0]}")
+    last_action = _opt_array(last_action, (n,), "last_action")
+    body_pos, body_quat = frame.body_pos, frame.body_quat
+    if body_pos is None or body_quat is None:
+        body_pos = body_quat = None
+        k = model.n_key_bodies
+    else:
+        k = body_pos.shape[0]
+    body_lin = _opt_array(frame.body_lin_vel, (k, 3), "body_lin_vel")
+    body_ang = _opt_array(frame.body_ang_vel, (k, 3), "body_ang_vel")
+    return _unchecked(
+        RobotState,
         root=frame.root,
         root_ang_vel=to_base_vector(frame.root, frame.root_ang_vel),
         joint_pos=frame.joint_pos,
-        joint_vel=joint_vel,
+        joint_vel=frame.joint_vel if frame.joint_vel is not None else np.zeros(n),
         body_pos=body_pos,
         body_quat=body_quat,
-        body_lin_vel=body_lin,
-        body_ang_vel=body_ang,
+        body_lin_vel=np.zeros((k, 3)) if body_lin is None else body_lin,
+        body_ang_vel=np.zeros((k, 3)) if body_ang is None else body_ang,
         last_action=frame.joint_pos.copy() if last_action is None else last_action,
+        gravity_world=GRAVITY.copy(),
     )
 
 
@@ -173,7 +205,9 @@ def build_teacher_obs(
     orientations, linear and angular velocities; gravity; root angular
     velocity; previous action; reference joint positions and velocities;
     reference key-body positions and orientations. World-frame quantities
-    are transformed into the current base frame.
+    are transformed into the current base frame. The state's and the
+    reference's key-body poses are the ones they carry, else FK of their
+    joints at their root (_frame_key_bodies).
     """
     if state.n_joints != model.n_joints or state.n_bodies != model.n_key_bodies:
         raise InputError("state dimensions do not match the model")
@@ -182,12 +216,13 @@ def build_teacher_obs(
     if ref.joint_vel is None:
         raise InputError("reference frame lacks joint velocities; derive them first")
     root = state.root
+    body_pos, body_quat = _frame_key_bodies(state, model)
     ref_body_pos, ref_body_quat = _frame_key_bodies(ref, model)
     blocks = [
         ("joint_pos", state.joint_pos),
         ("joint_vel", state.joint_vel),
-        ("body_pos", to_base_point(root, state.body_pos)),
-        ("body_quat", to_base_quat(root, state.body_quat)),
+        ("body_pos", to_base_point(root, body_pos)),
+        ("body_quat", to_base_quat(root, body_quat)),
         ("body_lin_vel", to_base_vector(root, state.body_lin_vel)),
         ("body_ang_vel", to_base_vector(root, state.body_ang_vel)),
         ("gravity", to_base_vector(root, state.gravity_world)),
@@ -201,6 +236,21 @@ def build_teacher_obs(
     return _assemble(blocks)
 
 
+@lru_cache(maxsize=32)
+def _student_layout(n: int, k: int, f: int) -> tuple[tuple[str, int, int], ...]:
+    """build_student_obs's layout for n joints, k key bodies and f frames."""
+    layout = [("joint_pos", 0, n), ("gravity", n, 3), ("root_ang_vel", n + 3, 3), ("last_action", n + 6, n)]
+    offset = 2 * n + 6
+    for i in range(f):
+        layout += [
+            (f"ref{i}_body_pos", offset, 3 * k),
+            (f"ref{i}_body_quat", offset + 3 * k, 4 * k),
+            (f"ref{i}_root_lin_vel", offset + 7 * k, 3),
+        ]
+        offset += 7 * k + 3
+    return tuple(layout)
+
+
 def build_student_obs(
     state: RobotState,
     ref_window: Sequence[Frame],
@@ -210,12 +260,13 @@ def build_student_obs(
     """Deployable observation: proprioception that is reliable on hardware
     plus a window of future reference commands.
 
-    Per window frame: key-body positions and orientations plus the root
-    linear velocity, all in the current base frame; per-link angular
-    velocities are deliberately excluded. The reference slice length is
-    f * (7K + 3).
+    Reads the state's joints, root, root angular velocity, gravity and last
+    action, never its key bodies, so a state without them costs no FK. Per
+    window frame: key-body positions and orientations plus the root linear
+    velocity, all in the current base frame; per-link angular velocities
+    are deliberately excluded. The reference slice length is f * (7K + 3).
     """
-    if state.n_joints != model.n_joints or state.n_bodies != model.n_key_bodies:
+    if state.n_joints != model.n_joints:
         raise InputError("state dimensions do not match the model")
     if len(ref_window) != future_window:
         raise InputError(
@@ -247,16 +298,7 @@ def build_student_obs(
     window[:, : 3 * k] = rotated[1 : 1 + f * k].reshape(f, 3 * k)
     window[:, 3 * k : 7 * k] = quat_canonical(quat_mul(inv, quats)).reshape(f, 4 * k)
     window[:, 7 * k :] = rotated[1 + f * k :]
-    layout = [("joint_pos", 0, n), ("gravity", n, 3), ("root_ang_vel", n + 3, 3), ("last_action", n + 6, n)]
-    offset = 2 * n + 6
-    for i in range(f):
-        layout += [
-            (f"ref{i}_body_pos", offset, 3 * k),
-            (f"ref{i}_body_quat", offset + 3 * k, 4 * k),
-            (f"ref{i}_root_lin_vel", offset + 7 * k, 3),
-        ]
-        offset += 7 * k + 3
-    return ObservationVector(values, tuple(layout))
+    return ObservationVector(values, _student_layout(n, k, f))
 
 
 def student_obs_length(model: HumanoidModel, future_window: int = DEFAULT_WINDOW) -> int:

@@ -159,16 +159,17 @@ def reward(
     ee = np.array([slots[b] for b in config.end_effectors])
     feet = np.array([slots[b] for b in config.feet])
 
+    body_pos, body_quat = _frame_key_bodies(state, model)
     ref_body_pos, ref_body_quat = _frame_key_bodies(ref, model)
     k = model.n_key_bodies
     ref_body_lin = ref.body_lin_vel if ref.body_lin_vel is not None else np.zeros((k, 3))
     ref_body_ang = ref.body_ang_vel if ref.body_ang_vel is not None else np.zeros((k, 3))
 
     root, ref_root = state.root, ref.root
-    local_pos = to_base_point(root, state.body_pos)
+    local_pos = to_base_point(root, body_pos)
     local_ref_pos = to_base_point(ref_root, ref_body_pos)
     rel_rot_err = quat_angle(
-        quat_mul(quat_conjugate(root.orientation), state.body_quat),
+        quat_mul(quat_conjugate(root.orientation), body_quat),
         quat_mul(quat_conjugate(ref_root.orientation), ref_body_quat),
     )
     local_lin = quat_rotate_inverse(root.orientation, state.body_lin_vel)
@@ -178,10 +179,10 @@ def reward(
 
     errors2 = {
         "torso_global_pos": float(
-            np.sum((state.body_pos[torso] - ref_body_pos[torso]) ** 2)
+            np.sum((body_pos[torso] - ref_body_pos[torso]) ** 2)
         ),
         "torso_global_rot": float(
-            quat_angle(state.body_quat[torso], ref_body_quat[torso]) ** 2
+            quat_angle(body_quat[torso], ref_body_quat[torso]) ** 2
         ),
         "fullbody_global_lin_vel": float(
             np.mean(np.sum((state.body_lin_vel - ref_body_lin) ** 2, axis=1))
@@ -208,7 +209,7 @@ def reward(
     lo, hi = model.joint_limits[:, 0], model.joint_limits[:, 1]
     air_violation = float(
         np.any(
-            np.abs(state.body_pos[feet, 2] - ref_body_pos[feet, 2])
+            np.abs(body_pos[feet, 2] - ref_body_pos[feet, 2])
             > config.air_time_height_tol
         )
     )

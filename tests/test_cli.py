@@ -279,6 +279,22 @@ class TestBenchWorkflow:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_noise_seed_from_run_config(self, tmp_path, ref_model):
+        manifest = write_suite(tmp_path, ref_model)
+
+        def results(config):
+            out = tmp_path / "results.json"
+            argv = ["bench", "run", "--manifest", str(manifest), "--tracker", "noise:0.05", "--out", str(out)]
+            if config is not None:
+                (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+                argv = ["--run-config", str(tmp_path / "run.json"), *argv]
+            assert cli.main(argv) == 0
+            return out.read_bytes()
+
+        default = results(None)
+        assert results({"seed": 0}) == default
+        assert results({"seed": 5}) != default
+
 
 class TestStreamTestCommand:
     def test_virtual_mode_deterministic(self, tmp_path, capsys):
@@ -544,6 +560,16 @@ class TestVlaReplayCommand:
         assert outputs[0] == outputs[1]
 
 
+def teacher_blocks(n, k):
+    """print-layout's teacher blocks, (name, length), in order."""
+    return [
+        ("joint_pos", n), ("joint_vel", n), ("body_pos", 3 * k), ("body_quat", 4 * k),
+        ("body_lin_vel", 3 * k), ("body_ang_vel", 3 * k), ("gravity", 3),
+        ("root_ang_vel", 3), ("last_action", n), ("ref_joint_pos", n),
+        ("ref_joint_vel", n), ("ref_body_pos", 3 * k), ("ref_body_quat", 4 * k),
+    ]
+
+
 class TestPrintLayout:
     def test_layout_tables(self, capsys):
         assert cli.main(["print-layout", "--policy", "both"]) == 0
@@ -555,17 +581,26 @@ class TestPrintLayout:
         assert cli.main(["print-layout", "--policy", "teacher"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["# teacher", "name,offset,length"]
-        n, k = ref_model.n_joints, ref_model.n_key_bodies
-        blocks = [
-            ("joint_pos", n), ("joint_vel", n), ("body_pos", 3 * k), ("body_quat", 4 * k),
-            ("body_lin_vel", 3 * k), ("body_ang_vel", 3 * k), ("gravity", 3),
-            ("root_ang_vel", 3), ("last_action", n), ("ref_joint_pos", n),
-            ("ref_joint_vel", n), ("ref_body_pos", 3 * k), ("ref_body_quat", 4 * k),
-        ]
+        blocks = teacher_blocks(ref_model.n_joints, ref_model.n_key_bodies)
         offsets = np.cumsum([0] + [length for _, length in blocks])
         assert lines[2:] == [f"{name},{offset},{length}"
                              for (name, length), offset in zip(blocks, offsets)]
         assert offsets[-1] == teacher_obs_length(ref_model)
+
+    def test_both_policies_byte_for_byte(self, capsys, ref_model):
+        # the whole output, spelled out from the two layout rules
+        assert cli.main(["print-layout", "--policy", "both"]) == 0
+        n, k = ref_model.n_joints, ref_model.n_key_bodies
+        student = [("joint_pos", n), ("gravity", 3), ("root_ang_vel", 3), ("last_action", n)]
+        for i in range(simtrack.DEFAULT_WINDOW):
+            student += [(f"ref{i}_body_pos", 3 * k), (f"ref{i}_body_quat", 4 * k), (f"ref{i}_root_lin_vel", 3)]
+
+        def table(title, blocks):
+            offsets = np.cumsum([0] + [length for _, length in blocks])
+            rows = [f"{name},{offset},{length}\n" for (name, length), offset in zip(blocks, offsets)]
+            return f"# {title}\nname,offset,length\n" + "".join(rows)
+
+        assert capsys.readouterr().out == table("teacher", teacher_blocks(n, k)) + table("student", student)
 
     @pytest.mark.parametrize("window", ["0", "-3"])
     def test_window_below_one_is_an_error(self, capsys, window):

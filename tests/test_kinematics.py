@@ -340,6 +340,11 @@ class TestLevelwiseFK:
         with pytest.raises(InputError, match=r"root_quat: expected shape \(\.\.\., 4\)"):
             fk(ref_model, joint_pos, root_pos, root_quat[..., :3])
 
+    @pytest.mark.parametrize("fk", [forward_kinematics_arrays, key_body_poses])
+    def test_scalar_joint_pos_rejected(self, ref_model, fk):
+        with pytest.raises(InputError, match=r"joint_pos: expected shape \(\.\.\., 29\), got \(\)"):
+            fk(ref_model, 0.0, np.zeros(3), [1.0, 0.0, 0.0, 0.0])
+
 
 def same_bits(a, b) -> bool:
     """Equal shapes and equal float64 bits, sign of zero included."""

@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from omniclone import kinematics
 from omniclone.errors import ConfigError, InputError
-from omniclone.kinematics import GRAVITY, RigidPose, to_base_point, to_base_quat, to_base_vector
+from omniclone.kinematics import GRAVITY, RigidPose, key_body_poses, to_base_point, to_base_quat, to_base_vector
 from omniclone.motion import COLUMNS, Frame, MotionClip, derive_body_kinematics, derive_joint_velocities
 from omniclone.rotations import quat_from_yaw, quat_mul, quat_rotate
 from omniclone.simtrack import (
@@ -229,6 +230,65 @@ class TestObservationContent:
             s2 = build_student_obs(state2, window2, ref_model, 5)
             assert np.allclose(s1.values, s2.values, atol=1e-9)
 
+
+class TestStateKeyBodies:
+    """A state carries key-body poses only when its frame does; the teacher
+    observation derives missing ones, the student observation never reads them."""
+
+    def test_teacher_obs_bits_with_and_without_carried_bodies(self, ref_model, rng):
+        for trial in range(6):
+            ref = random_ref(rng, ref_model)
+            if trial % 2:
+                ref = replace(ref, body_lin_vel=None, body_ang_vel=None)
+            root = ref.root
+            body_pos, body_quat = key_body_poses(ref_model, ref.joint_pos, root.position, root.orientation)
+            derived = replace(ref, body_pos=body_pos, body_quat=body_quat)
+            bare = replace(ref, body_pos=None, body_quat=None)
+            action = rng.uniform(-0.5, 0.5, ref_model.n_joints)
+            state = state_from_frame(bare, ref_model, last_action=action)
+            assert state.body_pos is None and state.body_quat is None
+            assert state.n_bodies == ref_model.n_key_bodies
+            reference = random_ref(rng, ref_model)
+            expected = build_teacher_obs(state_from_frame(derived, ref_model, last_action=action), reference, ref_model)
+            got = build_teacher_obs(state, reference, ref_model)
+            assert got.values.tobytes() == expected.values.tobytes()
+            assert got.layout == expected.layout
+
+    def test_student_tick_runs_no_fk(self, ref_model, rng, monkeypatch):
+        def no_fk(*args):
+            raise AssertionError("FK ran")
+
+        window = [random_ref(rng, ref_model) for _ in range(5)]
+        command = rng.uniform(-0.5, 0.5, ref_model.n_joints)
+        current = replace(window[0], joint_pos=command, body_pos=None, body_quat=None)
+        expected = student_obs_blocks(state_from_frame(current, ref_model, last_action=command), window, ref_model, 5)
+        monkeypatch.setattr(kinematics, "_fk_walk", no_fk)
+        monkeypatch.setattr(kinematics, "_fk_batch", no_fk)
+        state = state_from_frame(current, ref_model, last_action=command)
+        obs = build_student_obs(state, window, ref_model)
+        assert state.body_pos is None
+        assert obs.values.tobytes() == expected[0].tobytes() and obs.layout == expected[1]
+        assert build_student_obs(state, window, ref_model).layout is obs.layout
+
+    @pytest.mark.parametrize("missing", ["body_pos", "body_quat"])
+    def test_one_body_pose_without_the_other_rejected(self, ref_model, rng, missing):
+        state = random_state(rng, ref_model)
+        with pytest.raises(InputError, match="body_pos and body_quat: give both or neither"):
+            replace(state, **{missing: None})
+        bare = replace(state, body_pos=None, body_quat=None)
+        assert bare.n_bodies == ref_model.n_key_bodies
+
+    def test_state_from_frame_checks_what_it_takes(self, ref_model, rng):
+        ref = random_ref(rng, ref_model)
+        n = ref_model.n_joints
+        with pytest.raises(InputError, match=f"joint_pos: expected {n} joints, got {n - 1}"):
+            state_from_frame(replace(ref, joint_pos=ref.joint_pos[:-1], joint_vel=None), ref_model)
+        with pytest.raises(InputError, match=rf"last_action: expected shape \({n},\)"):
+            state_from_frame(ref, ref_model, last_action=np.zeros(n + 1))
+        # a body-less frame's body velocities are checked against the model's key bodies
+        bare = replace(ref, body_pos=None, body_quat=None, body_lin_vel=np.zeros((2, 3)))
+        with pytest.raises(InputError, match=r"body_lin_vel: expected shape \(7, 3\)"):
+            state_from_frame(bare, ref_model)
 
 # ---------------------------------------------------------------------------
 # Reward
