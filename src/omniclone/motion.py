@@ -13,6 +13,7 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,16 +53,6 @@ BENCH_STRATA: tuple[tuple[str, str], ...] = tuple(
 _TIME_TOL = 1e-6
 
 
-def _opt_array(x, shape, name):
-    """x as a float array of the given shape, or None for None."""
-    if x is None:
-        return None
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != shape:
-        raise InputError(f"{name}: expected shape {shape}, got {arr.shape}")
-    return arr
-
-
 def _unchecked(cls, **fields):
     """An instance of a frozen dataclass built without __post_init__, for
     fields the caller has already checked and converted as the constructor
@@ -73,7 +64,16 @@ def _unchecked(cls, **fields):
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """One timestamped sample of a reference trajectory (world frame)."""
+    """One timestamped sample of a reference trajectory (world frame).
+
+    joint_pos is a 1-D (n,) vector; root_lin_vel and root_ang_vel are (3,);
+    joint_vel, if given, is (n,). The key-body group is all or none:
+    body_pos (K, 3) and body_quat (K, 4) are given both or neither, and
+    body_lin_vel and body_ang_vel (K, 3) only beside them. The constructor
+    converts every given array to float64 and checks its shape in one pass
+    over a table built once per (n, K), joint_pos first, then checks that
+    all of them, and t, are finite; errors name the first failing field.
+    """
 
     t: float
     root: RigidPose
@@ -87,27 +87,31 @@ class Frame:
     body_ang_vel: np.ndarray | None = None
 
     def __post_init__(self):
-        jp = np.asarray(self.joint_pos, dtype=float)
+        fields = self.__dict__
+        jp = fields["joint_pos"] = np.asarray(self.joint_pos, dtype=float)
         if jp.ndim != 1:
             raise InputError(f"joint_pos: expected a 1-D vector, got shape {jp.shape}")
-        n = jp.shape[0]
-        object.__setattr__(self, "joint_pos", jp)
-        shapes = [("joint_pos", (n,)), ("root_lin_vel", (3,)), ("root_ang_vel", (3,)), ("joint_vel", (n,))]
+        _check_body_group(fields)
+        k = 0
         if self.body_pos is not None:
-            k = np.asarray(self.body_pos).shape[0]
-            shapes += [("body_pos", (k, 3)), ("body_quat", (k, 4)), ("body_lin_vel", (k, 3)), ("body_ang_vel", (k, 3))]
+            bp = fields["body_pos"] = np.asarray(self.body_pos, dtype=float)
+            k = bp.shape[0] if bp.ndim else 0
         present = []
-        for name, shape in shapes:
-            arr = _opt_array(getattr(self, name), shape, name)
-            object.__setattr__(self, name, arr)
-            if arr is not None:
-                present.append((name, arr))
+        for key, shape in _frame_checks(jp.shape[0], k):
+            value = fields[key]
+            if value is not None:
+                arr = fields[key] = np.asarray(value, dtype=float)
+                if arr.shape != shape:
+                    raise InputError(f"{key}: expected shape {shape}, got {arr.shape}")
+                present.append(arr)
         # one finiteness check over every array; the first non-finite field
         # in field order is looked for only when it fails
-        if not np.isfinite(np.concatenate([arr for _, arr in present], axis=None)).all():
-            name = next(name for name, arr in present if not np.isfinite(arr).all())
-            raise InputError(f"{name}: non-finite values")
-        if not np.isfinite(self.t):
+        if not np.isfinite(np.concatenate(present, axis=None)).all():
+            key = next(
+                key for key in _FRAME_ARRAYS if fields[key] is not None and not np.isfinite(fields[key]).all()
+            )
+            raise InputError(f"{key}: non-finite values")
+        if not math.isfinite(self.t):
             raise InputError("t: non-finite")
 
 
@@ -130,6 +134,29 @@ def _frame_shapes(n: int, k: int) -> dict[str, tuple[int, ...]]:
         joint_pos=(n,), joint_vel=(n,),
         body_pos=(k, 3), body_quat=(k, 4), body_lin_vel=(k, 3), body_ang_vel=(k, 3),
     )
+
+
+#: a Frame's array fields in the order its constructor checks them
+_FRAME_ARRAYS = ("joint_pos", "root_lin_vel", "root_ang_vel", "joint_vel") + _BODY
+
+
+@lru_cache(maxsize=32)
+def _frame_checks(n: int, k: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(field, shape) of every Frame array field, in _FRAME_ARRAYS order,
+    for n joints and k key bodies."""
+    shapes = _frame_shapes(n, k)
+    return tuple((key, shapes[key]) for key in _FRAME_ARRAYS)
+
+
+def _check_body_group(fields: Mapping) -> None:
+    """A body group is all or none: body_pos and body_quat are given both or
+    neither, and body_lin_vel and body_ang_vel only beside them."""
+    if (fields["body_pos"] is None) != (fields["body_quat"] is None):
+        raise InputError("body_pos and body_quat: give both or neither")
+    if fields["body_pos"] is None:
+        for key in ("body_lin_vel", "body_ang_vel"):
+            if fields[key] is not None:
+                raise InputError(f"{key}: given without body_pos and body_quat")
 
 
 def _stack_rows(rows: Sequence[Mapping], n: int, k: int) -> dict[str, np.ndarray | None]:
@@ -176,7 +203,9 @@ class MotionClip:
     root_quat (T, 4), unit with canonical sign; root_lin_vel and
     root_ang_vel (T, 3); joint_pos (T, n). Optional columns are present for
     every frame or None: joint_vel (T, n); body_pos (T, K, 3); body_quat
-    (T, K, 4); body_lin_vel and body_ang_vel (T, K, 3).
+    (T, K, 4); body_lin_vel and body_ang_vel (T, K, 3). As on a Frame, the
+    body group is all or none: body_pos and body_quat both or neither, and
+    the body velocities only beside them.
 
     The constructor stacks a sequence of Frame once; `from_arrays` takes the
     columns themselves. `frames` views the clip frame by frame.
@@ -267,6 +296,7 @@ class MotionClip:
         if unknown or missing:
             raise InputError(f"clip columns: unknown {unknown}, missing {missing}")
         cols = {key: columns.get(key) for key in COLUMNS}
+        _check_body_group(cols)
         for key, column in cols.items():
             if column is not None and checks(key):
                 cols[key] = np.asarray(column, dtype=float)
@@ -274,8 +304,8 @@ class MotionClip:
         if t.ndim != 1 or not t.size or joint_pos.ndim != 2:
             raise InputError(f"need t (T,) and joint_pos (T, n), T > 0: {t.shape}, {joint_pos.shape}")
         T, n = joint_pos.shape
-        bodies = [cols[key] for key in _BODY if cols[key] is not None]
-        k = bodies[0].shape[1] if bodies and bodies[0].ndim == 3 else 0
+        body_pos = cols["body_pos"]
+        k = body_pos.shape[1] if body_pos is not None and body_pos.ndim == 3 else 0
         for key, shape in _frame_shapes(n, k).items():
             column = cols[key]
             if column is None:

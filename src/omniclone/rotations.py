@@ -46,19 +46,32 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vector(s) v by unit quaternion(s) q: v + 2 (w t + u x t), t = u x v.
 
     The cross products are written out with np.cross's own formulas
-    (a1*b2 - a2*b1, ...), so the result is bit-identical to it.
+    (a1*b2 - a2*b1, ...), so the result is bit-identical to it. One
+    quaternion (4,) and one vector (3,) are computed on Python floats, with
+    the same operations in the same order, so they give the bits of the
+    array path that every other shape takes, at a fraction of its cost.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    single = q.shape == (4,) and v.shape == (3,)
+    if single:
+        w, x, y, z = q.tolist()
+        vx, vy, vz = v.tolist()
+    else:
+        w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+        vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     tx = y * vz - z * vy
     ty = z * vx - x * vz
     tz = x * vy - y * vx
+    rx = vx + 2.0 * (w * tx + (y * tz - z * ty))
+    ry = vy + 2.0 * (w * ty + (z * tx - x * tz))
+    rz = vz + 2.0 * (w * tz + (x * ty - y * tx))
+    if single:
+        return np.array([rx, ry, rz])
     out = np.empty(tx.shape + (3,))
-    out[..., 0] = vx + 2.0 * (w * tx + (y * tz - z * ty))
-    out[..., 1] = vy + 2.0 * (w * ty + (z * tx - x * tz))
-    out[..., 2] = vz + 2.0 * (w * tz + (x * ty - y * tx))
+    out[..., 0] = rx
+    out[..., 1] = ry
+    out[..., 2] = rz
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -30,7 +30,6 @@ from .motion import (
     COLUMNS,
     Frame,
     MotionClip,
-    _opt_array,
     _unchecked,
     derive_body_kinematics,
     derive_joint_velocities,
@@ -68,7 +67,6 @@ class RobotState:
     body_lin_vel: np.ndarray  # (K, 3)
     body_ang_vel: np.ndarray  # (K, 3)
     last_action: np.ndarray  # (n,)
-    gravity_world: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
 
     def __post_init__(self):
         if (self.body_pos is None) != (self.body_quat is None):
@@ -84,7 +82,6 @@ class RobotState:
             "body_lin_vel": ((k, 3), self.body_lin_vel),
             "body_ang_vel": ((k, 3), self.body_ang_vel),
             "last_action": ((n,), self.last_action),
-            "gravity_world": ((3,), self.gravity_world),
         }
         for name, (shape, val) in checks.items():
             if val is None and name in ("body_pos", "body_quat"):
@@ -108,7 +105,7 @@ def _frame_key_bodies(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Key-body positions and orientations a frame or state carries, else
     key_body_poses of its joints at its root."""
-    if frame.body_pos is not None and frame.body_quat is not None:
+    if frame.body_pos is not None:
         return frame.body_pos, frame.body_quat
     return key_body_poses(model, frame.joint_pos, frame.root.position, frame.root.orientation)
 
@@ -120,36 +117,35 @@ def state_from_frame(
 ) -> RobotState:
     """Robot state that exactly realizes the given reference frame.
 
-    Runs no FK. The state carries the frame's key-body poses if the frame
-    carries both, else neither; missing joint and body velocities are zero,
-    for the frame's key bodies or else the model's. The frame's arrays were
-    checked when it was built, so only the joint count, the body velocities
-    and last_action (default: the frame's joints) are checked here.
+    Runs no FK. The state carries the frame's key-body group if the frame
+    carries one; missing joint and body velocities are zero, for the
+    frame's key bodies or else the model's. The frame's arrays were checked
+    when it was built, its body group all or none, so only the joint count
+    and last_action (default: the frame's joints) are checked here. The
+    root angular velocity goes into the base frame by quat_rotate's path
+    for one vector, on Python floats.
     """
     n = model.n_joints
     if frame.joint_pos.shape[0] != n:
         raise InputError(f"joint_pos: expected {n} joints, got {frame.joint_pos.shape[0]}")
-    last_action = _opt_array(last_action, (n,), "last_action")
-    body_pos, body_quat = frame.body_pos, frame.body_quat
-    if body_pos is None or body_quat is None:
-        body_pos = body_quat = None
-        k = model.n_key_bodies
+    if last_action is None:
+        last_action = frame.joint_pos.copy()
     else:
-        k = body_pos.shape[0]
-    body_lin = _opt_array(frame.body_lin_vel, (k, 3), "body_lin_vel")
-    body_ang = _opt_array(frame.body_ang_vel, (k, 3), "body_ang_vel")
+        last_action = np.asarray(last_action, dtype=float)
+        if last_action.shape != (n,):
+            raise InputError(f"last_action: expected shape {(n,)}, got {last_action.shape}")
+    k = model.n_key_bodies if frame.body_pos is None else frame.body_pos.shape[0]
     return _unchecked(
         RobotState,
         root=frame.root,
         root_ang_vel=to_base_vector(frame.root, frame.root_ang_vel),
         joint_pos=frame.joint_pos,
         joint_vel=frame.joint_vel if frame.joint_vel is not None else np.zeros(n),
-        body_pos=body_pos,
-        body_quat=body_quat,
-        body_lin_vel=np.zeros((k, 3)) if body_lin is None else body_lin,
-        body_ang_vel=np.zeros((k, 3)) if body_ang is None else body_ang,
-        last_action=frame.joint_pos.copy() if last_action is None else last_action,
-        gravity_world=GRAVITY.copy(),
+        body_pos=frame.body_pos,
+        body_quat=frame.body_quat,
+        body_lin_vel=np.zeros((k, 3)) if frame.body_lin_vel is None else frame.body_lin_vel,
+        body_ang_vel=np.zeros((k, 3)) if frame.body_ang_vel is None else frame.body_ang_vel,
+        last_action=last_action,
     )
 
 
@@ -225,7 +221,7 @@ def build_teacher_obs(
         ("body_quat", to_base_quat(root, body_quat)),
         ("body_lin_vel", to_base_vector(root, state.body_lin_vel)),
         ("body_ang_vel", to_base_vector(root, state.body_ang_vel)),
-        ("gravity", to_base_vector(root, state.gravity_world)),
+        ("gravity", to_base_vector(root, GRAVITY)),
         ("root_ang_vel", state.root_ang_vel),
         ("last_action", state.last_action),
         ("ref_joint_pos", ref.joint_pos),
@@ -282,7 +278,7 @@ def build_student_obs(
     # gravity, the window's key-body points relative to the root and its root
     # velocities go into the base frame in one rotation: (1 + f*K + f, 3)
     vectors = np.concatenate([
-        state.gravity_world[None],
+        GRAVITY[None],
         np.array([pos for pos, _ in key_bodies]).reshape(-1, 3) - root.position,
         np.array([ref.root_lin_vel for ref in ref_window]).reshape(-1, 3),
     ])

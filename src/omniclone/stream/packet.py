@@ -25,8 +25,9 @@ checked header fixes every frame's shapes, so the decoded PacketFrames and
 StreamPacket are built from those views with motion._unchecked, without
 re-running their constructors' checks: root_lin_vel and joint_pos are
 read-only views of the datagram, and body_pos and body_quat are rows of one
-copy each per packet. Every other caller goes through the checking
-constructors.
+copy each per packet. packet_frame_from_motion builds its PacketFrame
+the same way from a Frame's checked arrays, after PacketFrame's float32
+conversion. Every other caller goes through the checking constructors.
 """
 from __future__ import annotations
 
@@ -51,6 +52,11 @@ HEADER_LEN = HEADER.size  # 26
 CRC_LEN = 4
 
 
+def _wire_array(x) -> np.ndarray:
+    """x as PacketFrame holds it: a C-contiguous float32 array."""
+    return np.ascontiguousarray(x, dtype=np.float32)
+
+
 @dataclass(frozen=True, eq=False)
 class PacketFrame:
     """One frame of the command stream as carried on the wire (float32)."""
@@ -62,8 +68,7 @@ class PacketFrame:
 
     def __post_init__(self):
         for name in ("root_lin_vel", "body_pos", "body_quat", "joint_pos"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _wire_array(getattr(self, name)))
         if self.root_lin_vel.shape != (3,):
             raise InputError("root_lin_vel must be a 3-vector")
         k = self.body_pos.shape[0]
@@ -216,12 +221,18 @@ def payload_finite(data: bytes) -> bool:
 
 
 def packet_frame_from_motion(frame, model) -> PacketFrame:
-    """Project a motion Frame onto the wire schema (key bodies + joints)."""
-    if frame.body_pos is None or frame.body_quat is None:
+    """Project a motion Frame onto the wire schema (key bodies + joints).
+
+    The Frame's constructor has checked every shape PacketFrame checks, so
+    the PacketFrame is built from its arrays with motion._unchecked after
+    the one conversion PacketFrame's constructor makes (_wire_array).
+    """
+    if frame.body_pos is None:
         raise InputError("frame lacks body kinematics; derive them before streaming")
-    return PacketFrame(
-        root_lin_vel=frame.root_lin_vel,
-        body_pos=frame.body_pos,
-        body_quat=frame.body_quat,
-        joint_pos=frame.joint_pos,
+    return _unchecked(
+        PacketFrame,
+        root_lin_vel=_wire_array(frame.root_lin_vel),
+        body_pos=_wire_array(frame.body_pos),
+        body_quat=_wire_array(frame.body_quat),
+        joint_pos=_wire_array(frame.joint_pos),
     )

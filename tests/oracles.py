@@ -38,6 +38,7 @@ import numpy as np
 from omniclone.bench import BenchReport, StratumRow
 from omniclone.errors import InputError
 from omniclone.kinematics import (
+    GRAVITY,
     RigidPose,
     key_body_poses,
     model_to_dict,
@@ -245,7 +246,7 @@ def student_obs_blocks(state, ref_window, model, future_window):
     root = state.root
     blocks = [
         ("joint_pos", state.joint_pos),
-        ("gravity", to_base_vector(root, state.gravity_world)),
+        ("gravity", to_base_vector(root, GRAVITY)),
         ("root_ang_vel", state.root_ang_vel),
         ("last_action", state.last_action),
     ]

@@ -267,6 +267,18 @@ class TestBenchWorkflow:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "fps must be positive and finite" in captured.err
 
+    def test_relay_clip_with_a_partial_body_group_is_one_error_line(self, tmp_path, ref_model, capsys):
+        path = tmp_path / "clip.json"
+        save_clip(constant_velocity_clip(ref_model, 1.0, n_frames=10), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["columns"]["body_quat"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["relay", "--forward", "127.0.0.1:9", "--clip", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "body_pos and body_quat: give both or neither" in captured.err
+
     def test_deterministic_outputs(self, tmp_path, ref_model):
         manifest = write_suite(tmp_path, ref_model)
         outs = []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_chain_model, random_tree_model
 from oracles import (
@@ -19,6 +20,7 @@ from oracles import (
     save_model,
     stack_quat_mul,
 )
+from test_motion import EDGE_FLOATS
 
 from omniclone.errors import ClipParseError, ConfigError, InputError
 from omniclone.kinematics import (
@@ -42,6 +44,7 @@ from omniclone.rotations import (
     quat_from_yaw,
     quat_mul,
     quat_rotate,
+    quat_rotate_inverse,
 )
 
 
@@ -401,7 +404,7 @@ class TestQuaternionCore:
     @staticmethod
     def shape_pairs(rng, width):
         n, k = (int(v) for v in rng.integers(1, 9, 2))
-        return [((4,), (k, width)), ((n, 1, 4), (k, width)), ((n, k, 4), (n, k, width))]
+        return [((4,), (width,)), ((4,), (k, width)), ((n, 1, 4), (k, width)), ((n, k, 4), (n, k, width))]
 
     def test_rotate_bit_identical_to_np_cross(self, rng):
         for _ in range(50):
@@ -410,6 +413,45 @@ class TestQuaternionCore:
                 v = rng.normal(size=v_shape)
                 got, want = quat_rotate(q, v), cross_quat_rotate(q, v)
                 assert got.shape == want.shape and np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v=arrays(np.float64, 3, elements=EDGE_FLOATS),
+        position=arrays(np.float64, 3, elements=EDGE_FLOATS),
+        edge_q=arrays(np.float64, 4, elements=EDGE_FLOATS),
+        unit_q=arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)).filter(
+            lambda q: np.linalg.norm(q) > 0.1
+        ),
+    )
+    def test_one_vector_float_path_matches_array_path(self, v, position, edge_q, unit_q):
+        # one quaternion (4,) and one vector (3,) run on Python floats; the
+        # same call on (1, 4) and (1, 3) runs the array path
+        unit_q = quat_normalize(unit_q)
+        root = RigidPose(position, unit_q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q in (edge_q, unit_q):
+                for rotate in (quat_rotate, quat_rotate_inverse):
+                    assert rotate(q, v).tobytes() == rotate(q[None], v[None]).tobytes()
+            for to_base in (to_base_vector, to_base_point):
+                assert to_base(root, v).tobytes() == to_base(root, v[None]).tobytes()
+
+    @pytest.mark.parametrize("q_shape, v_shape, out_shape", [
+        ((4,), (3,), (3,)),
+        ((1, 4), (1, 3), (1, 3)),
+        ((4,), (1, 3), (1, 3)),
+        ((1, 4), (3,), (1, 3)),
+        ((4,), (5, 3), (5, 3)),
+        ((5, 1, 4), (2, 3), (5, 2, 3)),
+    ])
+    def test_rotate_output_shapes(self, rng, q_shape, v_shape, out_shape):
+        q = quat_normalize(rng.normal(size=q_shape))
+        v = rng.normal(size=v_shape)
+        for rotate in (quat_rotate, quat_rotate_inverse):
+            out = rotate(q, v)
+            assert out.shape == out_shape and out.dtype == np.float64
+        root = RigidPose(np.zeros(3), quat_normalize(rng.normal(size=4)))
+        if q_shape == (4,):
+            assert to_base_vector(root, v).shape == to_base_point(root, v).shape == out_shape
 
     def test_mul_bit_identical_to_np_stack(self, rng):
         for _ in range(50):

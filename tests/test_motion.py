@@ -142,6 +142,19 @@ class TestFrameChecks:
                 Frame(t=0.0, root=RigidPose(np.zeros(3), IDENTITY_QUAT), **fields)
             assert str(err.value) == f"{key}: non-finite values"
 
+    @pytest.mark.parametrize("given, message", [
+        (dict(body_quat=[[1, 2]], body_lin_vel=[[np.nan] * 3]), "body_pos and body_quat: give both or neither"),
+        (dict(body_pos=np.zeros((3, 3))), "body_pos and body_quat: give both or neither"),
+        (dict(body_lin_vel=[[np.nan] * 3]), "body_lin_vel: given without body_pos and body_quat"),
+        (dict(body_ang_vel=np.zeros((3, 3))), "body_ang_vel: given without body_pos and body_quat"),
+    ])
+    def test_body_group_is_all_or_none(self, given, message):
+        body = dict.fromkeys(("body_pos", "body_quat", "body_lin_vel", "body_ang_vel"))
+        fields = {**self.fields(), **body, **given}
+        with pytest.raises(InputError) as err:
+            Frame(t=0.0, root=RigidPose(np.zeros(3), IDENTITY_QUAT), **fields)
+        assert str(err.value) == message
+
     def test_finite_extremes_accepted(self):
         # values whose sum overflows are finite all the same
         fields = self.fields()
@@ -216,7 +229,8 @@ class TestReplace:
         ("joint_pos", np.zeros((6, 28)), "joint_vel: expected shape (6, 28), got (6, 29)"),
     ])
     def test_wrong_shape_rejected(self, ref_model, key, value, message):
-        clip = derive_joint_velocities(constant_velocity_clip(ref_model, 1.0, n_frames=6, with_bodies=False))
+        # with key bodies, so that a new body_pos comes beside a body_quat
+        clip = derive_joint_velocities(constant_velocity_clip(ref_model, 1.0, n_frames=6))
         with pytest.raises(InputError, match=re.escape(message)):
             clip.replace(**{key: value})
 
@@ -371,6 +385,19 @@ class TestColumnFile:
         clip_from_dict(doc)
         edit(doc)
         with pytest.raises(ClipParseError, match=message):
+            clip_from_dict(doc)
+
+    @pytest.mark.parametrize("drop, message", [
+        (("body_quat",), "body_pos and body_quat: give both or neither"),
+        (("body_pos", "body_quat", "body_lin_vel"), "body_ang_vel: given without body_pos and body_quat"),
+    ])
+    def test_partial_body_group_rejected(self, ref_model, drop, message):
+        clip = constant_velocity_clip(ref_model, 1.0, n_frames=4)
+        vel = np.zeros((4, ref_model.n_key_bodies, 3))
+        doc = clip_to_dict(clip.replace(body_lin_vel=vel, body_ang_vel=vel))
+        for key in drop:
+            del doc["columns"][key]
+        with pytest.raises(ClipParseError, match=f"clip document: {message}"):
             clip_from_dict(doc)
 
     def test_non_finite_column_rejected_naming_the_frame(self):

@@ -66,6 +66,11 @@ def random_ref(rng, model):
     )
 
 
+def bodyless(frame):
+    """The frame without its key-body group."""
+    return replace(frame, body_pos=None, body_quat=None, body_lin_vel=None, body_ang_vel=None)
+
+
 def se2_state(state, q_g, d):
     return replace(
         state,
@@ -178,7 +183,7 @@ class TestObservationContent:
             body_quat=wire.body_quat.astype(np.float32),
             root_lin_vel=wire.root_lin_vel.astype(np.float32),
         )
-        no_bodies = replace(random_ref(rng, ref_model), body_pos=None, body_quat=None)
+        no_bodies = bodyless(random_ref(rng, ref_model))
         window = [random_ref(rng, ref_model), wire, no_bodies, wire, random_ref(rng, ref_model)]
         obs = build_student_obs(state, window, ref_model, 5)
         for i, ref in enumerate(window):
@@ -207,7 +212,7 @@ class TestObservationContent:
                                   body_quat=ref.body_quat.astype(np.float32),
                                   root_lin_vel=ref.root_lin_vel.astype(np.float32))
                 elif kind == 2:
-                    ref = replace(ref, body_pos=None, body_quat=None)
+                    ref = bodyless(ref)
                 window.append(ref)
             values, layout = student_obs_blocks(state, window, ref_model, f)
             obs = build_student_obs(state, window, ref_model, f)
@@ -243,13 +248,18 @@ class TestStateKeyBodies:
             root = ref.root
             body_pos, body_quat = key_body_poses(ref_model, ref.joint_pos, root.position, root.orientation)
             derived = replace(ref, body_pos=body_pos, body_quat=body_quat)
-            bare = replace(ref, body_pos=None, body_quat=None)
             action = rng.uniform(-0.5, 0.5, ref_model.n_joints)
-            state = state_from_frame(bare, ref_model, last_action=action)
+            carried = state_from_frame(derived, ref_model, last_action=action)
+            if trial % 2:
+                state = state_from_frame(bodyless(ref), ref_model, last_action=action)
+            else:
+                # a frame carries body velocities only beside its body poses,
+                # but a state carries them always
+                state = replace(carried, body_pos=None, body_quat=None)
             assert state.body_pos is None and state.body_quat is None
             assert state.n_bodies == ref_model.n_key_bodies
             reference = random_ref(rng, ref_model)
-            expected = build_teacher_obs(state_from_frame(derived, ref_model, last_action=action), reference, ref_model)
+            expected = build_teacher_obs(carried, reference, ref_model)
             got = build_teacher_obs(state, reference, ref_model)
             assert got.values.tobytes() == expected.values.tobytes()
             assert got.layout == expected.layout
@@ -260,7 +270,7 @@ class TestStateKeyBodies:
 
         window = [random_ref(rng, ref_model) for _ in range(5)]
         command = rng.uniform(-0.5, 0.5, ref_model.n_joints)
-        current = replace(window[0], joint_pos=command, body_pos=None, body_quat=None)
+        current = replace(bodyless(window[0]), joint_pos=command)
         expected = student_obs_blocks(state_from_frame(current, ref_model, last_action=command), window, ref_model, 5)
         monkeypatch.setattr(kinematics, "_fk_walk", no_fk)
         monkeypatch.setattr(kinematics, "_fk_batch", no_fk)
@@ -285,10 +295,12 @@ class TestStateKeyBodies:
             state_from_frame(replace(ref, joint_pos=ref.joint_pos[:-1], joint_vel=None), ref_model)
         with pytest.raises(InputError, match=rf"last_action: expected shape \({n},\)"):
             state_from_frame(ref, ref_model, last_action=np.zeros(n + 1))
-        # a body-less frame's body velocities are checked against the model's key bodies
-        bare = replace(ref, body_pos=None, body_quat=None, body_lin_vel=np.zeros((2, 3)))
-        with pytest.raises(InputError, match=r"body_lin_vel: expected shape \(7, 3\)"):
-            state_from_frame(bare, ref_model)
+        # a body-less frame carries no body velocities, so it gives the
+        # model's key-body count zero velocities
+        state = state_from_frame(bodyless(ref), ref_model)
+        assert np.array_equal(state.body_lin_vel, np.zeros((ref_model.n_key_bodies, 3)))
+        with pytest.raises(InputError, match="body_lin_vel: given without body_pos and body_quat"):
+            replace(ref, body_pos=None, body_quat=None, body_lin_vel=np.zeros((2, 3)))
 
 # ---------------------------------------------------------------------------
 # Reward
