@@ -8,6 +8,7 @@ root-relative error variant is available behind a flag.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,8 +29,10 @@ class FailureThresholds:
     root_drift_m: float = 1.0
 
     def __post_init__(self):
-        if min(self.deviation_m, self.fall_root_z_m, self.root_drift_m) <= 0:
-            raise ConfigError("failure thresholds must be positive")
+        for name in ("deviation_m", "fall_root_z_m", "root_drift_m"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"failure threshold {name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,15 +67,6 @@ class BenchReport:
     rows: tuple[StratumRow, ...]
     method: str = ""
     partial: bool = False
-
-    def row(self, category: str, level: str) -> StratumRow:
-        for r in self.rows:
-            if r.category == category and r.level == level:
-                return r
-        raise KeyError((category, level))
-
-    def radar_series(self) -> list[tuple[str, float | None]]:
-        return [(f"{r.category}_{r.level}", r.mpjpe_mm) for r in self.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +237,9 @@ def report_to_json(report: BenchReport) -> str:
 
 def report_to_radar_csv(report: BenchReport) -> str:
     lines = []
-    for label, value in report.radar_series():
-        lines.append(f"{label},{'' if value is None else repr(float(value))}")
+    for r in report.rows:
+        value = "" if r.mpjpe_mm is None else repr(float(r.mpjpe_mm))
+        lines.append(f"{r.category}_{r.level},{value}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import os
 import pathlib
 import sys
@@ -89,6 +90,12 @@ def _check_rate(rate: float) -> float:
     return rate
 
 
+def _check_duration(duration: float | None) -> None:
+    """A --duration value must be finite and >= 0; None runs until interrupted."""
+    if duration is not None and not 0.0 <= duration < math.inf:
+        raise OmniCloneError(f"--duration must be finite and >= 0, got {duration}")
+
+
 def _at_least_one(flag: str, count: int) -> int:
     if count < 1:
         raise OmniCloneError(f"{flag} must be >= 1, got {count}")
@@ -149,6 +156,7 @@ def cmd_relay(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
     forward = parse_addr(args.forward)
     rate = None if args.rate is None else _check_rate(args.rate)
+    _check_duration(args.duration)
     if args.stdin:
         clip = motion.clip_from_dict(read_json())
     elif args.clip:
@@ -221,6 +229,7 @@ def cmd_serve_policy(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
     spec = replace(simtrack.parse_tracker(args.tracker), seed=_resolve(args.seed, cfg.seed))
     rate = _check_rate(_resolve(args.rate, cfg.rate_hz))
+    _check_duration(args.duration)
     sink = _LiveTrackerSink(simtrack.Tracker(spec, 1.0 / rate), args.trace)
     try:
         server = PolicyServer(

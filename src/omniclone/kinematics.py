@@ -24,7 +24,6 @@ from .rotations import (
     quat_canonical,
     quat_conjugate,
     quat_mul,
-    quat_rotate,
     quat_rotate_inverse,
 )
 
@@ -67,10 +66,6 @@ class RigidPose:
                 break
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", quat)
-
-    def inverse(self) -> "RigidPose":
-        inv_q = quat_conjugate(self.orientation)
-        return RigidPose(-quat_rotate(inv_q, self.position), inv_q)
 
 
 # quat_mul(a, b) as the sum over i of a[i] * (_QUAT_SIGN[i] * b[_QUAT_PERM[i]]),

@@ -345,6 +345,8 @@ class MotionClip:
         dof_names, key_bodies = tuple(dof_names), tuple(key_bodies)
         if dof_names and len(dof_names) != n:
             raise InputError(f"dof_names: {len(dof_names)} names for {n} joints")
+        if key_bodies and body_pos is not None and len(key_bodies) != k:
+            raise InputError(f"key_bodies: {len(key_bodies)} names for {k} key bodies")
         for key, value in zip(_META, (name, fps, category, level, dof_names, key_bodies)):
             object.__setattr__(self, key, value)
         for key, column in cols.items():
@@ -718,12 +720,6 @@ class RecipeManifest:
     seed: int
     selected: tuple[tuple[str, str, float], ...]  # (label, clip, weight)
     wrapped: tuple[str, ...] = ()
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for label, _, _ in self.selected:
-            out[label] = out.get(label, 0) + 1
-        return out
 
 
 def largest_remainder_counts(

@@ -90,16 +90,15 @@ def _chain_markers(
 
 
 def calibrate(
-    calibration_frame: SubjectFrame | None,
+    calibration_frame: SubjectFrame,
     humanoid: HumanoidModel,
     mapping: Mapping[str, str],
-    subject_chain_lengths: Sequence[float] | None = None,
 ) -> CalibrationResult:
     """Estimate the session scale from a calibration frame.
 
     The subject height metric is the segment-length sum along the subject
     analogue of the humanoid calibration chain; the scale is the ratio of
-    the two metrics. Pass subject_chain_lengths to skip marker geometry.
+    the two metrics.
     """
     missing = [b for b in humanoid.key_bodies if b not in set(mapping.values())]
     if missing:
@@ -111,33 +110,21 @@ def calibrate(
     if unknown:
         raise CalibrationError(f"mapping targets outside the key-body set: {unknown}")
     humanoid_metric = chain_height(humanoid, np.zeros(humanoid.n_joints))
-    if subject_chain_lengths is not None:
-        subject_metric = float(np.sum(np.asarray(subject_chain_lengths, dtype=float)))
-    else:
-        if calibration_frame is None:
-            raise CalibrationError(
-                "need a calibration frame or explicit subject chain lengths"
-            )
-        chain = _chain_markers(humanoid, mapping)
-        points = []
-        for marker in chain:
-            if marker not in calibration_frame.markers:
-                raise CalibrationError(f"calibration frame is missing marker {marker!r}")
-            points.append(calibration_frame.markers[marker])
-        points = np.stack(points)
-        subject_metric = float(np.sum(np.linalg.norm(np.diff(points, axis=0), axis=1)))
+    points = []
+    for marker in _chain_markers(humanoid, mapping):
+        if marker not in calibration_frame.markers:
+            raise CalibrationError(f"calibration frame is missing marker {marker!r}")
+        points.append(calibration_frame.markers[marker])
+    subject_metric = float(np.sum(np.linalg.norm(np.diff(np.stack(points), axis=0), axis=1)))
     if subject_metric < 1e-9:
         raise CalibrationError(f"degenerate subject height metric {subject_metric}")
-    origin = (0.0, 0.0, 0.0)
-    if calibration_frame is not None:
-        x, y = calibration_frame.root.position[:2]
-        origin = (float(x), float(y), 0.0)
+    x, y = calibration_frame.root.position[:2]
     return CalibrationResult(
         scale=humanoid_metric / subject_metric,
         subject_height_metric=subject_metric,
         humanoid_height_metric=humanoid_metric,
         key_body_mapping=dict(mapping),
-        session_origin=origin,
+        session_origin=(float(x), float(y), 0.0),
     )
 
 

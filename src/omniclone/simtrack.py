@@ -30,7 +30,6 @@ from .motion import (
     COLUMNS,
     Frame,
     MotionClip,
-    _unchecked,
     derive_body_kinematics,
     derive_joint_velocities,
 )
@@ -56,6 +55,10 @@ class RobotState:
     are both given or both None. A reader that needs them takes them through
     _frame_key_bodies, which derives them from the state's own joints at its
     root. body_lin_vel and body_ang_vel are always given.
+
+    The constructor checks nothing: state_from_frame, the one builder,
+    checks what it takes, and the observation builders check the state's
+    counts against the model.
     """
 
     root: RigidPose
@@ -67,29 +70,6 @@ class RobotState:
     body_lin_vel: np.ndarray  # (K, 3)
     body_ang_vel: np.ndarray  # (K, 3)
     last_action: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        if (self.body_pos is None) != (self.body_quat is None):
-            raise InputError("body_pos and body_quat: give both or neither")
-        n = self.joint_pos.shape[0]
-        k = self.body_lin_vel.shape[0]
-        checks = {
-            "root_ang_vel": ((3,), self.root_ang_vel),
-            "joint_pos": ((n,), self.joint_pos),
-            "joint_vel": ((n,), self.joint_vel),
-            "body_pos": ((k, 3), self.body_pos),
-            "body_quat": ((k, 4), self.body_quat),
-            "body_lin_vel": ((k, 3), self.body_lin_vel),
-            "body_ang_vel": ((k, 3), self.body_ang_vel),
-            "last_action": ((n,), self.last_action),
-        }
-        for name, (shape, val) in checks.items():
-            if val is None and name in ("body_pos", "body_quat"):
-                continue
-            arr = np.asarray(val, dtype=float)
-            if arr.shape != shape:
-                raise InputError(f"{name}: expected shape {shape}, got {arr.shape}")
-            object.__setattr__(self, name, arr)
 
     @property
     def n_joints(self) -> int:
@@ -135,8 +115,7 @@ def state_from_frame(
         if last_action.shape != (n,):
             raise InputError(f"last_action: expected shape {(n,)}, got {last_action.shape}")
     k = model.n_key_bodies if frame.body_pos is None else frame.body_pos.shape[0]
-    return _unchecked(
-        RobotState,
+    return RobotState(
         root=frame.root,
         root_ang_vel=to_base_vector(frame.root, frame.root_ang_vel),
         joint_pos=frame.joint_pos,
@@ -164,12 +143,6 @@ class ObservationVector:
             raise InputError(
                 f"layout covers {total} values, vector has {self.values.shape[0]}"
             )
-
-    def slice(self, name: str) -> np.ndarray:
-        for entry, offset, length in self.layout:
-            if entry == name:
-                return self.values[offset : offset + length]
-        raise KeyError(name)
 
     def layout_csv(self) -> str:
         lines = ["name,offset,length"]

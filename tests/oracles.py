@@ -21,8 +21,8 @@ which the package still reads but no longer writes. Nor are the writers
 and helpers that only tests use, which the package does not ship:
 save_model, save_subject_stream (with subject_frame_to_dict),
 save_mapping, save_chunks, parse_report_csv, quat_normalize,
-quat_distance, packets_equal, decoded_frames_canonical, sine_joint_clip
-and identity_pose.
+stratum_row, obs_block, quat_distance, packets_equal,
+decoded_frames_canonical, sine_joint_clip and identity_pose.
 per_packet_fault_schedule keeps the fault model's scalar draws, one
 generator call per draw, which the package's one-block schedule must
 reproduce bit for bit.
@@ -328,6 +328,17 @@ def quat_normalize(q):
     q = np.asarray(q, dtype=float)
     norm = np.linalg.norm(q, axis=-1, keepdims=True)
     return q / norm
+
+
+def stratum_row(report, category, level):
+    """The report's row for one stratum."""
+    return next(r for r in report.rows if (r.category, r.level) == (category, level))
+
+
+def obs_block(obs, name):
+    """The values of one named block of an observation vector."""
+    offset, length = next((offset, length) for entry, offset, length in obs.layout if entry == name)
+    return obs.values[offset : offset + length]
 
 
 def quat_distance(a, b):

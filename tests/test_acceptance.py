@@ -24,6 +24,7 @@ from oracles import (
     reference_encode,
     sorted_mean,
     sorted_percentile,
+    stratum_row,
 )
 
 from omniclone.bench import aggregate, emit_report, parse_report_json, run_episode
@@ -422,21 +423,21 @@ def test_report_fixtures():
     results += [episode("loco_manip", "low", 180.5, success=i < 19) for i in range(20)]
     report = aggregate(results, method="fixture")
 
-    manip = report.row("manip", "medium")
+    manip = stratum_row(report, "manip", "medium")
     assert manip.sr_percent == 100.0
     assert manip.mpjpe_mm == 20.4
-    loco = report.row("loco_manip", "low")
+    loco = stratum_row(report, "loco_manip", "low")
     assert loco.sr_percent == 95.0
     assert loco.mpjpe_mm == 180.5
 
     via_json = parse_report_json(emit_report(report, "json"))
-    assert via_json.row("manip", "medium").mpjpe_mm == 20.4
-    assert via_json.row("loco_manip", "low").mpjpe_mm == 180.5
-    assert via_json.row("loco_manip", "low").sr_percent == 95.0
+    assert stratum_row(via_json, "manip", "medium").mpjpe_mm == 20.4
+    assert stratum_row(via_json, "loco_manip", "low").mpjpe_mm == 180.5
+    assert stratum_row(via_json, "loco_manip", "low").sr_percent == 95.0
 
     via_csv = parse_report_csv(emit_report(report, "csv"))
-    assert via_csv.row("manip", "medium").mpjpe_mm == 20.4
-    assert via_csv.row("loco_manip", "low").mpjpe_mm == 180.5
+    assert stratum_row(via_csv, "manip", "medium").mpjpe_mm == 20.4
+    assert stratum_row(via_csv, "loco_manip", "low").mpjpe_mm == 180.5
 
     radar = emit_report(report, "radar-csv")
     assert "loco_manip_low,180.5" in radar.splitlines()

@@ -1,14 +1,18 @@
-"""Every public top-level function and class in src/omniclone has a caller
-in src/, scripts/ or perfbench/, so API that only tests reach does not
-build up again.
+"""Every public top-level function and class in src/omniclone, and every
+public method and property of those classes, has a caller in src/, scripts/
+or perfbench/, so API that only tests reach does not build up again.
 
 A name counts as called when it appears as a name or an attribute outside
-its own definition; an import alone, such as a re-export in a package
-__init__, does not count, and neither does a name that the enclosing
-function or lambda binds itself (a parameter or an assignment target), since
-that is a local variable. Names kept on purpose sit in KEPT with a reason.
+its own definition, and a class's definition includes its methods; an
+import alone, such as a re-export in a package __init__, does not count,
+and neither does a name that the enclosing function or lambda binds itself
+(a parameter or an assignment target), since that is a local variable.
+Methods are matched by name alone, as functions are, so a method whose name
+other code also uses passes. Names kept on purpose sit in KEPT with a
+reason.
 """
 import ast
+import copy
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -16,7 +20,7 @@ SCANNED = ("src", "scripts", "perfbench")
 
 KEPT = {
     "echo_latency": "the README sends users of a remote server to it",
-    "discrepancy_report": "the retarget error report that ROADMAP item 8 extends",
+    "discrepancy_report": "the retarget error report that ROADMAP item 2 extends",
 }
 
 
@@ -51,6 +55,20 @@ def _names(node, local: frozenset[str] = frozenset()) -> set[str]:
     return names
 
 
+def _units(stmt) -> list[tuple[set[str], set[str]]]:
+    """(owners, names) for a top-level statement: the names under it and the
+    names whose definition it is. A class gives one unit for its own body
+    and one for each of its methods."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [({stmt.name}, _names(stmt))]
+    if not isinstance(stmt, ast.ClassDef):
+        return [(set(), _names(stmt))]
+    methods = [m for m in stmt.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    shell = copy.copy(stmt)
+    shell.body = [s for s in stmt.body if s not in methods]
+    return [({stmt.name}, _names(shell))] + [({stmt.name, m.name}, _names(m)) for m in methods]
+
+
 def _scan():
     defined: dict[str, str] = {}
     named: set[str] = set()
@@ -58,12 +76,11 @@ def _scan():
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             for stmt in tree.body:
-                names = _names(stmt)
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    names.discard(stmt.name)
-                    if top == "src" and not stmt.name.startswith("_"):
-                        defined[stmt.name] = str(path.relative_to(ROOT))
-                named |= names
+                for owners, names in _units(stmt):
+                    if top == "src":
+                        public = (o for o in owners if not o.startswith("_"))
+                        defined.update(dict.fromkeys(public, str(path.relative_to(ROOT))))
+                    named |= names - owners
     return defined, named
 
 

@@ -1,10 +1,11 @@
 import collections
 import json
+import math
 
 import numpy as np
 import pytest
 
-from oracles import double_loop_mpjpe, first_failure_loop, parse_report_csv
+from oracles import double_loop_mpjpe, first_failure_loop, parse_report_csv, stratum_row
 
 from omniclone.bench import (
     BenchReport,
@@ -24,7 +25,7 @@ from omniclone.bench import (
     run_episode,
     save_manifest,
 )
-from omniclone.errors import InputError
+from omniclone.errors import ConfigError, InputError
 from omniclone.kinematics import RigidPose
 from omniclone.motion import (
     BENCH_STRATA,
@@ -116,6 +117,12 @@ class TestFirstFailure:
         got = first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots, thresholds)
         assert got == (None if expected is None else (0, expected))
 
+    @pytest.mark.parametrize("field", ["deviation_m", "fall_root_z_m", "root_drift_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_thresholds_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ConfigError, match=f"failure threshold {field} must be positive and finite, got {value}"):
+            FailureThresholds(**{field: value})
+
     def test_reports_first_failed_frame(self, ref_model):
         bodies, roots = _static_kinematics(ref_model, 0.75)
         ref_bodies, ref_roots = np.repeat(bodies, 8, axis=0), np.repeat(roots, 8, axis=0)
@@ -196,11 +203,11 @@ class TestRunEpisode:
         # scoring a clip do not grow with the clip's length
         counts = collections.Counter()
         for cls in (Frame, RigidPose, RobotState):
-            def counted(self, post=cls.__post_init__, name=cls.__name__):
+            def counted(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
                 counts[name] += 1
-                post(self)
+                init(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
 
         def constructions(n_frames):
             path = tmp_path / f"walk{n_frames}.json"
@@ -222,13 +229,13 @@ class TestAggregate:
     def test_sr_ratio(self):
         results = [episode("manip", "high", 10.0, success=i < 19) for i in range(20)]
         report = aggregate(results)
-        assert report.row("manip", "high").sr_percent == pytest.approx(95.0)
+        assert stratum_row(report, "manip", "high").sr_percent == pytest.approx(95.0)
 
     def test_manip_medium_fixture_row(self):
         # synthetic per-episode errors averaging to the published 20.4 mm
         results = [episode("manip", "medium", 20.0), episode("manip", "medium", 20.8)]
         report = aggregate(results, method="tracker")
-        row = report.row("manip", "medium")
+        row = stratum_row(report, "manip", "medium")
         assert row.sr_percent == 100.0
         assert row.mpjpe_mm == pytest.approx(20.4, abs=0)
         md = emit_report(report, "markdown")
@@ -260,11 +267,11 @@ class TestAggregate:
             episode("walk", "fast", 500.0, success=False),
         ]
         report = aggregate(results)
-        row = report.row("walk", "fast")
+        row = stratum_row(report, "walk", "fast")
         assert row.sr_percent == 50.0
         assert row.mpjpe_mm == pytest.approx(10.0)
         included = aggregate(results, include_failed=True)
-        assert included.row("walk", "fast").mpjpe_mm == pytest.approx(255.0)
+        assert stratum_row(included, "walk", "fast").mpjpe_mm == pytest.approx(255.0)
 
     def test_empty_strata_absent(self):
         report = aggregate([episode("walk", "fast", 12.0)])

@@ -4,6 +4,7 @@ import logging
 import os
 import pathlib
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -147,6 +148,27 @@ class TestBenchWorkflow:
             r" \d+\.\d{3} s writing results",
             line,
         )
+
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--deviation", "nan"], None, "deviation_m must be positive and finite, got nan"),
+        (["--fall", "inf"], None, "fall_root_z_m must be positive and finite, got inf"),
+        (["--drift", "nan"], None, "root_drift_m must be positive and finite, got nan"),
+        ([], '{"deviation_m": NaN}', "deviation_m must be positive and finite, got nan"),
+    ], ids=["deviation-flag", "fall-flag", "drift-flag", "deviation-run-config"])
+    def test_thresholds_must_be_positive_and_finite(self, tmp_path, ref_model, capsys, flags, config, message):
+        path = tmp_path / "one.json"
+        save_clip(constant_velocity_clip(ref_model, 1.0, n_frames=10, category="walk", level="fast"), path)
+        manifest = tmp_path / "manifest.json"
+        save_manifest([ManifestEntry(path=str(path))], manifest)
+        argv = ["bench", "run", "--manifest", str(manifest), "--tracker", "lag:1000",
+                "--out", str(tmp_path / "results.json"), *flags]
+        if config is not None:
+            (tmp_path / "run.json").write_text(config, encoding="utf-8")
+            argv = ["--run-config", str(tmp_path / "run.json"), *argv]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: failure threshold {message}\n"
 
     def test_partial_manifest_exit_nonzero(self, tmp_path, ref_model, capsys):
         clip = constant_velocity_clip(ref_model, 1.0, n_frames=10, category="walk", level="fast")
@@ -661,6 +683,43 @@ class TestServeRelayLive:
         assert code == 0
         assert time.monotonic() - start < 0.5
         assert "forwarded,0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["relay", "--listen", "127.0.0.1:0", "--forward", "127.0.0.1:9"],
+        ["serve-policy", "--listen", "127.0.0.1:0"],
+    ], ids=["relay", "serve-policy"])
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+    def test_duration_must_be_finite_and_non_negative(self, monkeypatch, capsys, command, duration):
+        def no_run(*args):  # an infinite serve-policy run must not start
+            raise AssertionError("the server ran")
+
+        monkeypatch.setattr(cli.PolicyServer, "run", no_run)
+        assert cli.main([*command, "--duration", duration]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --duration must be finite and >= 0, got {float(duration)}\n"
+
+    def test_relay_listen_forwards_datagrams(self, capsys):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            probe.bind(("127.0.0.1", 0))
+            listen_port = probe.getsockname()[1]
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sink, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            sink.bind(("127.0.0.1", 0))
+            sink.settimeout(5.0)
+            relay = threading.Thread(target=cli.main, args=(
+                ["relay", "--listen", f"127.0.0.1:{listen_port}",
+                 "--forward", f"127.0.0.1:{sink.getsockname()[1]}", "--duration", "2"],), daemon=True)
+            relay.start()
+            time.sleep(0.5)
+            datagrams = [bytes([i]) * (1 + 100 * i) for i in range(5)]
+            for data in datagrams:
+                sender.sendto(data, ("127.0.0.1", listen_port))
+            received = [sink.recvfrom(65536)[0] for _ in datagrams]
+            relay.join(5.0)
+        assert not relay.is_alive()
+        assert received == datagrams
+        assert capsys.readouterr().out == "forwarded,5\n"
 
     def test_serve_policy_bad_tracker_spec_is_an_error(self, capsys):
         code = cli.main(["serve-policy", "--listen", "127.0.0.1:0", "--tracker", "noise:zz",

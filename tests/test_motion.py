@@ -2,6 +2,7 @@ import base64
 import json
 import re
 import struct
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -251,6 +252,13 @@ class TestReplace:
         with pytest.raises(InputError, match=re.escape(message)):
             clip.replace(**changes)
 
+    def test_key_bodies_count_must_match_body_pos(self, ref_model):
+        clip = constant_velocity_clip(ref_model, 1.0, n_frames=6)
+        assert len(clip.key_bodies) == clip.body_pos.shape[1] == 7
+        with pytest.raises(InputError, match=re.escape("key_bodies: 2 names for 7 key bodies")):
+            clip.replace(key_bodies=("a", "b"))
+        assert clip.replace(key_bodies=()).n_key_bodies == 7
+
     def test_new_root_quaternions_normalised_and_canonical(self, clip):
         flipped = -1.0000001 * clip.root_quat
         out = clip.replace(root_quat=flipped)
@@ -400,6 +408,15 @@ class TestColumnFile:
         with pytest.raises(ClipParseError, match=f"clip document: {message}"):
             clip_from_dict(doc)
 
+    def test_key_bodies_count_must_match_columns(self, ref_model, tmp_path):
+        doc = clip_to_dict(constant_velocity_clip(ref_model, 1.0, n_frames=4))
+        assert doc["header"]["K"] == 7
+        doc["header"]["key_bodies"] = ["a", "b"]
+        path = tmp_path / "clip.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ClipParseError, match=re.escape("clip document: key_bodies: 2 names for 7 key bodies")):
+            load_clip(path)
+
     def test_non_finite_column_rejected_naming_the_frame(self):
         doc = column_doc()
         vel = np.zeros((4, 3))
@@ -481,7 +498,7 @@ class TestRecipe:
         manifest = compose_recipe(
             pools, {"manip": 0.6, "dynamic": 0.2, "stable": 0.2}, 10, seed=0
         )
-        assert manifest.counts() == {"manip": 6, "dynamic": 2, "stable": 2}
+        assert Counter(label for label, _, _ in manifest.selected) == {"manip": 6, "dynamic": 2, "stable": 2}
 
     def test_single_pool(self):
         pools = {"only": [f"c{i}" for i in range(20)]}
@@ -539,5 +556,5 @@ class TestRecipe:
         pools = {f"p{i}": [f"p{i}_{j}" for j in range(8)] for i in range(k)}
         manifest = compose_recipe(pools, fractions, total, seed=seed)
         assert len(manifest.selected) == total
-        counts = manifest.counts()
+        counts = Counter(label for label, _, _ in manifest.selected)
         assert sum(counts.values()) == total

@@ -25,7 +25,7 @@ from omniclone.retarget import (
     retarget_stream,
     subject_frame_from_dict,
 )
-from omniclone.kinematics import RigidPose, chain_height
+from omniclone.kinematics import RigidPose
 from omniclone.simtrack import build_student_obs, state_from_frame
 from omniclone.synthetic import constant_velocity_clip
 
@@ -83,16 +83,11 @@ class TestCalibrate:
         cal = calibrate(subject[0], ref_model, MARKERS)
         assert cal.scale == pytest.approx(0.8, abs=1e-12)
 
-    def test_two_subject_scale_ratio(self, ref_model):
-        # chain metrics in 1.94 : 1.47 proportion produce scales in the
-        # inverse proportion (operator heights span that range)
-        h = chain_height(ref_model, np.zeros(29))
-        cal_tall = calibrate(
-            None, ref_model, MARKERS, subject_chain_lengths=[1.94 * h / 2, 1.94 * h / 2]
-        )
-        cal_short = calibrate(
-            None, ref_model, MARKERS, subject_chain_lengths=[1.47 * h / 2, 1.47 * h / 2]
-        )
+    def test_two_subject_scale_ratio(self, ref_model, walk_clip):
+        # subjects in 1.94 : 1.47 proportion produce scales in the inverse
+        # proportion (operator heights span that range)
+        cal_tall = calibrate(humanoid_as_subject(walk_clip, 1.94)[0], ref_model, MARKERS)
+        cal_short = calibrate(humanoid_as_subject(walk_clip, 1.47)[0], ref_model, MARKERS)
         assert cal_short.scale / cal_tall.scale == pytest.approx(1.94 / 1.47, rel=1e-12)
         assert cal_short.scale / cal_tall.scale == pytest.approx(1.3197, abs=1e-4)
 
@@ -104,13 +99,15 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="m_chest"):
             calibrate(broken, ref_model, MARKERS)
 
-    def test_degenerate_subject_metric(self, ref_model):
+    def test_degenerate_subject_metric(self, ref_model, walk_clip):
+        subject = humanoid_as_subject(walk_clip, 1.0)[0]
+        collapsed = SubjectFrame(t=0.0, root=subject.root, markers={m: np.ones(3) for m in subject.markers})
         with pytest.raises(CalibrationError, match="degenerate"):
-            calibrate(None, ref_model, MARKERS, subject_chain_lengths=[0.0, 0.0])
+            calibrate(collapsed, ref_model, MARKERS)
 
-    def test_scale_sanity_band(self, ref_model):
+    def test_scale_sanity_band(self, ref_model, walk_clip):
         with pytest.raises(CalibrationError, match="sanity band"):
-            calibrate(None, ref_model, MARKERS, subject_chain_lengths=[100.0])
+            calibrate(humanoid_as_subject(walk_clip, 100.0)[0], ref_model, MARKERS)
 
     def test_mapping_must_cover_key_bodies(self, ref_model, walk_clip):
         subject = humanoid_as_subject(walk_clip, 1.0)

@@ -22,7 +22,14 @@ from omniclone.simtrack import (
     track_clip,
 )
 from omniclone.synthetic import constant_velocity_clip, static_clip
-from oracles import per_field_dr, quat_normalize, sine_joint_clip, student_obs_blocks, teacher_obs_length
+from oracles import (
+    obs_block,
+    per_field_dr,
+    quat_normalize,
+    sine_joint_clip,
+    student_obs_blocks,
+    teacher_obs_length,
+)
 from tables import (
     DEFAULT_REWARD_WEIGHTS,
     DRConfig,
@@ -152,7 +159,7 @@ class TestObservationContent:
             state, root=RigidPose(state.root.position, quat_from_yaw(1.1))
         )
         obs = build_teacher_obs(state, random_ref(rng, ref_model), ref_model)
-        assert np.allclose(obs.slice("gravity"), GRAVITY, atol=1e-12)
+        assert np.allclose(obs_block(obs, "gravity"), GRAVITY, atol=1e-12)
 
     def test_on_reference_coincidence(self, ref_model):
         clip = constant_velocity_clip(ref_model, 1.0, n_frames=5)
@@ -160,10 +167,10 @@ class TestObservationContent:
         ref = clip.frames[2]
         state = state_from_frame(ref, ref_model)
         obs = build_teacher_obs(state, ref, ref_model)
-        assert np.allclose(obs.slice("ref_joint_pos") - obs.slice("joint_pos"), 0.0)
-        assert np.allclose(obs.slice("ref_joint_vel") - obs.slice("joint_vel"), 0.0)
-        assert np.allclose(obs.slice("ref_body_pos"), obs.slice("body_pos"), atol=1e-9)
-        assert np.allclose(obs.slice("ref_body_quat"), obs.slice("body_quat"), atol=1e-9)
+        assert np.allclose(obs_block(obs, "ref_joint_pos") - obs_block(obs, "joint_pos"), 0.0)
+        assert np.allclose(obs_block(obs, "ref_joint_vel") - obs_block(obs, "joint_vel"), 0.0)
+        assert np.allclose(obs_block(obs, "ref_body_pos"), obs_block(obs, "body_pos"), atol=1e-9)
+        assert np.allclose(obs_block(obs, "ref_body_quat"), obs_block(obs, "body_quat"), atol=1e-9)
 
     def test_missing_ref_joint_vel_raises(self, ref_model, rng):
         state = random_state(rng, ref_model)
@@ -188,10 +195,10 @@ class TestObservationContent:
         obs = build_student_obs(state, window, ref_model, 5)
         for i, ref in enumerate(window):
             body_pos, body_quat = _frame_key_bodies(ref, ref_model)
-            assert np.array_equal(obs.slice(f"ref{i}_body_pos"), to_base_point(root, body_pos).ravel())
-            assert np.array_equal(obs.slice(f"ref{i}_body_quat"), to_base_quat(root, body_quat).ravel())
+            assert np.array_equal(obs_block(obs, f"ref{i}_body_pos"), to_base_point(root, body_pos).ravel())
+            assert np.array_equal(obs_block(obs, f"ref{i}_body_quat"), to_base_quat(root, body_quat).ravel())
             assert np.array_equal(
-                obs.slice(f"ref{i}_root_lin_vel"), to_base_vector(root, ref.root_lin_vel)
+                obs_block(obs, f"ref{i}_root_lin_vel"), to_base_vector(root, ref.root_lin_vel)
             )
         empty = build_student_obs(state, [], ref_model, 0)
         assert empty.values.shape == (student_obs_length(ref_model, 0),)
@@ -282,10 +289,11 @@ class TestStateKeyBodies:
 
     @pytest.mark.parametrize("missing", ["body_pos", "body_quat"])
     def test_one_body_pose_without_the_other_rejected(self, ref_model, rng, missing):
-        state = random_state(rng, ref_model)
+        # state_from_frame, the one builder of a state, takes a Frame, and a
+        # Frame refuses one body pose without the other
         with pytest.raises(InputError, match="body_pos and body_quat: give both or neither"):
-            replace(state, **{missing: None})
-        bare = replace(state, body_pos=None, body_quat=None)
+            replace(random_ref(rng, ref_model), **{missing: None})
+        bare = replace(random_state(rng, ref_model), body_pos=None, body_quat=None)
         assert bare.n_bodies == ref_model.n_key_bodies
 
     def test_state_from_frame_checks_what_it_takes(self, ref_model, rng):

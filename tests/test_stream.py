@@ -3,6 +3,7 @@ import itertools
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from omniclone.stream import (
     heartbeat,
     measure_latency,
     packet_bytes,
+    packet_frame_from_motion,
     send_clip,
     simulate_stream,
 )
@@ -183,6 +185,33 @@ class TestCodec:
         decoded = decode_packet(encode_packet(packet))
         assert packets_equal(decoded, packet)
         assert decoded_frames_canonical(decoded)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda f: replace(f, root_lin_vel=np.zeros(4)), "root_lin_vel must be a 3-vector"),
+        (lambda f: replace(f, body_quat=f.body_quat[:-1]), "body_pos/body_quat shapes inconsistent"),
+        (lambda f: replace(f, joint_pos=f.joint_pos[None]), "joint_pos must be a vector"),
+        (lambda f: StreamPacket(MSG_FRAMES, 1, 0, (f, replace(f, joint_pos=f.joint_pos[:-1]))),
+         "frames disagree on body/joint counts"),
+        (lambda f: StreamPacket(MSG_FRAMES, 2**32, 0, (f,)), "seq out of uint32 range"),
+        (lambda f: StreamPacket(MSG_FRAMES, 1, 2**64, (f,)), "send_ts_us out of uint64 range"),
+    ], ids=["root_lin_vel", "body_counts", "joint_pos_2d", "frame_counts", "seq", "send_ts_us"])
+    def test_wire_rows_rejected(self, rng, build, message):
+        frame = make_packet(rng, k=3, n=5).frames[0]
+        with pytest.raises(InputError, match=message):
+            build(frame)
+
+    def test_packet_frame_from_motion(self, ref_model):
+        frame = constant_velocity_clip(ref_model, 0.9, n_frames=3).frames[1]
+        frame = replace(frame, body_pos=np.asfortranarray(frame.body_pos))
+        wire = packet_frame_from_motion(frame, ref_model)
+        expected = PacketFrame(frame.root_lin_vel, frame.body_pos, frame.body_quat, frame.joint_pos)
+        for key in ("root_lin_vel", "body_pos", "body_quat", "joint_pos"):
+            got = getattr(wire, key)
+            assert got.dtype == np.float32 and got.flags.c_contiguous, key
+            assert got.tobytes() == getattr(expected, key).tobytes(), key
+        bodyless = constant_velocity_clip(ref_model, 0.9, n_frames=3, with_bodies=False).frames[1]
+        with pytest.raises(InputError, match="frame lacks body kinematics"):
+            packet_frame_from_motion(bodyless, ref_model)
 
     def test_oversize_datagram_rejected(self):
         # 5,456 empty frames fill a 65,502-byte datagram with a valid CRC

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chunk_schedule_oracle, links_from_model, matrix_fk, save_chunks
+from oracles import chunk_schedule_oracle, links_from_model, matrix_fk, obs_block, save_chunks
 
 from omniclone.errors import InputError, PlannerContractError, PlannerTimeout
 from omniclone.kinematics import RigidPose
@@ -151,13 +151,13 @@ class TestJointsToCommand:
         frame = joints_to_command(q, ref_model, root)
         state = state_from_frame(frame, ref_model)
         obs = build_student_obs(state, [frame] * 5, ref_model, 5)
-        local_body = obs.slice("ref0_body_pos").reshape(7, 3)
+        local_body = obs_block(obs, "ref0_body_pos").reshape(7, 3)
         from omniclone.kinematics import to_base_point
 
         assert np.allclose(local_body, to_base_point(root, frame.body_pos), atol=1e-12)
         for i in range(5):
             assert np.allclose(
-                obs.slice(f"ref{i}_body_pos"), obs.slice("ref0_body_pos"), atol=1e-12
+                obs_block(obs, f"ref{i}_body_pos"), obs_block(obs, "ref0_body_pos"), atol=1e-12
             )
 
     def test_command_satisfies_frame_invariants(self, ref_model):
