@@ -56,7 +56,7 @@ class CalibrationResult:
     subject_height_metric: float
     humanoid_height_metric: float
     key_body_mapping: Mapping[str, str]  # subject marker -> humanoid key body
-    session_origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    session_origin: tuple[float, float, float]
 
     def __post_init__(self):
         expected = self.humanoid_height_metric / self.subject_height_metric

@@ -48,14 +48,20 @@ class FrameQueue:
         return len(self._items)
 
     def push(self, frame: Stamped) -> str:
-        """Stale if its seq is already held or is <= the last popped seq."""
+        """Stale if its seq is already held, is <= the last popped seq, or
+        is older than every held seq of a full queue (it would be evicted
+        at once)."""
         seq, items = frame.seq, self._items
         if seq in items or (self._last is not None and seq <= self._last.seq):
             self.stale_count += 1
             return PUSH_STALE
+        if len(items) >= self.capacity:
+            oldest = min(items)
+            if seq < oldest:
+                self.stale_count += 1
+                return PUSH_STALE
+            del items[oldest]
         items[seq] = frame
-        if len(items) > self.capacity:
-            del items[min(items)]
         return PUSH_ACCEPTED
 
     def pop(self) -> tuple[Stamped, bool]:

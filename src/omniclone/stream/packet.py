@@ -19,20 +19,25 @@ Datagrams larger than 1400 bytes are rejected at encode time, and at
 decode time before the CRC pass, so an oversize datagram costs a receiver
 no more than a length check.
 
-decode_packet checks the length, magic, version, exact size and CRC, then
-views the payload once as a (frame_count, 3 + 7K + n) float32 array. The
-checked header fixes every frame's shapes, so the decoded PacketFrames and
-StreamPacket are built from those views with motion._unchecked, without
-re-running their constructors' checks: root_lin_vel and joint_pos are
-read-only views of the datagram, and body_pos and body_quat are rows of one
-copy each per packet. packet_frame_from_motion builds its PacketFrame
-the same way from a Frame's checked arrays, after PacketFrame's float32
-conversion. Every other caller goes through the checking constructors.
+decode_packet checks the length, magic, version, exact size, CRC and
+message type of every datagram, then returns a StreamPacket whose frames
+are built from the checked bytes once, on first read: len() and bool() of
+a packet's frames read the header's count and build nothing, so a packet
+that is dropped as stale, duplicate or evicted costs no more than its
+checks. The checked header fixes every frame's shapes, so the frames are
+built from one float32 view of the payload with motion._unchecked,
+without re-running their constructors' checks: root_lin_vel and joint_pos
+are read-only views of the datagram, and body_pos and body_quat are rows
+of one copy each per packet. packet_frame_from_motion builds its
+PacketFrame the same way from a Frame's checked arrays, after
+PacketFrame's float32 conversion. Every other caller goes through the
+checking constructors.
 """
 from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +50,15 @@ VERSION = 1
 MSG_FRAMES = 0
 MSG_CALIBRATION = 1
 MSG_HEARTBEAT = 2
+MSG_TYPES = (MSG_FRAMES, MSG_CALIBRATION, MSG_HEARTBEAT)
 
 MAX_DATAGRAM = 1400
 HEADER = struct.Struct("<4sBBHIQHHH")
 HEADER_LEN = HEADER.size  # 26
 CRC_LEN = 4
+#: zlib.crc32 of any bytes followed by their own little-endian CRC-32, so
+#: one pass over a whole datagram checks its trailer without slicing it off
+CRC_RESIDUE = 0x2144DF1C
 
 
 def _wire_array(x) -> np.ndarray:
@@ -91,12 +100,14 @@ class StreamPacket:
     msg_type: int
     seq: int
     send_ts_us: int
-    frames: tuple[PacketFrame, ...] = ()
+    frames: Sequence[PacketFrame] = ()
     flags: int = 0
     n_bodies: int = 0
     n_joints: int = 0
 
     def __post_init__(self):
+        if self.msg_type not in MSG_TYPES:
+            raise InputError(f"msg_type must be one of {MSG_TYPES}, got {self.msg_type}")
         object.__setattr__(self, "frames", tuple(self.frames))
         if self.frames:
             k = self.frames[0].n_bodies
@@ -153,7 +164,57 @@ def encode_packet(packet: StreamPacket) -> bytes:
     return body + struct.pack("<I", crc)
 
 
+class _DecodedFrames(Sequence):
+    """The frames of a checked datagram, built together on first read.
+
+    The checked length fixes every shape below, so the frames skip
+    PacketFrame's conversions and checks (see the module docstring).
+    """
+
+    __slots__ = ("_data", "_count", "_k", "_n", "_frames")
+
+    def __init__(self, data: bytes, count: int, k: int, n: int):
+        self._data, self._count, self._k, self._n = data, count, k, n
+        self._frames = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        frames = self._frames
+        if frames is None:
+            frames = self._build()
+        return frames[i]
+
+    def _build(self) -> tuple[PacketFrame, ...]:
+        count, k = self._count, self._k
+        joints_at = 3 + 7 * k
+        width = joints_at + self._n
+        rows = np.frombuffer(
+            self._data, dtype="<f4", count=count * width, offset=HEADER_LEN
+        ).reshape(count, width)
+        body = rows[:, 3:joints_at].reshape(count, k, 7)
+        body_pos = body[:, :, :3].copy()
+        body_quat = body[:, :, 3:].copy()
+        self._frames = tuple([
+            _unchecked(
+                PacketFrame,
+                root_lin_vel=rows[i, :3],
+                body_pos=body_pos[i],
+                body_quat=body_quat[i],
+                joint_pos=rows[i, joints_at:],
+            )
+            for i in range(count)
+        ])
+        return self._frames
+
+
 def decode_packet(data: bytes) -> StreamPacket:
+    """Check a datagram and return its packet; its frames are built on first
+    read. A bytearray or memoryview is copied once, so the packet's frames
+    never share the caller's mutable buffer."""
+    if not isinstance(data, bytes):
+        data = bytes(data)
     if len(data) < HEADER_LEN + CRC_LEN:
         raise TruncationError(f"datagram of {len(data)} bytes is shorter than a header")
     if len(data) > MAX_DATAGRAM:
@@ -170,39 +231,19 @@ def decode_packet(data: bytes) -> StreamPacket:
         raise TruncationError(
             f"datagram of {len(data)} bytes, expected {expected} for {frame_count} frames"
         )
-    crc = struct.unpack_from("<I", data, len(data) - CRC_LEN)[0]
-    actual = zlib.crc32(data[:-CRC_LEN]) & 0xFFFFFFFF
-    if crc != actual:
+    if zlib.crc32(data) != CRC_RESIDUE:
+        crc = struct.unpack_from("<I", data, len(data) - CRC_LEN)[0]
+        actual = zlib.crc32(data[:-CRC_LEN])
         raise CorruptionError(f"crc mismatch: trailer {crc:#010x}, computed {actual:#010x}")
-    frames = ()
-    if frame_count:
-        # the checked length fixes every shape below, so the frames skip
-        # PacketFrame's conversions and checks (see the module docstring)
-        joints_at = 3 + 7 * k
-        width = joints_at + n
-        rows = np.frombuffer(
-            data, dtype="<f4", count=frame_count * width, offset=HEADER_LEN
-        ).reshape(frame_count, width)
-        body = rows[:, 3:joints_at].reshape(frame_count, k, 7)
-        body_pos = body[:, :, :3].copy()
-        body_quat = body[:, :, 3:].copy()
-        frames = tuple([
-            _unchecked(
-                PacketFrame,
-                root_lin_vel=rows[i, :3],
-                body_pos=body_pos[i],
-                body_quat=body_quat[i],
-                joint_pos=rows[i, joints_at:],
-            )
-            for i in range(frame_count)
-        ])
+    if msg_type not in MSG_TYPES:
+        raise ProtocolError(f"unknown msg_type {msg_type}")
     # seq and ts are in range by the struct format
     return _unchecked(
         StreamPacket,
         msg_type=msg_type,
         seq=seq,
         send_ts_us=ts,
-        frames=frames,
+        frames=_DecodedFrames(data, frame_count, k, n) if frame_count else (),
         flags=flags,
         n_bodies=k,
         n_joints=n,

@@ -25,7 +25,9 @@ stratum_row, obs_block, quat_distance, packets_equal,
 decoded_frames_canonical, sine_joint_clip and identity_pose.
 per_packet_fault_schedule keeps the fault model's scalar draws, one
 generator call per draw, which the package's one-block schedule must
-reproduce bit for bit.
+reproduce bit for bit. eager_decode_frames keeps the codec's earlier
+decode, which built every frame of a datagram as soon as its CRC passed;
+the frames decode_packet builds on first read must match it bit for bit.
 """
 import json
 import math
@@ -600,6 +602,24 @@ def reference_encode(msg_type, flags, seq, send_ts_us, frames):
             out += struct.pack("<f", v)
     out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
     return out
+
+
+def eager_decode_frames(data):
+    """The frames of a valid frames datagram, all built at once: one
+    float32 view of the payload, whose root_lin_vel and joint_pos rows are
+    views and whose body columns are copied once per packet."""
+    frame_count, k, n = struct.unpack_from("<HHH", data, 20)
+    joints_at = 3 + 7 * k
+    width = joints_at + n
+    rows = np.frombuffer(data, dtype="<f4", count=frame_count * width, offset=26)
+    rows = rows.reshape(frame_count, width)
+    body = rows[:, 3:joints_at].reshape(frame_count, k, 7)
+    body_pos = body[:, :, :3].copy()
+    body_quat = body[:, :, 3:].copy()
+    return tuple(
+        PacketFrame(rows[i, :3], body_pos[i], body_quat[i], rows[i, joints_at:])
+        for i in range(frame_count)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_retargeting_inversion(ref_model):
     )
     uncalibrated = CalibrationResult(
         scale=1.0, subject_height_metric=1.0, humanoid_height_metric=1.0,
-        key_body_mapping=MARKERS,
+        key_body_mapping=MARKERS, session_origin=(0.0, 0.0, 0.0),
     )
     frames, _ = retarget_stream(offset_subject, uncalibrated, ref_model)
     report = discrepancy_report(frames, clip.frames)

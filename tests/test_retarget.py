@@ -143,6 +143,7 @@ class TestRetargetFrame:
             subject_height_metric=1.0,
             humanoid_height_metric=0.8,
             key_body_mapping=MARKERS,
+            session_origin=(0.0, 0.0, 0.0),
         )
         markers = {m: np.array([0.5, 0.0, 1.0]) for m in MARKERS}
         raw = SubjectFrame(
@@ -259,7 +260,7 @@ class TestPerMarkerOracle:
     def test_first_frame_dropout_names_the_same_marker(self, ref_model, rng):
         raw = noisy_subject(rng, 1, ref_model.n_joints, drop_at=(0,))[0]
         raw = SubjectFrame(raw.t, raw.root, {m: p for m, p in raw.markers.items() if m != "m_head"})
-        cal = CalibrationResult(1.0, 1.0, 1.0, MARKERS)
+        cal = CalibrationResult(1.0, 1.0, 1.0, MARKERS, session_origin=(0.0, 0.0, 0.0))
         with pytest.raises(InputError) as got:
             retarget_frame(raw, cal, ref_model)
         with pytest.raises(InputError) as expected:
@@ -284,7 +285,7 @@ class TestPerMarkerOracle:
         # retarget -> five-frame window padded by zero-order hold -> state of
         # the last command -> student observation, as one teleop tick runs it
         subject = noisy_subject(rng, 12, ref_model.n_joints, drop_at=(4, 9))
-        cal = CalibrationResult(1.05, 1.0, 1.05, MARKERS)
+        cal = CalibrationResult(1.05, 1.0, 1.05, MARKERS, session_origin=(0.0, 0.0, 0.0))
         prev, window, command = None, [], np.zeros(ref_model.n_joints)
         for raw in subject:
             frame, _ = retarget_frame(raw, cal, ref_model, previous=prev)
@@ -324,6 +325,7 @@ class TestDiscrepancyReport:
             subject_height_metric=1.0,
             humanoid_height_metric=1.0,
             key_body_mapping=MARKERS,
+            session_origin=(0.0, 0.0, 0.0),
         )
         uncalibrated, _ = retarget_stream(subject, uncal, ref_model)
         ref_frames = walk_clip.frames

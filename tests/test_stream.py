@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import make_chain_model
 from oracles import (
     decoded_frames_canonical,
+    eager_decode_frames,
     hold_pipeline_oracle,
     packets_equal,
     per_packet_fault_schedule,
@@ -130,6 +131,17 @@ class TestCodec:
         with pytest.raises(CorruptionError):
             decode_packet(bytes(data))
 
+    def test_every_covered_bit_flip_detected(self, rng):
+        # the CRC covers msg_type, flags, seq, timestamp, payload and itself;
+        # magic, version and the counts fail their own checks first
+        data = encode_packet(make_packet(rng, k=3, n=5))
+        for at in [*range(5, 20), *range(26, len(data))]:
+            for bit in range(8):
+                bad = bytearray(data)
+                bad[at] ^= 1 << bit
+                with pytest.raises(CorruptionError):
+                    decode_packet(bytes(bad))
+
     def test_bad_magic(self):
         data = bytearray(GOLDEN_HEARTBEAT)
         data[0] = 0x58
@@ -186,6 +198,58 @@ class TestCodec:
         assert packets_equal(decoded, packet)
         assert decoded_frames_canonical(decoded)
 
+    @pytest.mark.parametrize("k", [0, 7])
+    @pytest.mark.parametrize("frame_count", [1, 2, 3, 4])
+    def test_frames_match_eager_decode(self, rng, frame_count, k):
+        data = encode_packet(make_packet(rng, frame_count=frame_count, k=k))
+        packet = decode_packet(data)
+        assert len(packet.frames) == frame_count
+        for got, want in zip(packet.frames, eager_decode_frames(data), strict=True):
+            for name in ("root_lin_vel", "body_pos", "body_quat", "joint_pos"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.flags.c_contiguous and a.flags.writeable == b.flags.writeable, name
+                assert a.tobytes() == b.tobytes(), name
+        assert decoded_frames_canonical(packet)
+
+    def test_each_frame_built_once(self, rng):
+        packet = decode_packet(encode_packet(make_packet(rng, frame_count=3)))
+        for i in range(3):
+            assert packet.frames[i] is packet.frames[i]
+        assert all(a is b for a, b in zip(packet.frames, packet.frames[:], strict=True))
+
+    @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+                             ids=["bytearray", "memoryview"])
+    def test_decode_never_shares_the_callers_buffer(self, rng, wrap):
+        data = encode_packet(make_packet(rng, frame_count=2, k=3, n=5))
+        buf = wrap(data)
+        read = decode_packet(buf)
+        read.frames[0]
+        unread = decode_packet(buf)
+        buf[:] = bytes(len(data))
+        for packet in (read, unread):
+            for got, want in zip(packet.frames, eager_decode_frames(data), strict=True):
+                for name in ("root_lin_vel", "body_pos", "body_quat", "joint_pos"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+                assert not got.root_lin_vel.flags.writeable
+                assert not got.joint_pos.flags.writeable
+
+    def test_len_and_bool_build_no_frame(self, rng, monkeypatch):
+        data = encode_packet(make_packet(rng, frame_count=4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frame was built")
+
+        monkeypatch.setattr(np, "frombuffer", refuse)
+        packet = decode_packet(data)
+        assert len(packet.frames) == 4
+        assert packet.frames
+
+    def test_unknown_msg_type_rejected(self):
+        # a well-formed heartbeat layout, CRC included, of msg_type 9
+        with pytest.raises(ProtocolError, match="unknown msg_type 9"):
+            decode_packet(reference_encode(9, 0, 1, 1000, []))
+
     @pytest.mark.parametrize("build, message", [
         (lambda f: replace(f, root_lin_vel=np.zeros(4)), "root_lin_vel must be a 3-vector"),
         (lambda f: replace(f, body_quat=f.body_quat[:-1]), "body_pos/body_quat shapes inconsistent"),
@@ -194,7 +258,8 @@ class TestCodec:
          "frames disagree on body/joint counts"),
         (lambda f: StreamPacket(MSG_FRAMES, 2**32, 0, (f,)), "seq out of uint32 range"),
         (lambda f: StreamPacket(MSG_FRAMES, 1, 2**64, (f,)), "send_ts_us out of uint64 range"),
-    ], ids=["root_lin_vel", "body_counts", "joint_pos_2d", "frame_counts", "seq", "send_ts_us"])
+        (lambda f: StreamPacket(9, 1, 0, (f,)), r"msg_type must be one of \(0, 1, 2\), got 9"),
+    ], ids=["root_lin_vel", "body_counts", "joint_pos_2d", "frame_counts", "seq", "send_ts_us", "msg_type"])
     def test_wire_rows_rejected(self, rng, build, message):
         frame = make_packet(rng, k=3, n=5).frames[0]
         with pytest.raises(InputError, match=message):
@@ -270,6 +335,14 @@ class TestFrameQueue:
         q.push(Stamped(3))  # evicts 1
         assert q.pop()[0].seq == 2
         assert q.pop()[0].seq == 3
+
+    def test_push_older_than_a_full_queue_is_stale(self):
+        q = FrameQueue(2)
+        q.push(Stamped(5))
+        q.push(Stamped(6))
+        assert q.push(Stamped(3)) == "stale"
+        assert q.stale_count == 1
+        assert [q.pop()[0].seq for _ in range(2)] == [5, 6]
 
     def test_reordered_insert_keeps_fifo(self):
         q = FrameQueue(4)
@@ -639,6 +712,12 @@ class TestLiveEndpoints:
         assert server.decode_errors == 1
         assert server.received == 1
         assert seqs and set(seqs) == {1}
+
+    def test_unknown_msg_type_counted_as_decode_error(self):
+        server, seqs = serve_datagrams([reference_encode(9, 0, 1, 0, []), frame_datagram(2)])
+        assert server.decode_errors == 1
+        assert server.received == 1
+        assert seqs and set(seqs) == {2}
 
     def test_decode_errors_non_fatal(self):
         server, seqs = serve_datagrams([b"garbage-data", encode_packet(heartbeat(1, 5))])
