@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .files import read_json
-from .kinematics import HumanoidModel
-from .motion import BENCH_STRATA, MotionClip, derive_body_kinematics
+from .kinematics import HumanoidModel, key_body_poses
+from .motion import BENCH_STRATA, MotionClip
 from .rotations import quat_from_yaw, quat_rotate, quat_yaw
-from .simtrack import TrackerSpec, track_clip
+from .simtrack import TrackerSpec, _track_joints
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,16 @@ class FailureThresholds:
                 raise ConfigError(f"failure threshold {name} must be positive and finite, got {value}")
 
 
+FAILURE_REASONS = ("fall", "deviation", "none")
+
+
 @dataclass(frozen=True, eq=False)
 class EpisodeResult:
     clip_name: str
     category: str
     level: str
     success: bool
-    failure_reason: str  # fall | deviation | none
+    failure_reason: str  # one of FAILURE_REASONS
     mpjpe_mm: float
     per_frame_error_mm: np.ndarray
     frames_evaluated: int
@@ -49,8 +52,8 @@ class EpisodeResult:
     def __post_init__(self):
         if self.success and self.failure_reason != "none":
             raise InputError("successful episodes must have failure_reason 'none'")
-        if self.mpjpe_mm < 0:
-            raise InputError("mpjpe must be >= 0")
+        if not 0.0 <= self.mpjpe_mm < math.inf:
+            raise InputError(f"mpjpe must be finite and >= 0, got {self.mpjpe_mm}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,15 @@ def run_episode(
     thresholds: FailureThresholds = FailureThresholds(),
     alignment: str = "global",
 ) -> EpisodeResult:
-    """Track the clip and score the realised motion against it.
+    """Track the clip and score the realised key bodies against its own.
+
+    The reference key bodies are the clip's body_pos, else one
+    key_body_poses call on its joints and roots. perfect and lag:k realise
+    rows max(0, t - k) of the reference key bodies and roots; noise and pd
+    realise the key bodies of the tracked joints at the clip's roots
+    (simtrack._track_joints). Scoring reads these arrays and the clip's
+    columns, so no clip is built or re-checked, and joint velocities, which
+    scoring never reads, are not derived.
 
     The episode terminates at the first failed frame; MPJPE covers frames
     up to and including termination. alignment="root_relative" measures
@@ -135,15 +146,22 @@ def run_episode(
     """
     if alignment not in ("global", "root_relative"):
         raise InputError(f"unknown alignment {alignment!r}")
-    ref = derive_body_kinematics(clip, model)
-    realised = track_clip(tracker, ref, model)
-    ref_bodies, ref_roots = ref.body_pos, ref.root_pos
-    pred_bodies, pred_roots = realised.body_pos, realised.root_pos
+    ref_roots = clip.root_pos
+    ref_bodies = clip.body_pos
+    if ref_bodies is None:
+        ref_bodies, _ = key_body_poses(model, clip.joint_pos, ref_roots, clip.root_quat)
+    if tracker.mode in ("noise", "pd"):
+        _, _, pred_bodies, _ = _track_joints(tracker, clip, model)
+        pred_roots = ref_roots
+    else:
+        k = tracker.lag if tracker.mode == "lag" else 0
+        rows = np.maximum(np.arange(len(ref_roots)) - k, 0) if k else slice(None)
+        pred_bodies, pred_roots = ref_bodies[rows], ref_roots[rows]
 
     if alignment == "global":
-        q, t = planar_alignment(
-            pred_roots[0], realised.root_quat[0], ref_roots[0], ref.root_quat[0]
-        )
+        # every tracker replays the clip's first root orientation
+        root_quat = clip.root_quat[0]
+        q, t = planar_alignment(pred_roots[0], root_quat, ref_roots[0], root_quat)
         pred_bodies = quat_rotate(q, pred_bodies) + t
         pred_roots = quat_rotate(q, pred_roots) + t
     else:
@@ -332,20 +350,34 @@ def episode_to_dict(e: EpisodeResult) -> dict:
 
 
 def episode_from_dict(doc: Mapping, i: int = 0, source: str = "results document") -> EpisodeResult:
+    """One results-document episode. success must be a JSON boolean,
+    mpjpe_mm a finite number >= 0 (or a string float() reads as one),
+    failure_reason one of FAILURE_REASONS and frames_evaluated an integer
+    >= 1; errors name `source`, episodes[i] and the key."""
     try:
+        success, reason = doc["success"], doc["failure_reason"]
+        mpjpe, frames = doc["mpjpe_mm"], doc["frames_evaluated"]
+        if not isinstance(success, bool):
+            raise InputError(f"'success' must be true or false, got {success!r}")
+        if reason not in FAILURE_REASONS:
+            raise InputError(f"'failure_reason' must be one of {FAILURE_REASONS}, got {reason!r}")
+        if isinstance(mpjpe, bool) or not 0.0 <= float(mpjpe) < math.inf:
+            raise InputError(f"'mpjpe_mm' must be a finite number >= 0, got {mpjpe!r}")
+        if isinstance(frames, bool) or not isinstance(frames, int) or frames < 1:
+            raise InputError(f"'frames_evaluated' must be an integer >= 1, got {frames!r}")
         return EpisodeResult(
             clip_name=doc["clip_name"],
             category=doc["category"],
             level=doc["level"],
-            success=bool(doc["success"]),
-            failure_reason=doc["failure_reason"],
-            mpjpe_mm=float(doc["mpjpe_mm"]),
+            success=success,
+            failure_reason=reason,
+            mpjpe_mm=float(mpjpe),
             per_frame_error_mm=np.asarray(doc.get("per_frame_error_mm", []), dtype=float),
-            frames_evaluated=int(doc["frames_evaluated"]),
+            frames_evaluated=frames,
         )
     except KeyError as exc:
         raise InputError(f"{source}: episodes[{i}]: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:  # an entry or value of the wrong type
+    except (TypeError, ValueError) as exc:  # a wrong type or value, InputError included
         raise InputError(f"{source}: episodes[{i}]: {exc}") from None
 
 

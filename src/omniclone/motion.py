@@ -405,7 +405,7 @@ class _FrameView(Sequence):
 # Derivation helpers
 # ---------------------------------------------------------------------------
 
-def _finite_difference(values: np.ndarray, fps: float) -> np.ndarray:
+def finite_difference(values: np.ndarray, fps: float) -> np.ndarray:
     """Central differences, one-sided at the endpoints."""
     v = np.empty_like(values)
     if len(values) == 1:
@@ -421,7 +421,7 @@ def derive_joint_velocities(clip: MotionClip) -> MotionClip:
     """Fill joint_vel by finite differences when the clip has none."""
     if clip.joint_vel is not None:
         return clip
-    return clip.replace(joint_vel=_finite_difference(clip.joint_pos, clip.fps))
+    return clip.replace(joint_vel=finite_difference(clip.joint_pos, clip.fps))
 
 
 def derive_body_kinematics(clip: MotionClip, model: HumanoidModel) -> MotionClip:

@@ -42,6 +42,17 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def _rotate(w, x, y, z, vx, vy, vz):
+    """quat_rotate's arithmetic on components, Python floats or arrays alike."""
+    tx = y * vz - z * vy
+    ty = z * vx - x * vz
+    tz = x * vy - y * vx
+    rx = vx + 2.0 * (w * tx + (y * tz - z * ty))
+    ry = vy + 2.0 * (w * ty + (z * tx - x * tz))
+    rz = vz + 2.0 * (w * tz + (x * ty - y * tx))
+    return rx, ry, rz
+
+
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vector(s) v by unit quaternion(s) q: v + 2 (w t + u x t), t = u x v.
 
@@ -53,22 +64,12 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    single = q.shape == (4,) and v.shape == (3,)
-    if single:
+    if q.shape == (4,) and v.shape == (3,):
         w, x, y, z = q.tolist()
         vx, vy, vz = v.tolist()
-    else:
-        w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-        vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
-    tx = y * vz - z * vy
-    ty = z * vx - x * vz
-    tz = x * vy - y * vx
-    rx = vx + 2.0 * (w * tx + (y * tz - z * ty))
-    ry = vy + 2.0 * (w * ty + (z * tx - x * tz))
-    rz = vz + 2.0 * (w * tz + (x * ty - y * tx))
-    if single:
-        return np.array([rx, ry, rz])
-    out = np.empty(tx.shape + (3,))
+        return np.array(_rotate(w, x, y, z, vx, vy, vz))
+    rx, ry, rz = _rotate(q[..., 0], q[..., 1], q[..., 2], q[..., 3], v[..., 0], v[..., 1], v[..., 2])
+    out = np.empty(rx.shape + (3,))
     out[..., 0] = rx
     out[..., 1] = ry
     out[..., 2] = rz
@@ -76,6 +77,16 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def quat_rotate_inverse(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotate v by the conjugate of q. One quaternion (4,) and one vector (3,)
+    are conjugated on Python floats, by quat_conjugate's multiply by -1.0
+    (so -0.0 and even a NaN keep the array path's bits), and take
+    quat_rotate's float path."""
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if q.shape == (4,) and v.shape == (3,):
+        w, x, y, z = q.tolist()
+        vx, vy, vz = v.tolist()
+        return np.array(_rotate(w, x * -1.0, y * -1.0, z * -1.0, vx, vy, vz))
     return quat_rotate(quat_conjugate(q), v)
 
 

@@ -26,13 +26,7 @@ from .kinematics import (
     to_base_quat,
     to_base_vector,
 )
-from .motion import (
-    COLUMNS,
-    Frame,
-    MotionClip,
-    derive_body_kinematics,
-    derive_joint_velocities,
-)
+from .motion import COLUMNS, Frame, MotionClip, finite_difference
 from .rotations import quat_canonical, quat_conjugate, quat_mul, quat_rotate
 from .stream.jitter import DEFAULT_WINDOW
 
@@ -372,6 +366,27 @@ class Tracker:
         return self._history[0]
 
 
+def _track_joints(
+    spec: TrackerSpec,
+    clip: MotionClip,
+    model: HumanoidModel,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """What noise and pd realise on the clip: a Tracker stepped over its
+    joints at its frame period, and the key bodies of the realised joints at
+    the clip's roots from one key_body_poses call. Returns joint_pos,
+    joint_vel (pd's integrator velocities, None for noise), body_pos and
+    body_quat."""
+    tracker = Tracker(spec, 1.0 / clip.fps)
+    joint_pos = np.empty(clip.joint_pos.shape)
+    joint_vel = np.empty(clip.joint_pos.shape) if spec.mode == "pd" else None
+    for t, target in enumerate(clip.joint_pos):
+        joint_pos[t] = tracker.step(target)
+        if joint_vel is not None:
+            joint_vel[t] = tracker.v
+    body_pos, body_quat = key_body_poses(model, joint_pos, clip.root_pos, clip.root_quat)
+    return joint_pos, joint_vel, body_pos, body_quat
+
+
 def track_clip(
     spec: TrackerSpec,
     clip: MotionClip,
@@ -380,36 +395,33 @@ def track_clip(
     """The motion realised under the configured tracking behaviour, as a
     MotionClip on the clip's time grid with joint velocities and key bodies.
 
-    perfect and lag:0 return the clip with its derived columns itself;
+    A clip without joint velocities gets finite differences, and one without
+    key bodies gets key_body_poses of its joints and the model's key-body
+    names. perfect and lag:0 return the clip itself when it has both;
     lag:k replays whole frames max(0, t - k), root and bodies included;
-    noise and pd step a Tracker over the clip's joints at its frame period
-    (bodies recomputed through FK) while the root is replayed
-    kinematically, and pd's joint velocities are the integrator's.
+    noise and pd realise the joints by _track_joints while the root is
+    replayed kinematically, and pd's joint velocities are the integrator's.
+    At most one clip is built, by one replace.
     """
-    clip = derive_joint_velocities(clip)
-    clip = derive_body_kinematics(clip, model)
-
-    if spec.mode in ("perfect", "lag"):
-        k = spec.lag if spec.mode == "lag" else 0
-        if k == 0:  # the columns are read-only, so no copy is needed
-            return clip
-        src = np.maximum(np.arange(len(clip.t)) - k, 0)
-        return clip.replace(
-            **{
-                key: getattr(clip, key)[src]
-                for key in COLUMNS
-                if key != "t" and getattr(clip, key) is not None
-            }
+    columns = {}
+    if clip.joint_vel is None:
+        columns["joint_vel"] = finite_difference(clip.joint_pos, clip.fps)
+    if spec.mode in ("noise", "pd"):
+        joint_pos, joint_vel, body_pos, body_quat = _track_joints(spec, clip, model)
+        columns.update(joint_pos=joint_pos, body_pos=body_pos, body_quat=body_quat)
+        if joint_vel is not None:
+            columns["joint_vel"] = joint_vel
+    elif clip.body_pos is None:
+        columns["body_pos"], columns["body_quat"] = key_body_poses(
+            model, clip.joint_pos, clip.root_pos, clip.root_quat
         )
-
-    tracker = Tracker(spec, 1.0 / clip.fps)
-    joint_pos = np.empty(clip.joint_pos.shape)
-    joint_vel = np.empty(clip.joint_pos.shape) if spec.mode == "pd" else clip.joint_vel
-    for t, target in enumerate(clip.joint_pos):
-        joint_pos[t] = tracker.step(target)
-        if tracker.v is not None:  # pd
-            joint_vel[t] = tracker.v
-    body_pos, body_quat = key_body_poses(model, joint_pos, clip.root_pos, clip.root_quat)
-    return clip.replace(
-        joint_pos=joint_pos, joint_vel=joint_vel, body_pos=body_pos, body_quat=body_quat
-    )
+    k = spec.lag if spec.mode == "lag" else 0
+    if k:
+        src = np.maximum(np.arange(len(clip.t)) - k, 0)
+        full = {key: columns.get(key, getattr(clip, key)) for key in COLUMNS if key != "t"}
+        columns = {key: column[src] for key, column in full.items() if column is not None}
+    if not columns:  # the columns are read-only, so no copy is needed
+        return clip
+    if clip.body_pos is None:
+        columns["key_bodies"] = model.key_bodies
+    return clip.replace(**columns)

@@ -28,6 +28,10 @@ generator call per draw, which the package's one-block schedule must
 reproduce bit for bit. eager_decode_frames keeps the codec's earlier
 decode, which built every frame of a datagram as soon as its CRC passed;
 the frames decode_packet builds on first read must match it bit for bit.
+episode_oracle keeps bench.run_episode's earlier composition, which built
+the reference and the realised motion as clips (derive_body_kinematics,
+then track_clip) before scoring them; run_episode, which scores the clip's
+own columns, must match it bit for bit.
 """
 import json
 import math
@@ -37,7 +41,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from omniclone.bench import BenchReport, StratumRow
+from omniclone.bench import (
+    BenchReport,
+    EpisodeResult,
+    FailureThresholds,
+    StratumRow,
+    first_failure,
+    planar_alignment,
+)
 from omniclone.errors import InputError
 from omniclone.kinematics import (
     GRAVITY,
@@ -48,8 +59,9 @@ from omniclone.kinematics import (
     to_base_quat,
     to_base_vector,
 )
-from omniclone.motion import BENCH_STRATA, COLUMNS, Frame, MotionClip, clip_to_dict
+from omniclone.motion import BENCH_STRATA, COLUMNS, Frame, MotionClip, clip_to_dict, derive_body_kinematics
 from omniclone.rotations import IDENTITY_QUAT, quat_from_axis_angle, quat_mul, quat_rotate
+from omniclone.simtrack import track_clip
 from omniclone.stream import PacketFrame, StreamPacket
 from omniclone.stream.faults import DUPLICATE_DELAY_MS, REORDER_EXTRA_MS
 from omniclone.synthetic import DEFAULT_ROOT_Z
@@ -555,6 +567,37 @@ def double_loop_mpjpe(pred, ref):
             total += d**0.5
             count += 1
     return 1000.0 * total / count
+
+
+def episode_oracle(tracker, clip, model, thresholds=FailureThresholds(), alignment="global"):
+    """run_episode by way of clips: the reference clip with its key bodies
+    derived, the clip track_clip realises from it, then the alignment and
+    scoring of their key bodies and roots."""
+    ref = derive_body_kinematics(clip, model)
+    realised = track_clip(tracker, ref, model)
+    ref_bodies, ref_roots = ref.body_pos, ref.root_pos
+    pred_bodies, pred_roots = realised.body_pos, realised.root_pos
+    if alignment == "global":
+        q, t = planar_alignment(pred_roots[0], realised.root_quat[0], ref_roots[0], ref.root_quat[0])
+        pred_bodies = quat_rotate(q, pred_bodies) + t
+        pred_roots = quat_rotate(q, pred_roots) + t
+    else:
+        pred_bodies = pred_bodies - pred_roots[:, None, :]
+        ref_bodies = ref_bodies - ref_roots[:, None, :]
+    per_frame = 1000.0 * np.mean(np.linalg.norm(pred_bodies - ref_bodies, axis=-1), axis=-1)
+    first = first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots, thresholds)
+    evaluated, failure = (len(per_frame), "none") if first is None else (first[0] + 1, first[1])
+    per_frame = per_frame[:evaluated]
+    return EpisodeResult(
+        clip_name=clip.name,
+        category=clip.category,
+        level=clip.level,
+        success=first is None,
+        failure_reason=failure,
+        mpjpe_mm=float(np.mean(per_frame)),
+        per_frame_error_mm=per_frame,
+        frames_evaluated=evaluated,
+    )
 
 
 def first_failure_loop(pred_bodies, ref_bodies, pred_roots, ref_roots, deviation_m, fall_z_m, drift_m):

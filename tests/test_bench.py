@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import double_loop_mpjpe, first_failure_loop, parse_report_csv, stratum_row
+from oracles import double_loop_mpjpe, episode_oracle, first_failure_loop, parse_report_csv, stratum_row
 
 from omniclone.bench import (
     BenchReport,
@@ -225,6 +225,77 @@ class TestRunEpisode:
                         ref_model)
 
 
+def moving_clip(model, with_bodies, speed=1.0, n_frames=40):
+    """A walk at a 0.7 rad heading whose joints all swing, without joint
+    velocities; with recorded key bodies 5 mm above their FK, or none."""
+    clip = constant_velocity_clip(model, speed, n_frames=n_frames, heading=0.7, with_bodies=False)
+    swing = 0.3 * np.sin(2.0 * np.pi * 1.5 * clip.t[:, None] + np.arange(model.n_joints))
+    clip = clip.replace(joint_pos=swing, joint_vel=None)
+    if with_bodies:
+        clip = derive_body_kinematics(clip, model)
+        clip = clip.replace(body_pos=clip.body_pos + np.array([0.0, 0.0, 0.005]))
+    return clip
+
+
+EPISODE_TRACKERS = {
+    "perfect": TrackerSpec(mode="perfect"),
+    "lag:2": TrackerSpec(mode="lag", lag=2),
+    "lag:10000": TrackerSpec(mode="lag", lag=10_000),
+    "noise:0.05": TrackerSpec(mode="noise", noise_std=0.05, seed=7),
+    "pd:400,40": parse_tracker("pd:400,40"),
+    "pd:400,40,0.005": parse_tracker("pd:400,40,0.005"),
+}
+
+EPISODE_CLIPS = {
+    "bodies": lambda model: moving_clip(model, with_bodies=True),
+    "bodiless": lambda model: moving_clip(model, with_bodies=False),
+    # 1.2 m/s for 60 frames: a frozen tracker deviates well before the end
+    "failing": lambda model: moving_clip(model, with_bodies=False, speed=1.2, n_frames=60),
+}
+
+
+class TestEpisodeOracle:
+    """run_episode scores the clip's own columns and builds no clip; it must
+    give the bits of the composition through clips (oracles.episode_oracle)."""
+
+    @pytest.mark.parametrize("alignment", ["global", "root_relative"])
+    @pytest.mark.parametrize("tracker", list(EPISODE_TRACKERS))
+    @pytest.mark.parametrize("clip_kind", list(EPISODE_CLIPS))
+    def test_bit_identical_to_oracle(self, ref_model, clip_kind, tracker, alignment):
+        clip, spec = EPISODE_CLIPS[clip_kind](ref_model), EPISODE_TRACKERS[tracker]
+        got = run_episode(spec, clip, ref_model, alignment=alignment)
+        want = episode_oracle(spec, clip, ref_model, alignment=alignment)
+        assert got.per_frame_error_mm.tobytes() == want.per_frame_error_mm.tobytes()
+        assert got.mpjpe_mm.hex() == want.mpjpe_mm.hex()
+        assert (got.success, got.failure_reason, got.frames_evaluated) == (
+            want.success, want.failure_reason, want.frames_evaluated)
+
+    def test_failing_clip_ends_mid_episode(self, ref_model):
+        clip = EPISODE_CLIPS["failing"](ref_model)
+        result = run_episode(EPISODE_TRACKERS["lag:10000"], clip, ref_model)
+        assert (result.success, result.failure_reason) == (False, "deviation")
+        assert 1 < result.frames_evaluated < len(clip.t)
+
+    def test_no_clip_built(self, ref_model, monkeypatch):
+        # run_episode builds no MotionClip for any tracker; track_clip one at most
+        clips = [make(ref_model) for make in EPISODE_CLIPS.values()]
+        built = []
+        set_fields = MotionClip._set
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            set_fields(self, *args, **kwargs)
+
+        monkeypatch.setattr(MotionClip, "_set", counted)
+        for spec in EPISODE_TRACKERS.values():
+            for clip in clips:
+                built.clear()
+                run_episode(spec, clip, ref_model)
+                assert built == []
+                track_clip(spec, clip, ref_model)
+                assert len(built) <= 1
+
+
 class TestAggregate:
     def test_sr_ratio(self):
         results = [episode("manip", "high", 10.0, success=i < 19) for i in range(20)]
@@ -341,6 +412,32 @@ class TestSerialization:
         again, method = results_from_dict(json.loads(text))
         assert method == "m1"
         assert [e.mpjpe_mm for e in again] == [12.5, 48.0]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("success", "false", "'success' must be true or false, got 'false'"),
+        ("success", 1, "'success' must be true or false, got 1"),
+        ("mpjpe_mm", math.nan, "'mpjpe_mm' must be a finite number >= 0, got nan"),
+        ("mpjpe_mm", math.inf, "'mpjpe_mm' must be a finite number >= 0, got inf"),
+        ("mpjpe_mm", "1e400", "'mpjpe_mm' must be a finite number >= 0, got '1e400'"),
+        ("mpjpe_mm", -0.5, "'mpjpe_mm' must be a finite number >= 0, got -0.5"),
+        ("failure_reason", "timeout",
+         "'failure_reason' must be one of ('fall', 'deviation', 'none'), got 'timeout'"),
+        ("frames_evaluated", 2.7, "'frames_evaluated' must be an integer >= 1, got 2.7"),
+        ("frames_evaluated", -5, "'frames_evaluated' must be an integer >= 1, got -5"),
+        ("frames_evaluated", 0, "'frames_evaluated' must be an integer >= 1, got 0"),
+    ])
+    def test_malformed_episode_rejected(self, key, value, message):
+        good = episode_to_dict(episode("walk", "slow", 12.5))
+        # through JSON text, where NaN and Infinity parse as floats
+        doc = json.loads(json.dumps({"episodes": [good, {**good, key: value}]}))
+        with pytest.raises(InputError) as info:
+            results_from_dict(doc)
+        assert str(info.value) == f"results document: episodes[1]: {message}"
+
+    @pytest.mark.parametrize("mpjpe_mm", [math.nan, math.inf, -1.0])
+    def test_episode_mpjpe_must_be_finite_and_non_negative(self, mpjpe_mm):
+        with pytest.raises(InputError, match="mpjpe must be finite and >= 0"):
+            episode("walk", "slow", mpjpe_mm)
 
     def test_manifest_round_trip(self, tmp_path):
         entries = [

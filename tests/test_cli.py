@@ -258,6 +258,16 @@ class TestBenchWorkflow:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    def test_results_episode_out_of_range_is_an_error(self, tmp_path, capsys):
+        episode = {"clip_name": "a", "category": "walk", "level": "slow", "success": "false",
+                   "failure_reason": "deviation", "frames_evaluated": 10, "mpjpe_mm": 1.0}
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"episodes": [episode]}), encoding="utf-8")
+        assert cli.main(["bench", "report", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "episodes[0]: 'success' must be true or false, got 'false'" in err
+
     def test_pd_step_count_over_the_cap_is_an_error(self, tmp_path, ref_model, capsys):
         # about 33 million integrator steps per frame: refused before any integration
         manifest = write_suite(tmp_path, ref_model)

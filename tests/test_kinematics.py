@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from omniclone.kinematics import (
 from omniclone.rotations import (
     IDENTITY_QUAT,
     quat_canonical,
+    quat_conjugate,
     quat_from_axis_angle,
     quat_from_yaw,
     quat_mul,
@@ -160,8 +162,23 @@ class TestForwardKinematics:
             pos, quat = forward_kinematics_arrays(model, qs, root_pos, root_quat)
             for t in range(T):
                 p1, q1 = forward_kinematics_arrays(model, qs[t], root_pos[t], root_quat[t])
-                assert np.array_equal(pos[t], p1)
-                assert np.array_equal(quat[t], q1)
+                assert same_bits(pos[t], p1)
+                assert same_bits(quat[t], q1)
+
+    def test_batched_fk_matches_loop_on_exact_zeros(self, ref_model, rng):
+        # the batch sums its product terms in the walk's order, so a sum of
+        # -0.0 terms stays -0.0 in both
+        negative_zeros = 0
+        for model in (random_tree_model(rng, 4), ref_model):
+            configs = list(zero_configurations(model))
+            pos, quat = forward_kinematics_arrays(model, *(np.stack(parts) for parts in zip(*configs)))
+            for b, config in enumerate(configs):
+                p1, q1 = forward_kinematics_arrays(model, *config)
+                assert same_bits(pos[b], p1)
+                assert same_bits(quat[b], q1)
+                negative_zeros += np.count_nonzero((p1 == 0.0) & np.signbit(p1))
+                negative_zeros += np.count_nonzero((q1 == 0.0) & np.signbit(q1))
+        assert negative_zeros > 0
 
 
 def random_batch(rng, model, batch):
@@ -173,12 +190,35 @@ def random_batch(rng, model, batch):
     )
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bits, sign of zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def assert_matches_per_link(model, joint_pos, root_pos, root_quat):
     pos, quat = forward_kinematics_arrays(model, joint_pos, root_pos, root_quat)
     ref_pos, ref_quat = per_link_fk(model, joint_pos, root_pos, root_quat)
-    assert pos.shape == ref_pos.shape and quat.shape == ref_quat.shape
-    assert np.array_equal(pos, ref_pos)
-    assert np.array_equal(quat, ref_quat)
+    assert same_bits(pos, ref_pos)
+    assert same_bits(quat, ref_quat)
+
+
+def zero_configurations(model):
+    """All +0.0 and all -0.0 joints at a +0.0 or -0.0 root position, with
+    the identity root or a root turned by a half or quarter turn about each
+    axis, their zero components +0.0 or -0.0: inputs whose FK holds exact
+    zeros, some of them negative, some the sum of four -0.0 products."""
+    h = math.sqrt(0.5)
+    roots = [
+        [1.0, 0.0, 0.0, 0.0], [1.0, -0.0, -0.0, -0.0],
+        [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+        [-0.0, 1.0, 0.0, 0.0], [-0.0, 0.0, 1.0, 0.0], [-0.0, 0.0, 0.0, 1.0],
+        [h, h, 0.0, 0.0], [h, 0.0, h, 0.0], [h, 0.0, 0.0, h], [h, 0.0, 0.0, -h],
+    ]
+    for root_quat in roots:
+        for zero in (0.0, -0.0):
+            for joint_pos in (np.zeros(model.n_joints), np.full(model.n_joints, -0.0)):
+                yield joint_pos, np.full(3, zero), np.array(root_quat)
 
 
 class TestLevelwiseFK:
@@ -204,6 +244,13 @@ class TestLevelwiseFK:
             for batch in ((), (5,), (2, 3)):
                 assert_matches_per_link(model, *random_batch(rng, model, batch))
         assert split >= 10
+
+    def test_exact_zeros_bit_identical(self, ref_model, rng):
+        for model in (ref_model, random_tree_model(rng, 6, fixed_share=0.3)):
+            configs = list(zero_configurations(model))
+            for config in configs:
+                assert_matches_per_link(model, *config)
+            assert_matches_per_link(model, *(np.stack(parts) for parts in zip(*configs)))
 
     def test_batched_joints_with_one_root(self, ref_model, rng):
         joint_pos, _, _ = random_batch(rng, ref_model, (6,))
@@ -349,12 +396,6 @@ class TestLevelwiseFK:
             fk(ref_model, 0.0, np.zeros(3), [1.0, 0.0, 0.0, 0.0])
 
 
-def same_bits(a, b) -> bool:
-    """Equal shapes and equal float64 bits, sign of zero included."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 class TestKeyBodyPoses:
     """key_body_poses on one configuration turns only the key-body rows of
     the walk into arrays; it must give the bits of a full FK gather."""
@@ -434,6 +475,20 @@ class TestQuaternionCore:
                     assert rotate(q, v).tobytes() == rotate(q[None], v[None]).tobytes()
             for to_base in (to_base_vector, to_base_point):
                 assert to_base(root, v).tobytes() == to_base(root, v[None]).tobytes()
+
+    def test_inverse_one_vector_matches_conjugate_then_array_path(self, rng):
+        # quat_rotate_inverse conjugates one (4,) quaternion on Python floats;
+        # the bytes must be those of quat_conjugate and the array path, for
+        # random quaternions, signed zeros and a NaN component alike
+        signed = [np.array(q) for q in itertools.product((0.0, -0.0, 1.0, -1.0), repeat=4)]
+        randoms = [quat_normalize(rng.normal(size=4)) for _ in range(100)]
+        quats = randoms + signed + [np.array([1.0, np.nan, -0.0, 0.0])]
+        vectors = [rng.normal(size=3), np.array([0.0, -0.0, 1.0]), np.array([-0.0, -0.0, -0.0])]
+        with np.errstate(invalid="ignore"):
+            for q in quats:
+                for v in vectors:
+                    want = quat_rotate(quat_conjugate(q)[None], v[None])[0]
+                    assert quat_rotate_inverse(q, v).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("q_shape, v_shape, out_shape", [
         ((4,), (3,), (3,)),
