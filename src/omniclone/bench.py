@@ -1,14 +1,15 @@
 """Diagnostic tracking benchmark: per-episode success/error evaluation and
 stratified aggregation over the 6x3 category/level grid.
 
-Episodes are scored in world frame after aligning the episode-initial
-root planar pose (yaw + xy), so drift counts against the tracker. A
-root-relative error variant is available behind a flag.
+Episodes are scored in world frame: every tracker starts from the
+clip's own initial root, so drift counts against the tracker. A root-relative
+error variant is available behind a flag.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -18,7 +19,6 @@ from .errors import ConfigError, InputError
 from .files import read_json
 from .kinematics import HumanoidModel, key_body_poses
 from .motion import BENCH_STRATA, MotionClip
-from .rotations import quat_from_yaw, quat_rotate, quat_yaw
 from .simtrack import TrackerSpec, _track_joints
 
 
@@ -76,42 +76,23 @@ class BenchReport:
 # Error metrics
 # ---------------------------------------------------------------------------
 
-def planar_alignment(
-    pred_root_pos: np.ndarray,
-    pred_root_quat: np.ndarray,
-    ref_root_pos: np.ndarray,
-    ref_root_quat: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """SE(2) transform (quat, translation) mapping the predicted initial root
-    planar pose onto the reference's."""
-    dyaw = float(quat_yaw(ref_root_quat) - quat_yaw(pred_root_quat))
-    q = quat_from_yaw(dyaw)
-    rotated = quat_rotate(q, pred_root_pos)
-    t = np.array(
-        [ref_root_pos[0] - rotated[0], ref_root_pos[1] - rotated[1], 0.0]
-    )
-    return q, t
-
-
 def first_failure(
-    pred_bodies: np.ndarray,
-    ref_bodies: np.ndarray,
+    distances: np.ndarray,
     pred_roots: np.ndarray,
     ref_roots: np.ndarray,
     thresholds: FailureThresholds = FailureThresholds(),
 ) -> tuple[int, str] | None:
     """Index and reason of the first failed frame, or None.
 
-    Takes (T, K, 3) key-body positions and (T, 3) root positions. A frame
-    fails on key-body deviation beyond deviation_m; on the root below
-    fall_root_z_m while the reference root stays above it by 0.1 m (so
-    commanded deep squats do not read as falls); or on planar root drift
-    beyond root_drift_m. Deviation and drift report "deviation", and a
-    frame that both deviates and falls reports "deviation".
+    Takes the (T, K) distances between realised and reference key-body
+    positions, and (T, 3) root positions. A frame fails on a key-body
+    distance beyond deviation_m; on the root below fall_root_z_m while the
+    reference root stays above it by 0.1 m (so commanded deep squats do not
+    read as falls); or on planar root drift beyond root_drift_m. Deviation
+    and drift report "deviation", and a frame that both deviates and falls
+    reports "deviation".
     """
-    deviation = np.any(
-        np.linalg.norm(pred_bodies - ref_bodies, axis=-1) > thresholds.deviation_m, axis=-1
-    )
+    deviation = np.any(distances > thresholds.deviation_m, axis=-1)
     fall = (pred_roots[:, 2] < thresholds.fall_root_z_m) & (
         ref_roots[:, 2] >= thresholds.fall_root_z_m + 0.1
     )
@@ -140,9 +121,15 @@ def run_episode(
     columns, so no clip is built or re-checked, and joint velocities, which
     scoring never reads, are not derived.
 
-    The episode terminates at the first failed frame; MPJPE covers frames
-    up to and including termination. alignment="root_relative" measures
-    errors on root-relative body positions instead of aligned world frame.
+    alignment="global" scores world-frame positions. Every tracker realises
+    frame 0 of the clip's own roots, so the planar transform that maps the
+    realised initial root onto the reference's is the identity and is not
+    applied; a tracker that realises other roots must bring that alignment
+    back. alignment="root_relative" scores body positions relative to the
+    root. The distances between realised and reference key bodies give
+    both the per-frame error and the deviation check (first_failure). The
+    episode terminates at the first failed frame; MPJPE covers frames up to
+    and including termination.
     """
     if alignment not in ("global", "root_relative"):
         raise InputError(f"unknown alignment {alignment!r}")
@@ -158,20 +145,12 @@ def run_episode(
         rows = np.maximum(np.arange(len(ref_roots)) - k, 0) if k else slice(None)
         pred_bodies, pred_roots = ref_bodies[rows], ref_roots[rows]
 
-    if alignment == "global":
-        # every tracker replays the clip's first root orientation
-        root_quat = clip.root_quat[0]
-        q, t = planar_alignment(pred_roots[0], root_quat, ref_roots[0], root_quat)
-        pred_bodies = quat_rotate(q, pred_bodies) + t
-        pred_roots = quat_rotate(q, pred_roots) + t
-    else:
+    if alignment == "root_relative":
         pred_bodies = pred_bodies - pred_roots[:, None, :]
         ref_bodies = ref_bodies - ref_roots[:, None, :]
-
-    per_frame = 1000.0 * np.mean(
-        np.linalg.norm(pred_bodies - ref_bodies, axis=-1), axis=-1
-    )
-    first = first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots, thresholds)
+    distances = np.linalg.norm(pred_bodies - ref_bodies, axis=-1)
+    per_frame = 1000.0 * np.mean(distances, axis=-1)
+    first = first_failure(distances, pred_roots, ref_roots, thresholds)
     evaluated, failure = (len(per_frame), "none") if first is None else (first[0] + 1, first[1])
     per_frame = per_frame[:evaluated]
     return EpisodeResult(
@@ -351,9 +330,9 @@ def episode_to_dict(e: EpisodeResult) -> dict:
 
 def episode_from_dict(doc: Mapping, i: int = 0, source: str = "results document") -> EpisodeResult:
     """One results-document episode. success must be a JSON boolean,
-    mpjpe_mm a finite number >= 0 (or a string float() reads as one),
-    failure_reason one of FAILURE_REASONS and frames_evaluated an integer
-    >= 1; errors name `source`, episodes[i] and the key."""
+    mpjpe_mm a JSON number, finite and >= 0, failure_reason one of
+    FAILURE_REASONS and frames_evaluated an integer >= 1; errors name
+    `source`, episodes[i] and the key."""
     try:
         success, reason = doc["success"], doc["failure_reason"]
         mpjpe, frames = doc["mpjpe_mm"], doc["frames_evaluated"]
@@ -361,7 +340,8 @@ def episode_from_dict(doc: Mapping, i: int = 0, source: str = "results document"
             raise InputError(f"'success' must be true or false, got {success!r}")
         if reason not in FAILURE_REASONS:
             raise InputError(f"'failure_reason' must be one of {FAILURE_REASONS}, got {reason!r}")
-        if isinstance(mpjpe, bool) or not 0.0 <= float(mpjpe) < math.inf:
+        number = isinstance(mpjpe, (int, float)) and not isinstance(mpjpe, bool)
+        if not number or not 0.0 <= mpjpe <= sys.float_info.max:
             raise InputError(f"'mpjpe_mm' must be a finite number >= 0, got {mpjpe!r}")
         if isinstance(frames, bool) or not isinstance(frames, int) or frames < 1:
             raise InputError(f"'frames_evaluated' must be an integer >= 1, got {frames!r}")

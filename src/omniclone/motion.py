@@ -314,8 +314,8 @@ class MotionClip:
                 raise InputError(f"{key}: expected shape {(T,) + shape}, got {column.shape}")
             if not checks(key):
                 continue
-            finite = np.isfinite(column.reshape(T, -1)).all(axis=1)
-            if not finite.all():
+            if not np.isfinite(column).all():
+                finite = np.isfinite(column.reshape(T, -1)).all(axis=1)
                 raise InputError(f"frames[{np.argmin(finite)}].{key}: non-finite values")
         if checks("root_quat"):
             quat = cols["root_quat"]

@@ -102,10 +102,3 @@ def quat_from_axis_angle(axis: np.ndarray, angle) -> np.ndarray:
 
 def quat_from_yaw(yaw) -> np.ndarray:
     return quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), yaw)
-
-
-def quat_yaw(q: np.ndarray) -> np.ndarray:
-    """Extract the Z-axis (yaw) angle of the rotation."""
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))

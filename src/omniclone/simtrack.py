@@ -330,14 +330,20 @@ def parse_tracker(text: str) -> TrackerSpec:
 
 
 class Tracker:
-    """An oracle tracker stepped frame by frame, `frame_period` seconds apart:
-    step(target joints) -> realised joints. pd starts at rest on the first
-    target, takes round(frame_period / dt) semi-implicit Euler steps a frame
-    (at most MAX_PD_STEPS_PER_FRAME) and keeps its joint velocity in `v`."""
+    """An oracle tracker that realises target joints frame by frame,
+    `frame_period` seconds apart: follow((T, n) targets) realises a block of
+    frames in one call, and step(target) one frame. The state carries over
+    from call to call, so following two blocks equals following their
+    concatenation. noise adds one (n,) normal draw per frame; lag:k returns
+    the target of k frames before, the first one until there are k; pd
+    starts at rest on the first target, takes round(frame_period / dt)
+    semi-implicit Euler steps a frame (at most MAX_PD_STEPS_PER_FRAME) and
+    keeps its joint velocity in `v`."""
 
     def __init__(self, spec: TrackerSpec, frame_period: float):
         self.spec = spec
         self.v: np.ndarray | None = None
+        self._q: np.ndarray | None = None
         self._history: deque[np.ndarray] = deque(maxlen=spec.lag + 1)  # lag:k returns the oldest
         self._rng = np.random.default_rng(spec.seed) if spec.mode == "noise" else None
         if spec.mode == "pd":
@@ -349,21 +355,46 @@ class Tracker:
                     f" fps frame; at most {MAX_PD_STEPS_PER_FRAME} are allowed"
                 )
 
-    def step(self, target: np.ndarray) -> np.ndarray:
+    def follow(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Realise (T, n) targets, one row per frame: the realised joints and,
+        for pd, the integrator's joint velocity after each frame (else None)."""
         spec = self.spec
+        joint_pos = np.empty(targets.shape)
         if spec.mode == "noise":
-            return target + self._rng.normal(0.0, spec.noise_std, target.shape)
+            normal, std = self._rng.normal, spec.noise_std
+            for t, target in enumerate(targets):
+                joint_pos[t] = target + normal(0.0, std, target.shape)
+            return joint_pos, None
         if spec.mode == "pd":
-            if self.v is None:
-                self._q, self.v = target.copy(), np.zeros(target.shape)
-            q, v, dt = self._q, self.v, self._dt
-            for _ in range(self._steps):
-                v = v + dt * (spec.kp * (target - q) - spec.kd * v)
-                q = q + dt * v
+            joint_vel = np.empty(targets.shape)
+            if self.v is None and len(targets):
+                self._q, self.v = targets[0].copy(), np.zeros(targets[0].shape)
+            q, v, dt, kp, kd, steps = self._q, self.v, self._dt, spec.kp, spec.kd, range(self._steps)
+            # v + dt * (kp * (target - q) - kd * v), then q + dt * v, one ufunc
+            # at a time into scratch rows and the frame's output rows
+            sub, mul, add = np.subtract, np.multiply, np.add
+            e, w = np.empty(targets.shape[1:]), np.empty(targets.shape[1:])
+            for target, q_out, v_out in zip(targets, joint_pos, joint_vel):
+                for _ in steps:
+                    sub(target, q, e)
+                    mul(kp, e, e)
+                    mul(kd, v, w)
+                    sub(e, w, e)
+                    mul(dt, e, e)
+                    v = add(v, e, v_out)
+                    mul(dt, v, e)
+                    q = add(q, e, q_out)
             self._q, self.v = q, v
-            return q
-        self._history.append(target)
-        return self._history[0]
+            return joint_pos, joint_vel
+        history = self._history
+        for t, target in enumerate(targets):
+            history.append(target)
+            joint_pos[t] = history[0]
+        return joint_pos, None
+
+    def step(self, target: np.ndarray) -> np.ndarray:
+        """Realise one frame: row 0 of follow(target[None])."""
+        return self.follow(target[None])[0][0]
 
 
 def _track_joints(
@@ -371,18 +402,11 @@ def _track_joints(
     clip: MotionClip,
     model: HumanoidModel,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """What noise and pd realise on the clip: a Tracker stepped over its
-    joints at its frame period, and the key bodies of the realised joints at
-    the clip's roots from one key_body_poses call. Returns joint_pos,
-    joint_vel (pd's integrator velocities, None for noise), body_pos and
-    body_quat."""
-    tracker = Tracker(spec, 1.0 / clip.fps)
-    joint_pos = np.empty(clip.joint_pos.shape)
-    joint_vel = np.empty(clip.joint_pos.shape) if spec.mode == "pd" else None
-    for t, target in enumerate(clip.joint_pos):
-        joint_pos[t] = tracker.step(target)
-        if joint_vel is not None:
-            joint_vel[t] = tracker.v
+    """What noise and pd realise on the clip: a Tracker following its joints
+    at its frame period, and the key bodies of the realised joints at the
+    clip's roots from one key_body_poses call. Returns joint_pos, joint_vel
+    (pd's integrator velocities, None for noise), body_pos and body_quat."""
+    joint_pos, joint_vel = Tracker(spec, 1.0 / clip.fps).follow(clip.joint_pos)
     body_pos, body_quat = key_body_poses(model, joint_pos, clip.root_pos, clip.root_quat)
     return joint_pos, joint_vel, body_pos, body_quat
 

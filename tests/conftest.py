@@ -1,12 +1,79 @@
+import pathlib
+
 import numpy as np
 import pytest
 
+from omniclone.bench import ManifestEntry, save_manifest
 from omniclone.kinematics import HumanoidModel, LinkSpec, load_reference_model
+from omniclone.motion import BENCH_STRATA, MotionClip, derive_body_kinematics, save_clip
+from omniclone.rotations import quat_from_yaw
+from omniclone.synthetic import DEFAULT_ROOT_Z, SUITE_SPEEDS
 
 
 @pytest.fixture(scope="session")
 def ref_model() -> HumanoidModel:
     return load_reference_model()
+
+
+#: the stratum whose clip accelerates, so that lagged trackers fail on it mid-episode
+FAILING_STRATUM = ("run", "fast")
+
+
+def write_moving_suite(model: HumanoidModel, out_dir, seed: int = 0, n_frames: int = 30,
+                       fps: float = 30.0) -> pathlib.Path:
+    """Write one clip per stratum of BENCH_STRATA under out_dir/clips and a
+    manifest, and return the manifest's path. Each clip walks at its
+    stratum's SUITE_SPEEDS speed on a seeded nonzero heading while every
+    joint swings inside model.joint_limits at a seeded amplitude, frequency
+    and phase; the FAILING_STRATUM clip's root accelerates at 20 m/s^2
+    instead. 30% of the clips carry no key bodies and none carries joint
+    velocities. The root angular velocities and, at frame 0, the planar
+    position of the root and of key body 0 are -0.0. The same seed writes
+    the same bytes."""
+    rng = np.random.default_rng(seed)
+    out_dir = pathlib.Path(out_dir)
+    (out_dir / "clips").mkdir(parents=True, exist_ok=True)
+    bodiless = set(rng.choice(len(BENCH_STRATA), size=round(0.3 * len(BENCH_STRATA)), replace=False).tolist())
+    lo, hi = model.joint_limits[:, 0], model.joint_limits[:, 1]
+    t = np.arange(n_frames) / fps
+    entries = []
+    for i, (category, level) in enumerate(BENCH_STRATA):
+        heading = rng.uniform(0.2, 2.0 * np.pi - 0.2)
+        amplitude = rng.uniform(0.05, 0.15, model.n_joints) * (hi - lo) / 2.0
+        freq, phase = rng.uniform(0.3, 1.0, model.n_joints), rng.uniform(0.0, 2.0 * np.pi, model.n_joints)
+        joint_pos = (lo + hi) / 2.0 + amplitude * np.sin(2.0 * np.pi * freq * t[:, None] + phase)
+        if (category, level) == FAILING_STRATUM:
+            distance, speed = 10.0 * t**2, 20.0 * t
+        else:
+            speed = np.full(n_frames, SUITE_SPEEDS[(category, level)])
+            distance = speed * t
+        direction = np.array([np.cos(heading), np.sin(heading), 0.0])
+        root_pos = np.array([0.0, 0.0, DEFAULT_ROOT_Z]) + distance[:, None] * direction
+        root_pos[0, :2] = -0.0
+        clip = MotionClip.from_arrays(
+            f"{category}_{level}", fps, category, level,
+            dof_names=model.joint_names, key_bodies=model.key_bodies,
+            t=t, root_pos=root_pos, root_quat=np.tile(quat_from_yaw(heading), (n_frames, 1)),
+            root_lin_vel=speed[:, None] * direction, root_ang_vel=np.full((n_frames, 3), -0.0),
+            joint_pos=joint_pos,
+        )
+        if i not in bodiless:
+            clip = derive_body_kinematics(clip, model)
+            body_pos = clip.body_pos.copy()
+            body_pos[0, 0, :2] = -0.0
+            clip = clip.replace(body_pos=body_pos)
+        path = out_dir / "clips" / f"{clip.name}.json"
+        save_clip(clip, path)
+        entries.append(ManifestEntry(path=str(path.relative_to(out_dir)), category=category, level=level))
+    manifest = out_dir / "manifest.json"
+    save_manifest(entries, manifest)
+    return manifest
+
+
+@pytest.fixture(scope="session")
+def moving_suite(ref_model, tmp_path_factory) -> pathlib.Path:
+    """Manifest of write_moving_suite's seed-0 suite, written once per session."""
+    return write_moving_suite(ref_model, tmp_path_factory.mktemp("moving_suite"))
 
 
 @pytest.fixture

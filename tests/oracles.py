@@ -30,13 +30,19 @@ decode, which built every frame of a datagram as soon as its CRC passed;
 the frames decode_packet builds on first read must match it bit for bit.
 episode_oracle keeps bench.run_episode's earlier composition, which built
 the reference and the realised motion as clips (derive_body_kinematics,
-then track_clip) before scoring them; run_episode, which scores the clip's
-own columns, must match it bit for bit.
+then track_clip), mapped the realised initial root planar pose onto the
+reference's (planar_alignment) and took the key-body distances once for
+MPJPE and once for the failure check; run_episode, which scores the clip's
+own columns in world frame with one set of distances, must match it bit
+for bit. stepped_tracker keeps Tracker's earlier frame-by-frame step, one
+call per frame; Tracker.follow, which realises a block of frames in one
+call, must match it bit for bit.
 """
 import json
 import math
 import struct
 import zlib
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -47,7 +53,6 @@ from omniclone.bench import (
     FailureThresholds,
     StratumRow,
     first_failure,
-    planar_alignment,
 )
 from omniclone.errors import InputError
 from omniclone.kinematics import (
@@ -60,7 +65,7 @@ from omniclone.kinematics import (
     to_base_vector,
 )
 from omniclone.motion import BENCH_STRATA, COLUMNS, Frame, MotionClip, clip_to_dict, derive_body_kinematics
-from omniclone.rotations import IDENTITY_QUAT, quat_from_axis_angle, quat_mul, quat_rotate
+from omniclone.rotations import IDENTITY_QUAT, quat_from_axis_angle, quat_from_yaw, quat_mul, quat_rotate
 from omniclone.simtrack import track_clip
 from omniclone.stream import PacketFrame, StreamPacket
 from omniclone.stream.faults import DUPLICATE_DELAY_MS, REORDER_EXTRA_MS
@@ -569,6 +574,20 @@ def double_loop_mpjpe(pred, ref):
     return 1000.0 * total / count
 
 
+def planar_alignment(pred_root_pos, pred_root_quat, ref_root_pos, ref_root_quat):
+    """SE(2) transform (quat, translation) mapping the predicted initial root
+    planar pose onto the reference's."""
+
+    def yaw(q):
+        w, x, y, z = np.asarray(q, dtype=float)
+        return np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+
+    q = quat_from_yaw(float(yaw(ref_root_quat) - yaw(pred_root_quat)))
+    rotated = quat_rotate(q, pred_root_pos)
+    t = np.array([ref_root_pos[0] - rotated[0], ref_root_pos[1] - rotated[1], 0.0])
+    return q, t
+
+
 def episode_oracle(tracker, clip, model, thresholds=FailureThresholds(), alignment="global"):
     """run_episode by way of clips: the reference clip with its key bodies
     derived, the clip track_clip realises from it, then the alignment and
@@ -585,7 +604,8 @@ def episode_oracle(tracker, clip, model, thresholds=FailureThresholds(), alignme
         pred_bodies = pred_bodies - pred_roots[:, None, :]
         ref_bodies = ref_bodies - ref_roots[:, None, :]
     per_frame = 1000.0 * np.mean(np.linalg.norm(pred_bodies - ref_bodies, axis=-1), axis=-1)
-    first = first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots, thresholds)
+    distances = np.linalg.norm(pred_bodies - ref_bodies, axis=-1)
+    first = first_failure(distances, pred_roots, ref_roots, thresholds)
     evaluated, failure = (len(per_frame), "none") if first is None else (first[0] + 1, first[1])
     per_frame = per_frame[:evaluated]
     return EpisodeResult(
@@ -598,6 +618,31 @@ def episode_oracle(tracker, clip, model, thresholds=FailureThresholds(), alignme
         per_frame_error_mm=per_frame,
         frames_evaluated=evaluated,
     )
+
+
+def stepped_tracker(spec, frame_period, targets):
+    """Tracker's frame-by-frame step over (T, n) targets: the realised joints
+    and, for pd, the integrator velocity after each frame (else None)."""
+    rng = np.random.default_rng(spec.seed)
+    history = deque(maxlen=spec.lag + 1)
+    dt = frame_period if spec.dt is None else spec.dt
+    q = v = None
+    joint_pos, joint_vel = [], []
+    for target in targets:
+        if spec.mode == "noise":
+            joint_pos.append(target + rng.normal(0.0, spec.noise_std, target.shape))
+        elif spec.mode == "pd":
+            if v is None:
+                q, v = target.copy(), np.zeros(target.shape)
+            for _ in range(max(1, round(frame_period / dt))):
+                v = v + dt * (spec.kp * (target - q) - spec.kd * v)
+                q = q + dt * v
+            joint_pos.append(q)
+            joint_vel.append(v)
+        else:
+            history.append(target)
+            joint_pos.append(history[0])
+    return np.array(joint_pos), np.array(joint_vel) if spec.mode == "pd" else None
 
 
 def first_failure_loop(pred_bodies, ref_bodies, pred_roots, ref_roots, deviation_m, fall_z_m, drift_m):

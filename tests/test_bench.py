@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import write_moving_suite
 from oracles import double_loop_mpjpe, episode_oracle, first_failure_loop, parse_report_csv, stratum_row
 
 from omniclone.bench import (
@@ -91,6 +92,11 @@ def _static_kinematics(model, root_z):
     return np.array(clip.body_pos), np.array(clip.root_pos)
 
 
+def distances(pred_bodies, ref_bodies):
+    """(T, K) key-body distances, as run_episode passes them to first_failure."""
+    return np.linalg.norm(pred_bodies - ref_bodies, axis=-1)
+
+
 class TestFirstFailure:
     @pytest.mark.parametrize(
         "pred_z, ref_z, body_shift, rigid_shift, thresholds, expected",
@@ -114,7 +120,7 @@ class TestFirstFailure:
         pred_bodies[0, 3, 0] += body_shift
         pred_bodies[..., 0] += rigid_shift
         pred_roots[..., 0] += rigid_shift
-        got = first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots, thresholds)
+        got = first_failure(distances(pred_bodies, ref_bodies), pred_roots, ref_roots, thresholds)
         assert got == (None if expected is None else (0, expected))
 
     @pytest.mark.parametrize("field", ["deviation_m", "fall_root_z_m", "root_drift_m"])
@@ -129,11 +135,11 @@ class TestFirstFailure:
         pred_bodies, pred_roots = ref_bodies.copy(), ref_roots.copy()
         pred_roots[6:, 2] = 0.2  # falls from frame 6 on
         pred_bodies[5:, 2, 0] += 0.6  # deviates from frame 5 on
-        assert first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots) == (5, "deviation")
-        assert first_failure(pred_bodies[6:], ref_bodies[6:], pred_roots[6:], ref_roots[6:]) == (
+        assert first_failure(distances(pred_bodies, ref_bodies), pred_roots, ref_roots) == (5, "deviation")
+        assert first_failure(distances(pred_bodies[6:], ref_bodies[6:]), pred_roots[6:], ref_roots[6:]) == (
             0, "deviation")
         pred_bodies[5:, 2, 0] -= 0.6
-        assert first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots) == (6, "fall")
+        assert first_failure(distances(pred_bodies, ref_bodies), pred_roots, ref_roots) == (6, "fall")
 
     def test_matches_frame_by_frame_oracle(self, rng):
         thresholds = FailureThresholds(deviation_m=0.5, fall_root_z_m=0.3, root_drift_m=0.8)
@@ -146,7 +152,7 @@ class TestFirstFailure:
             expected = first_failure_loop(
                 pred_bodies, ref_bodies, pred_roots, ref_roots, 0.5, 0.3, 0.8
             )
-            got = first_failure(pred_bodies, ref_bodies, pred_roots, ref_roots, thresholds)
+            got = first_failure(distances(pred_bodies, ref_bodies), pred_roots, ref_roots, thresholds)
             assert got == expected
 
 
@@ -296,6 +302,59 @@ class TestEpisodeOracle:
                 assert len(built) <= 1
 
 
+def suite_clips(manifest):
+    return [load_clip(manifest.parent / entry.path) for entry in load_manifest(manifest)]
+
+
+class TestMovingSuite:
+    """run_episode against episode_oracle on the moving suite (conftest),
+    whose joints move, so pd and noise differ from perfect, and whose clips
+    start at nonzero headings, 30% without key bodies, with -0.0 root and
+    body entries and one clip that lagged trackers fail mid-episode: the
+    world-frame scoring without the identity alignment, and the one set of
+    key-body distances, must give the oracle's bits."""
+
+    TRACKERS = {**EPISODE_TRACKERS, "pd:50,5": parse_tracker("pd:50,5")}
+
+    @pytest.mark.parametrize("alignment", ["global", "root_relative"])
+    @pytest.mark.parametrize("tracker", list(TRACKERS))
+    def test_bit_identical_to_oracle(self, ref_model, moving_suite, tracker, alignment):
+        spec = self.TRACKERS[tracker]
+        for clip in suite_clips(moving_suite):
+            got = run_episode(spec, clip, ref_model, alignment=alignment)
+            want = episode_oracle(spec, clip, ref_model, alignment=alignment)
+            assert got.per_frame_error_mm.tobytes() == want.per_frame_error_mm.tobytes(), clip.name
+            assert got.mpjpe_mm.hex() == want.mpjpe_mm.hex(), clip.name
+            assert (got.success, got.failure_reason, got.frames_evaluated) == (
+                want.success, want.failure_reason, want.frames_evaluated), clip.name
+
+    def test_suite_has_the_cases(self, ref_model, moving_suite):
+        clips = suite_clips(moving_suite)
+        assert [(c.category, c.level) for c in clips] == list(BENCH_STRATA)
+        assert sum(c.body_pos is None for c in clips) == round(0.3 * len(clips))
+        lo, hi = ref_model.joint_limits[:, 0], ref_model.joint_limits[:, 1]
+        for clip in clips:
+            assert np.all(np.ptp(clip.joint_pos, axis=0) > 0.0), clip.name
+            assert np.all((lo <= clip.joint_pos) & (clip.joint_pos <= hi)), clip.name
+            assert abs(clip.root_quat[0, 3]) > 0.05, clip.name  # a nonzero heading
+            assert np.signbit(clip.root_pos[0, :2]).all() and not clip.root_pos[0, :2].any()
+        assert any(np.signbit(c.body_pos[0, 0, :2]).all() for c in clips if c.body_pos is not None)
+        lagged = [run_episode(parse_tracker("lag:2"), clip, ref_model) for clip in clips]
+        failed = [(r.clip_name, r.frames_evaluated) for r in lagged if not r.success]
+        assert len(failed) == 1 and 1 < failed[0][1] < len(clips[0].t) // 2 + 1
+
+    def test_suite_is_deterministic(self, ref_model, tmp_path):
+        def files(seed, where):
+            manifest = write_moving_suite(ref_model, tmp_path / where, seed=seed)
+            return {p.relative_to(manifest.parent): p.read_bytes() for p in sorted(manifest.parent.rglob("*"))
+                    if p.is_file()}
+
+        first = files(0, "a")
+        assert len(first) == len(BENCH_STRATA) + 1
+        assert files(0, "b") == first
+        assert files(1, "c") != first
+
+
 class TestAggregate:
     def test_sr_ratio(self):
         results = [episode("manip", "high", 10.0, success=i < 19) for i in range(20)]
@@ -420,6 +479,9 @@ class TestSerialization:
         ("mpjpe_mm", math.inf, "'mpjpe_mm' must be a finite number >= 0, got inf"),
         ("mpjpe_mm", "1e400", "'mpjpe_mm' must be a finite number >= 0, got '1e400'"),
         ("mpjpe_mm", -0.5, "'mpjpe_mm' must be a finite number >= 0, got -0.5"),
+        ("mpjpe_mm", " 3 ", "'mpjpe_mm' must be a finite number >= 0, got ' 3 '"),
+        ("mpjpe_mm", True, "'mpjpe_mm' must be a finite number >= 0, got True"),
+        ("mpjpe_mm", 10**400, f"'mpjpe_mm' must be a finite number >= 0, got {10**400}"),
         ("failure_reason", "timeout",
          "'failure_reason' must be one of ('fall', 'deviation', 'none'), got 'timeout'"),
         ("frames_evaluated", 2.7, "'frames_evaluated' must be an integer >= 1, got 2.7"),

@@ -247,8 +247,12 @@ class TestBenchWorkflow:
     @pytest.mark.parametrize("episode, message", [
         (1, "episodes[1]: 'int' object is not subscriptable"),
         ({"clip_name": "a", "category": "walk", "level": "slow", "success": True,
-          "failure_reason": "none", "frames_evaluated": 10, "mpjpe_mm": "x"}, "episodes[1]: could not convert"),
-    ], ids=["not-an-object", "non-numeric"])
+          "failure_reason": "none", "frames_evaluated": 10, "mpjpe_mm": "x"},
+         "episodes[1]: 'mpjpe_mm' must be a finite number >= 0, got 'x'"),
+        ({"clip_name": "a", "category": "walk", "level": "slow", "success": True,
+          "failure_reason": "none", "frames_evaluated": 10, "mpjpe_mm": "12.5"},
+         "episodes[1]: 'mpjpe_mm' must be a finite number >= 0, got '12.5'"),
+    ], ids=["not-an-object", "non-numeric", "numeric-string"])
     def test_malformed_results_episode_is_an_error(self, tmp_path, capsys, episode, message):
         good = {"clip_name": "a", "category": "walk", "level": "slow", "success": True,
                 "failure_reason": "none", "frames_evaluated": 10, "mpjpe_mm": 1.0}

@@ -27,6 +27,7 @@ from oracles import (
     per_field_dr,
     quat_normalize,
     sine_joint_clip,
+    stepped_tracker,
     student_obs_blocks,
     teacher_obs_length,
 )
@@ -687,6 +688,42 @@ class TestTrackers:
             assert tracker.step(target.astype(float)).tobytes() == out.joint_pos[t].tobytes()
             if spec.mode == "pd":
                 assert tracker.v.tobytes() == out.joint_vel[t].tobytes()
+
+    FOLLOWED = ["perfect", "lag:0", "lag:3", "noise:0.05", "pd:400,40", "pd:400,40,0.005"]
+
+    @staticmethod
+    def moving_targets(n_frames=20, n_joints=6):
+        t = np.arange(n_frames)[:, None] / 30.0
+        return 0.4 * np.sin(2.0 * np.pi * (0.7 + 0.3 * np.arange(n_joints)) * t + np.arange(n_joints))
+
+    @pytest.mark.parametrize("text", FOLLOWED)
+    def test_follow_equals_stepping_frame_by_frame(self, text):
+        # one follow call, and one step per frame, give the bits of the
+        # earlier per-frame step (oracles.stepped_tracker)
+        spec, targets = replace(parse_tracker(text), seed=7), self.moving_targets()
+        want_pos, want_vel = stepped_tracker(spec, 1.0 / 30.0, targets)
+        joint_pos, joint_vel = Tracker(spec, 1.0 / 30.0).follow(targets)
+        assert joint_pos.tobytes() == want_pos.tobytes()
+        assert (joint_vel is None) == (want_vel is None)
+        if want_vel is not None:
+            assert joint_vel.tobytes() == want_vel.tobytes()
+        tracker = Tracker(spec, 1.0 / 30.0)
+        for t, target in enumerate(targets):
+            assert tracker.step(target).tobytes() == want_pos[t].tobytes()
+            if want_vel is not None:
+                assert tracker.v.tobytes() == want_vel[t].tobytes()
+
+    @pytest.mark.parametrize("text", FOLLOWED)
+    def test_follow_carries_state_across_blocks(self, text):
+        spec, targets = replace(parse_tracker(text), seed=7), self.moving_targets()
+        whole = Tracker(spec, 1.0 / 30.0).follow(targets)
+        for cuts in ([1], [2, 9], [0, 5, 5, 19]):
+            tracker = Tracker(spec, 1.0 / 30.0)
+            blocks = [tracker.follow(block) for block in np.split(targets, cuts)]
+            assert np.concatenate([pos for pos, _ in blocks]).tobytes() == whole[0].tobytes()
+            if spec.mode == "pd":
+                assert np.concatenate([vel for _, vel in blocks]).tobytes() == whole[1].tobytes()
+                assert tracker.v.tobytes() == whole[1][-1].tobytes()
 
     def test_pd_step_cap(self, ref_model):
         # 1000 steps per 30 fps frame is the most a spec may ask for
