@@ -9,7 +9,13 @@ parent), the pairs the change won in the metric's better direction (ties
 count for neither), and whether a gain may be claimed: the change wins at
 least nine tenths of the pairs and the medians differ, in the better
 direction, by more than the distance between the parent's quartiles.
-A run that fails an output check makes the exit code 1.
+Each end-to-end metric also gets a regression verdict against its bound in
+BENCHMARK.json: `worse` when the change's median is worse than the
+parent's by more than the bound, `unresolved` when the parent's spread
+(upper minus lower quartile) exceeds the bound times its median and not
+every change run beats every parent run, and `ok` otherwise. Per-layer
+metrics, which have no bound, show `-`. A run that fails an output check
+makes the exit code 1.
 
 Usage: python3 scripts/bench_ab.py PARENT_DIR --workload W --pairs N
            [--first-seed 21] [--trace 0|1]
@@ -33,8 +39,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def compare(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
-    """One row per metric over (parent result, change result) pairs."""
+def verdict(parent: list[float], change: list[float], sign: float, bound: float | None) -> str:
+    """worse, unresolved or ok for a metric with a bound (a fraction of the
+    parent's median); - for one without. sign is 1.0 when higher is better."""
+    if bound is None:
+        return "-"
+    q1, parent_median, q3 = quartiles(parent)
+    margin = bound * abs(parent_median)
+    if sign * (quartiles(change)[1] - parent_median) < -margin:
+        return "worse"
+    every_run_wins = all(sign * (c - p) > 0 for c in change for p in parent)
+    if q3 - q1 > margin and not every_run_wins:
+        return "unresolved"
+    return "ok"
+
+
+def compare(pairs: list[tuple[dict, dict]], better: dict[str, str],
+            bounds: dict[str, float] | None = None) -> list[dict]:
+    """One row per metric over (parent result, change result) pairs; bounds
+    holds the end-to-end metrics' regression bounds."""
+    bounds = bounds or {}
     rows = []
     for name, first in pairs[0][0]["metrics"].items():
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
@@ -53,19 +77,20 @@ def compare(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict
             "ratio": change_q[1] / parent_median if parent_median else float("nan"),
             "wins": wins,
             "pairs": len(pairs),
+            "verdict": verdict(parent, change, sign, bounds.get(name)),
             "gain": wins >= 0.9 * len(pairs) and sign * (change_q[1] - parent_median) > q3 - q1,
         })
     return rows
 
 
 def format_rows(rows: list[dict]) -> str:
-    lines = [f"{'metric':46s} {'parent q1/median/q3':>26s} {'change q1/median/q3':>26s} {'ratio':>7s} wins  gain"]
+    lines = [f"{'metric':46s} {'parent q1/median/q3':>26s} {'change q1/median/q3':>26s} {'ratio':>7s} wins  {'verdict':10s} gain"]
     for r in rows:
         sides = ["/".join(f"{v:.0f}" if abs(v) >= 1000 else f"{v:.4g}" for v in r[side])
                  for side in ("parent", "change")]
         lines.append(
             f"{r['metric'] + ' (' + r['unit'] + ', ' + r['better'] + ')':46s} {sides[0]:>26s} "
-            f"{sides[1]:>26s} {r['ratio']:7.3f} {r['wins']:2d}/{r['pairs']:<2d} {'yes' if r['gain'] else 'no'}"
+            f"{sides[1]:>26s} {r['ratio']:7.3f} {r['wins']:2d}/{r['pairs']:<2d} {r['verdict']:10s} {'yes' if r['gain'] else 'no'}"
         )
     return "\n".join(lines)
 
@@ -82,6 +107,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     seconds = declared["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     pairs, failed = [], {"parent": 0, "change": 0}
@@ -97,7 +123,7 @@ def main(argv=None) -> int:
               f"parent {results['parent']['failed']}, change {results['change']['failed']}", file=sys.stderr)
     print(f"{args.workload}, {args.pairs} pairs, trace {args.trace}, {seconds} s runs; "
           f"failed: parent {failed['parent']}, change {failed['change']}")
-    print(format_rows(compare(pairs, better)))
+    print(format_rows(compare(pairs, better, bounds)))
     return 1 if any(failed.values()) else 0
 
 

@@ -83,6 +83,15 @@ def _resolve(flag_value, config_value):
     return config_value if flag_value is None else flag_value
 
 
+def _seed(flag_value: int | None, cfg: RunConfig) -> int:
+    """The --seed flag, else the run config's seed; either must be >= 0."""
+    seed = _resolve(flag_value, cfg.seed)
+    if seed < 0:
+        source = "run config: 'seed'" if flag_value is None else "--seed"
+        raise OmniCloneError(f"{source} must be >= 0, got {seed}")
+    return seed
+
+
 def _check_rate(rate: float) -> float:
     """A --rate value, which must be positive and finite: ticks are 1/rate apart."""
     if not 0.0 < rate < float("inf"):
@@ -227,7 +236,7 @@ class _LiveTrackerSink:
 
 def cmd_serve_policy(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    spec = replace(simtrack.parse_tracker(args.tracker), seed=_resolve(args.seed, cfg.seed))
+    spec = replace(simtrack.parse_tracker(args.tracker), seed=_seed(args.seed, cfg))
     rate = _check_rate(_resolve(args.rate, cfg.rate_hz))
     _check_duration(args.duration)
     sink = _LiveTrackerSink(simtrack.Tracker(spec, 1.0 / rate), args.trace)
@@ -260,7 +269,7 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
         reorder_prob=args.reorder,
         duplicate_prob=args.duplicate,
     )
-    seed = _resolve(args.seed, cfg.seed)
+    seed = _seed(args.seed, cfg)
     rate = _check_rate(_resolve(args.rate, cfg.rate_hz))
     if args.live:
         stats = measure_latency(n_samples=args.samples, rate_hz=rate, fault=fault, seed=seed)
@@ -295,7 +304,7 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
 
 def cmd_bench_run(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    tracker = replace(simtrack.parse_tracker(args.tracker), seed=cfg.seed)
+    tracker = replace(simtrack.parse_tracker(args.tracker), seed=_seed(None, cfg))
     thresholds = _thresholds(args, cfg)
     load_s = episodes_s = 0.0
     start = time.perf_counter()
@@ -384,7 +393,7 @@ def cmd_recipe(args, cfg: RunConfig) -> int:
             raise OmniCloneError(f"fraction {part!r} must be label=value")
         fractions[label.strip()] = _number("--fractions", value)
     manifest = motion.compose_recipe(
-        pools, fractions, args.total, seed=_resolve(args.seed, cfg.seed)
+        pools, fractions, args.total, seed=_seed(args.seed, cfg)
     )
     text = (
         motion.recipe_to_csv(manifest)
@@ -428,7 +437,6 @@ def cmd_print_layout(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
     window = _at_least_one("--window", _resolve(args.window, cfg.window))
     zero = synthetic.static_clip(model, n_frames=max(2, window), fps=30.0)
-    zero = motion.derive_joint_velocities(zero)
     state = simtrack.state_from_frame(zero.frames[0], model)
     sections = []
     if args.policy in ("teacher", "both"):

@@ -208,7 +208,9 @@ class MotionClip:
     the body velocities only beside them.
 
     The constructor stacks a sequence of Frame once; `from_arrays` takes the
-    columns themselves. `frames` views the clip frame by frame.
+    columns themselves; `replace` copies a clip with some fields changed.
+    All three run the same checks, so a copy is checked as a new clip is.
+    `frames` views the clip frame by frame.
     """
 
     name: str
@@ -264,33 +266,21 @@ class MotionClip:
         return clip
 
     def replace(self, **changes) -> "MotionClip":
-        """A copy with metadata fields or columns replaced.
+        """A copy with metadata fields or columns replaced, checked as a new
+        clip is. The columns it keeps are shared, not copied."""
+        fields = {key: getattr(self, key) for key in _META + COLUMNS}
+        return MotionClip.from_arrays(**{**fields, **changes})
 
-        Only what changes is checked: each replaced column for its shape and
-        for finite values, the timestamps when t or fps changes, the root
-        quaternions when root_quat does, and category and level when either
-        does. The unchanged columns were checked when this clip was built.
-        """
-        check = set(changes)
-        meta = {key: changes.pop(key, getattr(self, key)) for key in _META}
-        columns = {key: getattr(self, key) for key in COLUMNS}
-        clip = MotionClip.__new__(MotionClip)
-        clip._set(**meta, columns={**columns, **changes}, check=check)
-        return clip
-
-    def _set(self, name, fps, category, level, dof_names, key_bodies, columns, check=None) -> None:
-        """Check and store the fields. `check` names the fields and columns
-        to check, all of them when None; every column's shape is checked
-        whatever it names, since the joint and key-body counts come from the
-        columns."""
-        checks = lambda *keys: check is None or not check.isdisjoint(keys)
-        if checks("fps") and not 0 < fps < math.inf:
+    def _set(self, name, fps, category, level, dof_names, key_bodies, columns) -> None:
+        """Check and store the fields. A column that is already a read-only
+        float64 array is stored as it is; any other is stored as a read-only
+        float64 view."""
+        if not 0 < fps < math.inf:
             raise InputError(f"fps must be positive and finite, got {fps}")
-        if checks("category", "level"):
-            if category not in CATEGORIES:
-                raise InputError(f"unknown category {category!r}")
-            if level not in CATEGORY_LEVELS[category]:
-                raise InputError(f"level {level!r} not allowed for category {category!r}")
+        if category not in CATEGORIES:
+            raise InputError(f"unknown category {category!r}")
+        if level not in CATEGORY_LEVELS[category]:
+            raise InputError(f"level {level!r} not allowed for category {category!r}")
         unknown = sorted(set(columns) - set(COLUMNS))
         missing = [key for key in _REQUIRED if columns.get(key) is None]
         if unknown or missing:
@@ -298,7 +288,7 @@ class MotionClip:
         cols = {key: columns.get(key) for key in COLUMNS}
         _check_body_group(cols)
         for key, column in cols.items():
-            if column is not None and checks(key):
+            if column is not None:
                 cols[key] = np.asarray(column, dtype=float)
         t, joint_pos = cols["t"], cols["joint_pos"]
         if t.ndim != 1 or not t.size or joint_pos.ndim != 2:
@@ -312,36 +302,33 @@ class MotionClip:
                 continue
             if column.shape != (T,) + shape:
                 raise InputError(f"{key}: expected shape {(T,) + shape}, got {column.shape}")
-            if not checks(key):
-                continue
             if not np.isfinite(column).all():
                 finite = np.isfinite(column.reshape(T, -1)).all(axis=1)
                 raise InputError(f"frames[{np.argmin(finite)}].{key}: non-finite values")
-        if checks("root_quat"):
-            quat = cols["root_quat"]
-            norm = np.linalg.norm(quat, axis=1)
-            off = np.abs(norm - 1.0)
-            if np.any(off > _QUAT_TOL):
-                i = np.argmax(off > _QUAT_TOL)
-                raise InputError(
-                    f"frames[{i}].root_quat: norm {norm[i]:.9f} deviates beyond {_QUAT_TOL}"
-                )
-            cols["root_quat"] = quat_canonical(
-                np.where((off > _UNIT_EPS)[:, None], quat / norm[:, None], quat)
+        quat = cols["root_quat"]
+        norm = np.linalg.norm(quat, axis=1)
+        off = np.abs(norm - 1.0)
+        if np.any(off > _QUAT_TOL):
+            i = np.argmax(off > _QUAT_TOL)
+            raise InputError(
+                f"frames[{i}].root_quat: norm {norm[i]:.9f} deviates beyond {_QUAT_TOL}"
             )
-        if checks("t", "fps"):
-            spacing = np.diff(t)
-            if np.any(spacing <= 0.0):
-                i = np.argmax(spacing <= 0.0) + 1
-                raise InputError(f"frames[{i}].t: timestamps must be strictly increasing")
-            period = 1.0 / fps
-            off = np.abs(spacing - period) > _TIME_TOL
-            if np.any(off):
-                i = np.argmax(off)
-                raise InputError(
-                    f"frames[{i + 1}]: timestamp spacing {spacing[i]:.9f}"
-                    f" deviates from 1/fps={period:.9f}"
-                )
+        canonical = quat_canonical(np.where((off > _UNIT_EPS)[:, None], quat / norm[:, None], quat))
+        # equal values are equal bits here: neither step turns a zero's sign alone
+        if not np.array_equal(canonical, quat):
+            cols["root_quat"] = canonical
+        spacing = np.diff(t)
+        if np.any(spacing <= 0.0):
+            i = np.argmax(spacing <= 0.0) + 1
+            raise InputError(f"frames[{i}].t: timestamps must be strictly increasing")
+        period = 1.0 / fps
+        off = np.abs(spacing - period) > _TIME_TOL
+        if np.any(off):
+            i = np.argmax(off)
+            raise InputError(
+                f"frames[{i + 1}]: timestamp spacing {spacing[i]:.9f}"
+                f" deviates from 1/fps={period:.9f}"
+            )
         dof_names, key_bodies = tuple(dof_names), tuple(key_bodies)
         if dof_names and len(dof_names) != n:
             raise InputError(f"dof_names: {len(dof_names)} names for {n} joints")
@@ -350,7 +337,7 @@ class MotionClip:
         for key, value in zip(_META, (name, fps, category, level, dof_names, key_bodies)):
             object.__setattr__(self, key, value)
         for key, column in cols.items():
-            if column is not None and checks(key):
+            if column is not None and column.flags.writeable:
                 column = column.view()
                 column.flags.writeable = False
             object.__setattr__(self, key, column)
@@ -415,13 +402,6 @@ def finite_difference(values: np.ndarray, fps: float) -> np.ndarray:
     v[0] = (values[1] - values[0]) * fps
     v[-1] = (values[-1] - values[-2]) * fps
     return v
-
-
-def derive_joint_velocities(clip: MotionClip) -> MotionClip:
-    """Fill joint_vel by finite differences when the clip has none."""
-    if clip.joint_vel is not None:
-        return clip
-    return clip.replace(joint_vel=finite_difference(clip.joint_pos, clip.fps))
 
 
 def derive_body_kinematics(clip: MotionClip, model: HumanoidModel) -> MotionClip:

@@ -68,12 +68,12 @@ def simulate_stream(
     """
     if not 0.0 < consumer_hz < float("inf"):
         raise InputError(f"consumer rate must be positive and finite, got {consumer_hz}")
+    queue = FrameQueue(capacity)
     arrivals, delivered, dropped = fault_schedule(n_packets, producer_hz, fault, seed)
     if n_ticks is None:
         n_ticks = n_packets
     if not arrivals or n_ticks <= 0:
         return StreamTrace(entries=(), sent=n_packets, delivered=delivered, dropped=dropped)
-    queue = FrameQueue(capacity)
     t_first = arrivals[0][0]
     entries: list[TraceEntry] = []
     cursor = 0

@@ -22,7 +22,8 @@ and helpers that only tests use, which the package does not ship:
 save_model, save_subject_stream (with subject_frame_to_dict),
 save_mapping, save_chunks, parse_report_csv, quat_normalize,
 stratum_row, obs_block, quat_distance, packets_equal,
-decoded_frames_canonical, sine_joint_clip and identity_pose.
+decoded_frames_canonical, sine_joint_clip, identity_pose and
+derive_joint_velocities.
 per_packet_fault_schedule keeps the fault model's scalar draws, one
 generator call per draw, which the package's one-block schedule must
 reproduce bit for bit. eager_decode_frames keeps the codec's earlier
@@ -64,7 +65,15 @@ from omniclone.kinematics import (
     to_base_quat,
     to_base_vector,
 )
-from omniclone.motion import BENCH_STRATA, COLUMNS, Frame, MotionClip, clip_to_dict, derive_body_kinematics
+from omniclone.motion import (
+    BENCH_STRATA,
+    COLUMNS,
+    Frame,
+    MotionClip,
+    clip_to_dict,
+    derive_body_kinematics,
+    finite_difference,
+)
 from omniclone.rotations import IDENTITY_QUAT, quat_from_axis_angle, quat_from_yaw, quat_mul, quat_rotate
 from omniclone.simtrack import track_clip
 from omniclone.stream import PacketFrame, StreamPacket
@@ -404,6 +413,13 @@ def sine_joint_clip(
         joint_pos=joint_pos,
         joint_vel=joint_vel,
     )
+
+
+def derive_joint_velocities(clip):
+    """Fill joint_vel by finite differences when the clip has none."""
+    if clip.joint_vel is not None:
+        return clip
+    return clip.replace(joint_vel=finite_difference(clip.joint_pos, clip.fps))
 
 
 def save_model(model, path):

@@ -13,6 +13,7 @@ import pytest
 from conftest import random_tree_model
 from oracles import (
     decoded_frames_canonical,
+    derive_joint_velocities,
     hold_pipeline_oracle,
     links_from_model,
     matrix_fk,
@@ -300,7 +301,6 @@ def test_reward_dr_fidelity(ref_model):
     assert (arch["student"]["d_model"], arch["student"]["d_ff"],
             arch["student"]["n_tokens"], arch["student"]["n_heads"]) == (512, 1024, 2, 4)
 
-    from omniclone.motion import derive_joint_velocities
     from omniclone.simtrack import state_from_frame
 
     clip = derive_joint_velocities(static_clip(ref_model, n_frames=2))

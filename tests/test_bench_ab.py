@@ -1,6 +1,8 @@
 import pathlib
 import sys
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 sys.path.insert(0, str(SCRIPTS))
 import bench_ab  # noqa: E402
@@ -45,3 +47,27 @@ def test_main_alternates_sides_and_reports_failures(monkeypatch, capsys, tmp_pat
     assert "failed: parent 0, change 1" in out
     line = next(ln for ln in out.splitlines() if ln.startswith("packets_per_s"))
     assert "2.000" in line and "3/3" in line and line.endswith("yes")
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    ([100, 100, 100], [70, 70, 70], "worse"),  # median 30% below a 25% bound
+    ([60, 100, 140], [90, 95, 100], "unresolved"),  # parent spread 40% of its median
+    ([60, 100, 140], [150, 160, 170], "ok"),  # as wide, but every change run wins
+    ([99, 100, 101], [80, 80, 80], "ok"),  # 20% worse, within the bound
+])
+def test_verdict_against_the_bound(parent, change, expected):
+    better = {"packets_per_s": "higher", "cmd_latency_p99_ms": "lower"}
+    pairs = [(fake_result(p, 1.0), fake_result(c, 1.0)) for p, c in zip(parent, change)]
+    rows = {r["metric"]: r for r in bench_ab.compare(pairs, better, {"packets_per_s": 0.25})}
+    assert rows["packets_per_s"]["verdict"] == expected
+    assert rows["cmd_latency_p99_ms"]["verdict"] == "-"  # no bound given, as for a per-layer metric
+    line = bench_ab.format_rows(list(rows.values())).splitlines()[1]
+    assert line.split()[-2] == expected
+
+
+def test_verdict_of_a_lower_is_better_metric():
+    better = {"packets_per_s": "higher", "cmd_latency_p99_ms": "lower"}
+    bounds = {"packets_per_s": 0.25, "cmd_latency_p99_ms": 0.25}
+    pairs = [(fake_result(100, 1.0), fake_result(100, p99)) for p99 in (1.3, 1.3, 1.3)]
+    rows = {r["metric"]: r["verdict"] for r in bench_ab.compare(pairs, better, bounds)}
+    assert rows == {"packets_per_s": "ok", "cmd_latency_p99_ms": "worse"}

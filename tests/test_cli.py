@@ -344,6 +344,58 @@ class TestBenchWorkflow:
         assert results({"seed": 5}) != default
 
 
+def seed_argv(tmp_path, ref_model, command):
+    """A run of `command` that uses a seed, before its --seed flag."""
+    if command == "recipe":
+        (tmp_path / "pools.json").write_text(json.dumps({"a": ["x", "y"]}), encoding="utf-8")
+        return ["recipe", "--pools", str(tmp_path / "pools.json"), "--fractions", "a=1", "--total", "1"]
+    if command == "bench-run":
+        manifest = write_suite(tmp_path, ref_model, n_frames=5)
+        return ["bench", "run", "--manifest", str(manifest), "--tracker", "noise:0.01",
+                "--out", str(tmp_path / "results.json")]
+    return {
+        "stream-test": ["stream-test", "--packets", "20"],
+        "stream-test-live": ["stream-test", "--live", "--samples", "20", "--rate", "400"],
+        "serve-policy": ["serve-policy", "--listen", "127.0.0.1:0", "--tracker", "noise:0.1",
+                         "--duration", "0"],
+    }[command]
+
+
+class TestSeed:
+    """Every seed, from --seed or the run config, is checked in one place."""
+
+    @pytest.mark.parametrize("command, source", [
+        ("stream-test", "flag"),
+        ("stream-test", "config"),
+        ("stream-test-live", "flag"),
+        ("serve-policy", "flag"),
+        ("serve-policy", "config"),
+        ("recipe", "flag"),
+        ("recipe", "config"),
+        ("bench-run", "config"),
+    ])
+    def test_negative_seed_is_one_error_line(self, tmp_path, ref_model, capsys, command, source):
+        argv = seed_argv(tmp_path, ref_model, command)
+        if source == "flag":
+            argv += ["--seed", "-1"]
+            message = "error: --seed must be >= 0, got -1\n"
+        else:
+            (tmp_path / "run.json").write_text(json.dumps({"seed": -1}), encoding="utf-8")
+            argv = ["--run-config", str(tmp_path / "run.json"), *argv]
+            message = "error: run config: 'seed' must be >= 0, got -1\n"
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
+    def test_flag_overrides_a_negative_config_seed(self, tmp_path, capsys):
+        (tmp_path / "run.json").write_text(json.dumps({"seed": -1}), encoding="utf-8")
+        argv = ["stream-test", "--packets", "20", "--drop", "0.2", "--seed", "3"]
+        assert cli.main(["--run-config", str(tmp_path / "run.json"), *argv]) == 0
+        from_flag = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == from_flag
+
+
 class TestStreamTestCommand:
     def test_virtual_mode_deterministic(self, tmp_path, capsys):
         argv = ["stream-test", "--packets", "500", "--drop", "0.1", "--jitter", "0:40",
@@ -392,6 +444,12 @@ class TestStreamTestCommand:
         assert from_config == capsys.readouterr().out
         assert cli.main([*argv, "--window", "1"]) == 0
         assert from_config != capsys.readouterr().out
+
+    @pytest.mark.parametrize("drop", ["0", "1"])
+    def test_window_below_one_is_an_error_even_when_nothing_arrives(self, drop, capsys):
+        assert cli.main(["stream-test", "--packets", "20", "--window", "0", "--drop", drop]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: queue capacity must be >= 1\n")
 
     @pytest.mark.parametrize("jitter", ["abc", "0:x"])
     def test_non_numeric_jitter_is_an_error(self, jitter, capsys):

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import rows_clip_doc, sine_joint_clip, sorted_mean, sorted_percentile
+from oracles import derive_joint_velocities, rows_clip_doc, sine_joint_clip, sorted_mean, sorted_percentile
 
 from omniclone.errors import ClipParseError, ConfigError, InputError
-from omniclone.kinematics import RigidPose
+from omniclone.kinematics import _QUAT_TOL, RigidPose
 from omniclone.motion import (
+    _META,
+    _UNIT_EPS,
     BENCH_STRATA,
     COLUMNS,
     Frame,
@@ -26,7 +28,6 @@ from omniclone.motion import (
     clip_to_dict,
     compose_recipe,
     derive_body_kinematics,
-    derive_joint_velocities,
     format_stats_markdown,
     largest_remainder_counts,
     load_clip,
@@ -322,6 +323,62 @@ EDGE_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+
+
+EPS = np.finfo(float).eps
+QUAT_COMPONENTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+# off unit norm by nothing, by at most _UNIT_EPS, or by more, short of _QUAT_TOL
+NORM_SCALES = st.one_of(
+    st.just(1.0),
+    st.sampled_from([1.0 - 2 * EPS, 1.0 - EPS, 1.0 + EPS, 1.0 + 2 * EPS]),
+    st.floats(1.0 - 0.5 * _QUAT_TOL, 1.0 - 8 * EPS),
+    st.floats(1.0 + 8 * EPS, 1.0 + 0.5 * _QUAT_TOL),
+)
+
+
+class TestRebuild:
+    """A clip rebuilt from its own columns, by from_arrays or by replace,
+    holds the same bits: the checks leave a checked clip's columns alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), T=st.integers(1, 4), n=st.integers(1, 3), k=st.sampled_from([0, 2]))
+    def test_rebuild_keeps_every_bit(self, data, T, n, k):
+        def draw(*shape):
+            return data.draw(arrays(np.float64, (T,) + shape, elements=EDGE_FLOATS))
+
+        quats = []
+        for _ in range(T):
+            q = np.array(data.draw(st.lists(QUAT_COMPONENTS, min_size=4, max_size=4)))
+            if not np.linalg.norm(q) > 0.1:
+                q[0] = 1.0
+            quats.append(q / np.linalg.norm(q) * data.draw(NORM_SCALES))
+        root_quat = np.array(quats)
+        columns = dict(
+            t=np.arange(T) / 30.0, root_pos=draw(3), root_quat=root_quat, root_lin_vel=draw(3),
+            root_ang_vel=draw(3), joint_pos=draw(n), joint_vel=draw(n),
+        )
+        if k:
+            columns.update(body_pos=draw(k, 3), body_quat=draw(k, 4), body_lin_vel=draw(k, 3),
+                           body_ang_vel=draw(k, 3))
+        clip = MotionClip.from_arrays("edge", 30.0, "other", "none", **columns)
+
+        # a root quaternion within _UNIT_EPS of unit norm and of canonical sign
+        # keeps its bits; any other is normalised once, to within _UNIT_EPS
+        lead = [row[row != 0.0][0] for row in root_quat]
+        unit = np.abs(np.linalg.norm(root_quat, axis=1) - 1.0) <= _UNIT_EPS
+        for i in range(T):
+            if unit[i] and lead[i] > 0.0:
+                assert clip.root_quat[i].tobytes() == root_quat[i].tobytes(), i
+        assert np.all(np.abs(np.linalg.norm(clip.root_quat, axis=1) - 1.0) <= _UNIT_EPS)
+
+        fields = {key: getattr(clip, key) for key in _META + COLUMNS}
+        for again in (MotionClip.from_arrays(**fields), clip.replace(name="renamed")):
+            for key in COLUMNS:
+                column = getattr(clip, key)
+                assert (column is None) == (getattr(again, key) is None), key
+                assert column is None or getattr(again, key).tobytes() == column.tobytes(), key
+            assert {key: getattr(again, key) for key in _META if key != "name"} == {
+                key: fields[key] for key in _META if key != "name"}
 
 
 class TestColumnFile:

@@ -7,7 +7,7 @@ import pytest
 from omniclone import kinematics
 from omniclone.errors import ConfigError, InputError
 from omniclone.kinematics import GRAVITY, RigidPose, key_body_poses, to_base_point, to_base_quat, to_base_vector
-from omniclone.motion import COLUMNS, Frame, MotionClip, derive_body_kinematics, derive_joint_velocities
+from omniclone.motion import COLUMNS, Frame, MotionClip, derive_body_kinematics
 from omniclone.rotations import quat_from_yaw, quat_mul, quat_rotate
 from omniclone.simtrack import (
     RobotState,
@@ -23,6 +23,7 @@ from omniclone.simtrack import (
 )
 from omniclone.synthetic import constant_velocity_clip, static_clip
 from oracles import (
+    derive_joint_velocities,
     obs_block,
     per_field_dr,
     quat_normalize,

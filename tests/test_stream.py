@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import socket
 import threading
 import time
@@ -612,6 +613,11 @@ class TestSimulatedPipeline:
         trace = simulate_stream(50, fault=FaultConfig(drop_prob=1.0), seed=0)
         assert trace.entries == ()
         assert trace.dropped == 50
+
+    @pytest.mark.parametrize("n_packets, drop", [(0, 0.0), (50, 1.0), (50, 0.0)])
+    def test_capacity_checked_when_nothing_arrives(self, n_packets, drop):
+        with pytest.raises(InputError, match=re.escape("queue capacity must be >= 1")):
+            simulate_stream(n_packets, capacity=0, fault=FaultConfig(drop_prob=drop), seed=0)
 
     def test_staleness_bound(self):
         # a fresh frame's age <= capacity/producer_rate + max network delay
