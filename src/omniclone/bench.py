@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -215,20 +215,7 @@ def report_to_csv(report: BenchReport) -> str:
 
 
 def report_to_json(report: BenchReport) -> str:
-    doc = {
-        "method": report.method,
-        "partial": report.partial,
-        "rows": [
-            {
-                "category": r.category,
-                "level": r.level,
-                "sr_percent": r.sr_percent,
-                "mpjpe_mm": r.mpjpe_mm,
-                "episodes": r.episodes,
-            }
-            for r in report.rows
-        ],
-    }
+    doc = {"method": report.method, "partial": report.partial, "rows": [asdict(r) for r in report.rows]}
     return json.dumps(doc, indent=1) + "\n"
 
 
@@ -316,16 +303,8 @@ def parse_report_json(text: str) -> BenchReport:
 # ---------------------------------------------------------------------------
 
 def episode_to_dict(e: EpisodeResult) -> dict:
-    return {
-        "clip_name": e.clip_name,
-        "category": e.category,
-        "level": e.level,
-        "success": e.success,
-        "failure_reason": e.failure_reason,
-        "mpjpe_mm": e.mpjpe_mm,
-        "per_frame_error_mm": np.asarray(e.per_frame_error_mm).tolist(),
-        "frames_evaluated": e.frames_evaluated,
-    }
+    """The episode's fields, in order, with the per-frame errors as a list."""
+    return {**vars(e), "per_frame_error_mm": np.asarray(e.per_frame_error_mm).tolist()}
 
 
 def episode_from_dict(doc: Mapping, i: int = 0, source: str = "results document") -> EpisodeResult:
@@ -407,12 +386,7 @@ def load_manifest(path) -> list[ManifestEntry]:
 
 
 def save_manifest(entries: Sequence[ManifestEntry], path) -> None:
-    doc = {
-        "clips": [
-            {"path": e.path, "category": e.category, "level": e.level}
-            for e in entries
-        ]
-    }
+    doc = {"clips": [asdict(e) for e in entries]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

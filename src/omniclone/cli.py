@@ -32,7 +32,6 @@ from .stream import (
     FaultConfig,
     PolicyServer,
     Stamped,
-    fault_schedule,
     measure_latency,
     parse_addr,
     send_clip,
@@ -49,9 +48,9 @@ class RunConfig:
     model_path: str | None = None
     window: int = DEFAULT_WINDOW
     rate_hz: float = 50.0
-    deviation_m: float = 0.5
-    fall_root_z_m: float = 0.3
-    root_drift_m: float = 1.0
+    deviation_m: float = bench_mod.FailureThresholds.deviation_m
+    fall_root_z_m: float = bench_mod.FailureThresholds.fall_root_z_m
+    root_drift_m: float = bench_mod.FailureThresholds.root_drift_m
     seed: int = 0
     log_level: str = "WARNING"
 
@@ -92,11 +91,22 @@ def _seed(flag_value: int | None, cfg: RunConfig) -> int:
     return seed
 
 
-def _check_rate(rate: float) -> float:
-    """A --rate value, which must be positive and finite: ticks are 1/rate apart."""
-    if not 0.0 < rate < float("inf"):
-        raise OmniCloneError(f"--rate must be positive and finite, got {rate}")
+def _rate(flag_value: float | None, cfg: RunConfig) -> float:
+    """The --rate flag, else the run config's rate_hz; either must be
+    positive and finite: ticks are 1/rate apart."""
+    rate = _resolve(flag_value, cfg.rate_hz)
+    if not 0.0 < rate < math.inf:
+        source = "run config: 'rate_hz'" if flag_value is None else "--rate"
+        raise OmniCloneError(f"{source} must be positive and finite, got {rate}")
     return rate
+
+
+def _window(flag_value: int | None, cfg: RunConfig) -> int:
+    """The --window flag, else the run config's window, which must be >= 1;
+    a bad flag is left to the check of the command that takes it."""
+    if flag_value is None:
+        return _at_least_one("run config: 'window'", cfg.window)
+    return flag_value
 
 
 def _check_duration(duration: float | None) -> None:
@@ -164,7 +174,7 @@ def cmd_retarget(args, cfg: RunConfig) -> int:
 def cmd_relay(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
     forward = parse_addr(args.forward)
-    rate = None if args.rate is None else _check_rate(args.rate)
+    rate = None if args.rate is None else _rate(args.rate, cfg)
     _check_duration(args.duration)
     if args.stdin:
         clip = motion.clip_from_dict(read_json())
@@ -237,14 +247,15 @@ class _LiveTrackerSink:
 def cmd_serve_policy(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
     spec = replace(simtrack.parse_tracker(args.tracker), seed=_seed(args.seed, cfg))
-    rate = _check_rate(_resolve(args.rate, cfg.rate_hz))
+    rate = _rate(args.rate, cfg)
+    capacity = _window(args.window, cfg)
     _check_duration(args.duration)
     sink = _LiveTrackerSink(simtrack.Tracker(spec, 1.0 / rate), args.trace)
     try:
         server = PolicyServer(
             listen=parse_addr(args.listen),
             rate_hz=rate,
-            capacity=_resolve(args.window, cfg.window),
+            capacity=capacity,
             sink=sink,
             model=model,
         )
@@ -270,8 +281,11 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
         duplicate_prob=args.duplicate,
     )
     seed = _seed(args.seed, cfg)
-    rate = _check_rate(_resolve(args.rate, cfg.rate_hz))
+    rate = _rate(args.rate, cfg)
     if args.live:
+        for flag, value in (("--window", args.window), ("--out", args.out)):
+            if value is not None:
+                raise OmniCloneError(f"stream-test --live takes no {flag}")
         stats = measure_latency(n_samples=args.samples, rate_hz=rate, fault=fault, seed=seed)
         print("mean_ms,p95_ms,sent,received")
         print(f"{stats.mean_ms:.3f},{stats.p95_ms:.3f},{stats.sent},{stats.received}")
@@ -280,12 +294,11 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
         n_packets=args.packets,
         producer_hz=rate,
         consumer_hz=rate,
-        capacity=_resolve(args.window, cfg.window),
+        capacity=_window(args.window, cfg),
         fault=fault,
         seed=seed,
     )
-    arrivals, _, _ = fault_schedule(args.packets, rate, fault, seed)
-    delays_ms = [1000.0 * (t - (seq - 1) / rate) for t, _, seq in arrivals]
+    delays_ms = [1000.0 * (t - (seq - 1) / rate) for t, _, seq in trace.arrivals]
     mean_ms = sum(delays_ms) / len(delays_ms) if delays_ms else 0.0
     p95_ms = motion.percentile(delays_ms, 95.0) if delays_ms else 0.0
     print(
@@ -406,7 +419,7 @@ def cmd_recipe(args, cfg: RunConfig) -> int:
 
 def cmd_vla_replay(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    rate = _check_rate(_resolve(args.rate, cfg.rate_hz))
+    rate = _rate(args.rate, cfg)
     chunks = vlabridge.load_chunks(args.chunks)
     for chunk in chunks:
         if chunk.actions.shape[1] != model.n_joints:
@@ -435,7 +448,7 @@ def cmd_vla_replay(args, cfg: RunConfig) -> int:
 
 def cmd_print_layout(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    window = _at_least_one("--window", _resolve(args.window, cfg.window))
+    window = _at_least_one("--window", _window(args.window, cfg))
     zero = synthetic.static_clip(model, n_frames=max(2, window), fps=30.0)
     state = simtrack.state_from_frame(zero.frames[0], model)
     sections = []
@@ -500,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reorder", type=float, default=0.0, help="reorder probability")
     p.add_argument("--duplicate", type=float, default=0.0, help="duplicate probability")
     p.add_argument("--seed", type=int, default=None, help="fault seed")
-    p.add_argument("--window", type=int, default=None, help="jitter-buffer depth f")
+    p.add_argument("--window", type=int, default=None, help="jitter-buffer depth f (virtual mode)")
     p.add_argument("--live", action="store_true", help="measure real loopback latency instead of simulating")
     p.add_argument("--samples", type=int, default=200, help="live-mode probe packets")
     p.add_argument("--out", help="write the emitted trace CSV here (virtual mode)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -511,17 +511,7 @@ def chain_height(model: HumanoidModel, joint_pos: np.ndarray) -> float:
 
 def model_to_dict(model: HumanoidModel) -> dict:
     return {
-        "joints": [
-            {
-                "name": l.name,
-                "parent": l.parent,
-                "offset_pos": list(l.offset_pos),
-                "offset_quat": list(l.offset_quat),
-                "axis": list(l.axis),
-                "limits": list(l.limits),
-            }
-            for l in model.links
-        ],
+        "joints": [asdict(l) for l in model.links],
         "key_bodies": list(model.key_bodies),
         "calibration_chain": list(model.calibration_chain),
     }

@@ -12,7 +12,7 @@ import binascii
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -384,7 +384,9 @@ class _FrameView(Sequence):
             return tuple(map(self.__getitem__, range(len(self))[index]))
         columns = {key: getattr(self._clip, key) for key in COLUMNS}
         row = {key: None if c is None else c[index] for key, c in columns.items()}
-        root = RigidPose(row.pop("root_pos"), row.pop("root_quat"))
+        # the clip's rows are checked already, and RigidPose would divide a
+        # unit quaternion by its norm again and move its bits
+        root = _unchecked(RigidPose, position=row.pop("root_pos"), orientation=row.pop("root_quat"))
         return Frame(t=float(row.pop("t")), root=root, **row)
 
 
@@ -672,18 +674,7 @@ def stats_to_csv(rows: Sequence[StatsRow]) -> str:
 
 
 def stats_to_json(rows: Sequence[StatsRow]) -> str:
-    doc = [
-        {
-            "category": r.category,
-            "level": r.level,
-            "metric": r.metric,
-            "lo": r.lo,
-            "hi": r.hi,
-            "mean": r.mean,
-        }
-        for r in rows
-    ]
-    return json.dumps(doc, indent=1) + "\n"
+    return json.dumps([asdict(r) for r in rows], indent=1) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -763,17 +754,8 @@ def compose_recipe(
 
 
 def recipe_to_json(manifest: RecipeManifest) -> str:
-    doc = {
-        "pools": {k: list(v) for k, v in manifest.pools.items()},
-        "target_fraction": dict(manifest.target_fraction),
-        "total_count": manifest.total_count,
-        "seed": manifest.seed,
-        "selected": [
-            {"label": lab, "clip": clip, "weight": w}
-            for lab, clip, w in manifest.selected
-        ],
-        "wrapped": list(manifest.wrapped),
-    }
+    selected = [{"label": lab, "clip": clip, "weight": w} for lab, clip, w in manifest.selected]
+    doc = {**vars(manifest), "selected": selected}
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 

@@ -25,10 +25,14 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class StreamTrace:
+    """The consumer's ticks, and the (time, order, seq) arrival events that
+    `fault_schedule` drew for them, in arrival order."""
+
     entries: tuple[TraceEntry, ...]
     sent: int
     delivered: int
     dropped: int
+    arrivals: tuple[tuple[float, int, int], ...]
 
     @property
     def fresh_seqs(self) -> list[int]:
@@ -72,8 +76,9 @@ def simulate_stream(
     arrivals, delivered, dropped = fault_schedule(n_packets, producer_hz, fault, seed)
     if n_ticks is None:
         n_ticks = n_packets
+    shared = dict(sent=n_packets, delivered=delivered, dropped=dropped, arrivals=tuple(arrivals))
     if not arrivals or n_ticks <= 0:
-        return StreamTrace(entries=(), sent=n_packets, delivered=delivered, dropped=dropped)
+        return StreamTrace(entries=(), **shared)
     t_first = arrivals[0][0]
     entries: list[TraceEntry] = []
     cursor = 0
@@ -85,6 +90,4 @@ def simulate_stream(
             cursor += 1
         frame, held = queue.pop()
         entries.append(TraceEntry(tick=j, t=t_tick, seq=frame.seq, held=held))
-    return StreamTrace(
-        entries=tuple(entries), sent=n_packets, delivered=delivered, dropped=dropped
-    )
+    return StreamTrace(entries=tuple(entries), **shared)

@@ -16,7 +16,7 @@ import pytest
 from omniclone import cli, simtrack
 from omniclone.bench import ManifestEntry, save_manifest
 from omniclone.motion import load_clip, save_clip
-from omniclone.stream import PacketFrame, Stamped
+from omniclone.stream import PacketFrame, Stamped, fault_schedule
 from omniclone.synthetic import benchmark_suite, constant_velocity_clip
 from omniclone.vlabridge import ActionChunk
 
@@ -455,6 +455,37 @@ class TestStreamTestCommand:
     def test_non_numeric_jitter_is_an_error(self, jitter, capsys):
         assert cli.main(["stream-test", "--jitter", jitter]) == 1
         assert capsys.readouterr().err.startswith("error: --jitter:")
+
+    def test_virtual_mode_draws_the_fault_schedule_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fault_schedule(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("omniclone") and getattr(module, "fault_schedule", None) is fault_schedule:
+                monkeypatch.setattr(module, "fault_schedule", counted)
+        argv = ["stream-test", "--packets", "200", "--drop", "0.1", "--jitter", "0:40", "--seed", "1",
+                "--out", str(tmp_path / "trace.csv")]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith("ticks,fresh,held,")
+
+    @pytest.mark.parametrize("flag, value", [("--window", "0"), ("--window", "3"), ("--out", "x.csv")])
+    def test_live_mode_refuses_virtual_flags(self, tmp_path, monkeypatch, capsys, flag, value):
+        monkeypatch.chdir(tmp_path)
+        argv = ["stream-test", "--live", "--samples", "20", "--rate", "400", flag, value]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: stream-test --live takes no {flag}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_live_mode_ignores_the_config_window(self, tmp_path, capsys):
+        (tmp_path / "run.json").write_text(json.dumps({"window": 0}), encoding="utf-8")
+        argv = ["stream-test", "--live", "--samples", "20", "--rate", "400"]
+        assert cli.main(["--run-config", str(tmp_path / "run.json"), *argv]) == 0
+        assert capsys.readouterr().out.startswith("mean_ms,p95_ms,sent,received\n")
 
 
 class TestStatsCommand:
@@ -912,6 +943,28 @@ class TestRunConfig:
         assert cli.main(["--run-config", str(cfg), "print-layout"]) == 1
         (key,) = doc
         assert capsys.readouterr().err.startswith(f"error: run config: {key!r}")
+
+    @pytest.mark.parametrize("command, key", [
+        ("stream-test", "rate_hz"),
+        ("stream-test", "window"),
+        ("serve-policy", "rate_hz"),
+        ("serve-policy", "window"),
+        ("vla-replay", "rate_hz"),
+        ("print-layout", "window"),
+    ])
+    def test_bad_rate_or_window_names_the_config_key(self, tmp_path, capsys, command, key):
+        (tmp_path / "run.json").write_text(json.dumps({key: 0}), encoding="utf-8")
+        save_chunks([ActionChunk(np.zeros((8, 29)))], tmp_path / "chunks.json")
+        argv = {
+            "stream-test": ["stream-test", "--packets", "20"],
+            "serve-policy": ["serve-policy", "--listen", "127.0.0.1:0", "--duration", "0"],
+            "vla-replay": ["vla-replay", "--chunks", str(tmp_path / "chunks.json")],
+            "print-layout": ["print-layout"],
+        }[command]
+        assert cli.main(["--run-config", str(tmp_path / "run.json"), *argv]) == 1
+        rule = "must be positive and finite" if key == "rate_hz" else "must be >= 1"
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: run config: {key!r} {rule}, got 0\n")
 
     def test_int_for_float_and_null_for_default_accepted(self, tmp_path):
         path = tmp_path / "run.json"

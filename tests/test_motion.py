@@ -337,8 +337,9 @@ NORM_SCALES = st.one_of(
 
 
 class TestRebuild:
-    """A clip rebuilt from its own columns, by from_arrays or by replace,
-    holds the same bits: the checks leave a checked clip's columns alone."""
+    """A clip rebuilt from its own columns, by from_arrays, by replace or
+    from its own frames, holds the same bits: the checks leave a checked
+    clip's columns alone."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), T=st.integers(1, 4), n=st.integers(1, 3), k=st.sampled_from([0, 2]))
@@ -372,7 +373,9 @@ class TestRebuild:
         assert np.all(np.abs(np.linalg.norm(clip.root_quat, axis=1) - 1.0) <= _UNIT_EPS)
 
         fields = {key: getattr(clip, key) for key in _META + COLUMNS}
-        for again in (MotionClip.from_arrays(**fields), clip.replace(name="renamed")):
+        rebuilt = MotionClip(clip.name, clip.fps, clip.category, clip.level, clip.frames,
+                             clip.dof_names, clip.key_bodies)
+        for again in (MotionClip.from_arrays(**fields), clip.replace(name="renamed"), rebuilt):
             for key in COLUMNS:
                 column = getattr(clip, key)
                 assert (column is None) == (getattr(again, key) is None), key
