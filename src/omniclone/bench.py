@@ -239,9 +239,11 @@ def _md_num(x: float | None) -> str:
 
 def report_to_markdown(report: BenchReport) -> str:
     """Two subtables mirroring the benchmark grouping: workspace-height
-    categories first, then the agile ones."""
+    categories first, then the agile ones; strata outside the six
+    benchmark categories follow in a third."""
     first = ("loco_manip", "manip", "squat")
     second = ("walk", "run", "jump")
+    rest = tuple(r.category for r in report.rows if r.category not in first + second)
     out = []
     if report.method:
         out.append(f"**Method: {report.method}**\n")
@@ -250,6 +252,7 @@ def report_to_markdown(report: BenchReport) -> str:
     for title, cats in (
         ("Locomotion and manipulation (by workspace height)", first),
         ("Agile motion (by intensity / jump height)", second),
+        ("Other strata", rest),
     ):
         rows = [r for r in report.rows if r.category in cats]
         if not rows:
@@ -263,11 +266,6 @@ def report_to_markdown(report: BenchReport) -> str:
                 f" | {_md_num(r.sr_percent)} | {_md_num(r.mpjpe_mm)} |"
             )
         out.append("")
-    extra = [r for r in report.rows if r.category not in first + second]
-    for r in extra:
-        out.append(
-            f"| {r.category} | {r.level} | {_md_num(r.sr_percent)} | {_md_num(r.mpjpe_mm)} |"
-        )
     return "\n".join(out) + "\n"
 
 

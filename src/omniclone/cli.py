@@ -77,48 +77,29 @@ class RunConfig:
         return cfg
 
 
-def _resolve(flag_value, config_value):
-    """An explicit flag wins over the run config (whose fields are never None)."""
-    return config_value if flag_value is None else flag_value
+# each checked setting: its flag, its run-config key (None: flag only), the
+# rule as an error states it, and a test of the value
+_SETTINGS = {
+    "seed": ("--seed", "seed", ">= 0", lambda v: v >= 0),
+    "rate": ("--rate", "rate_hz", "positive and finite", lambda v: 0.0 < v < math.inf),
+    "window": ("--window", "window", ">= 1", lambda v: v >= 1),
+    "duration": ("--duration", None, "finite and >= 0", lambda v: 0.0 <= v < math.inf),
+    "execute_len": ("--execute-len", None, ">= 1", lambda v: v >= 1),
+    "ticks": ("--ticks", None, ">= 1", lambda v: v >= 1),
+}
 
 
-def _seed(flag_value: int | None, cfg: RunConfig) -> int:
-    """The --seed flag, else the run config's seed; either must be >= 0."""
-    seed = _resolve(flag_value, cfg.seed)
-    if seed < 0:
-        source = "run config: 'seed'" if flag_value is None else "--seed"
-        raise OmniCloneError(f"{source} must be >= 0, got {seed}")
-    return seed
-
-
-def _rate(flag_value: float | None, cfg: RunConfig) -> float:
-    """The --rate flag, else the run config's rate_hz; either must be
-    positive and finite: ticks are 1/rate apart."""
-    rate = _resolve(flag_value, cfg.rate_hz)
-    if not 0.0 < rate < math.inf:
-        source = "run config: 'rate_hz'" if flag_value is None else "--rate"
-        raise OmniCloneError(f"{source} must be positive and finite, got {rate}")
-    return rate
-
-
-def _window(flag_value: int | None, cfg: RunConfig) -> int:
-    """The --window flag, else the run config's window, which must be >= 1;
-    a bad flag is left to the check of the command that takes it."""
-    if flag_value is None:
-        return _at_least_one("run config: 'window'", cfg.window)
-    return flag_value
-
-
-def _check_duration(duration: float | None) -> None:
-    """A --duration value must be finite and >= 0; None runs until interrupted."""
-    if duration is not None and not 0.0 <= duration < math.inf:
-        raise OmniCloneError(f"--duration must be finite and >= 0, got {duration}")
-
-
-def _at_least_one(flag: str, count: int) -> int:
-    if count < 1:
-        raise OmniCloneError(f"{flag} must be >= 1, got {count}")
-    return count
+def _setting(name: str, flag_value, cfg: RunConfig | None = None):
+    """The flag's value, else (given a run config) the config's, checked
+    against the setting's rule; an error names the flag or the config key.
+    A missing flag with no config stays None."""
+    flag, key, rule, ok = _SETTINGS[name]
+    value, source = flag_value, flag
+    if flag_value is None and cfg is not None:
+        value, source = getattr(cfg, key), f"run config: {key!r}"
+    if value is not None and not ok(value):
+        raise OmniCloneError(f"{source} must be {rule}, got {value}")
+    return value
 
 
 def _number(flag: str, text: str) -> float:
@@ -146,9 +127,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _thresholds(args, cfg: RunConfig) -> bench_mod.FailureThresholds:
     return bench_mod.FailureThresholds(
-        deviation_m=_resolve(args.deviation, cfg.deviation_m),
-        fall_root_z_m=_resolve(args.fall, cfg.fall_root_z_m),
-        root_drift_m=_resolve(args.drift, cfg.root_drift_m),
+        deviation_m=cfg.deviation_m if args.deviation is None else args.deviation,
+        fall_root_z_m=cfg.fall_root_z_m if args.fall is None else args.fall,
+        root_drift_m=cfg.root_drift_m if args.drift is None else args.drift,
     )
 
 
@@ -174,8 +155,8 @@ def cmd_retarget(args, cfg: RunConfig) -> int:
 def cmd_relay(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
     forward = parse_addr(args.forward)
-    rate = None if args.rate is None else _rate(args.rate, cfg)
-    _check_duration(args.duration)
+    rate = _setting("rate", args.rate)  # flag only: the default is the clip's fps
+    _setting("duration", args.duration)
     if args.stdin:
         clip = motion.clip_from_dict(read_json())
     elif args.clip:
@@ -246,10 +227,10 @@ class _LiveTrackerSink:
 
 def cmd_serve_policy(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    spec = replace(simtrack.parse_tracker(args.tracker), seed=_seed(args.seed, cfg))
-    rate = _rate(args.rate, cfg)
-    capacity = _window(args.window, cfg)
-    _check_duration(args.duration)
+    spec = replace(simtrack.parse_tracker(args.tracker), seed=_setting("seed", args.seed, cfg))
+    rate = _setting("rate", args.rate, cfg)
+    capacity = _setting("window", args.window, cfg)
+    _setting("duration", args.duration)
     sink = _LiveTrackerSink(simtrack.Tracker(spec, 1.0 / rate), args.trace)
     try:
         server = PolicyServer(
@@ -280,8 +261,8 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
         reorder_prob=args.reorder,
         duplicate_prob=args.duplicate,
     )
-    seed = _seed(args.seed, cfg)
-    rate = _rate(args.rate, cfg)
+    seed = _setting("seed", args.seed, cfg)
+    rate = _setting("rate", args.rate, cfg)
     if args.live:
         for flag, value in (("--window", args.window), ("--out", args.out)):
             if value is not None:
@@ -294,7 +275,7 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
         n_packets=args.packets,
         producer_hz=rate,
         consumer_hz=rate,
-        capacity=_window(args.window, cfg),
+        capacity=_setting("window", args.window, cfg),
         fault=fault,
         seed=seed,
     )
@@ -317,7 +298,7 @@ def cmd_stream_test(args, cfg: RunConfig) -> int:
 
 def cmd_bench_run(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    tracker = replace(simtrack.parse_tracker(args.tracker), seed=_seed(None, cfg))
+    tracker = replace(simtrack.parse_tracker(args.tracker), seed=_setting("seed", None, cfg))
     thresholds = _thresholds(args, cfg)
     load_s = episodes_s = 0.0
     start = time.perf_counter()
@@ -406,7 +387,7 @@ def cmd_recipe(args, cfg: RunConfig) -> int:
             raise OmniCloneError(f"fraction {part!r} must be label=value")
         fractions[label.strip()] = _number("--fractions", value)
     manifest = motion.compose_recipe(
-        pools, fractions, args.total, seed=_seed(args.seed, cfg)
+        pools, fractions, args.total, seed=_setting("seed", args.seed, cfg)
     )
     text = (
         motion.recipe_to_csv(manifest)
@@ -419,17 +400,17 @@ def cmd_recipe(args, cfg: RunConfig) -> int:
 
 def cmd_vla_replay(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    rate = _rate(args.rate, cfg)
+    rate = _setting("rate", args.rate, cfg)
     chunks = vlabridge.load_chunks(args.chunks)
     for chunk in chunks:
         if chunk.actions.shape[1] != model.n_joints:
             raise OmniCloneError(
                 f"chunk has {chunk.actions.shape[1]} joints, model has {model.n_joints}"
             )
-    execute_len = _at_least_one("--execute-len", args.execute_len)
-    ticks = len(chunks) * execute_len
-    if args.ticks is not None:
-        ticks = _at_least_one("--ticks", args.ticks)
+    execute_len = _setting("execute_len", args.execute_len)
+    ticks = _setting("ticks", args.ticks)
+    if ticks is None:
+        ticks = len(chunks) * execute_len
     planner = vlabridge.scripted_planner(chunks)
     trace = vlabridge.chunk_executor(planner, ticks=ticks, execute_len=execute_len)
     root = RigidPose(np.array([0.0, 0.0, synthetic.DEFAULT_ROOT_Z]), np.array([1.0, 0, 0, 0]))
@@ -448,15 +429,23 @@ def cmd_vla_replay(args, cfg: RunConfig) -> int:
 
 def cmd_print_layout(args, cfg: RunConfig) -> int:
     model = _load_model_arg(args.model or cfg.model_path)
-    window = _at_least_one("--window", _window(args.window, cfg))
-    zero = synthetic.static_clip(model, n_frames=max(2, window), fps=30.0)
-    state = simtrack.state_from_frame(zero.frames[0], model)
+    window = _setting("window", args.window, cfg)
+    # one still frame at the default root, with no key bodies
+    frame = motion.Frame(
+        t=0.0,
+        root=RigidPose(np.array([0.0, 0.0, synthetic.DEFAULT_ROOT_Z]), np.array([1.0, 0, 0, 0])),
+        root_lin_vel=np.zeros(3),
+        root_ang_vel=np.zeros(3),
+        joint_pos=np.zeros(model.n_joints),
+        joint_vel=np.zeros(model.n_joints),
+    )
+    state = simtrack.state_from_frame(frame, model)
     sections = []
     if args.policy in ("teacher", "both"):
-        obs = simtrack.build_teacher_obs(state, zero.frames[0], model)
+        obs = simtrack.build_teacher_obs(state, frame, model)
         sections.append("# teacher\n" + obs.layout_csv())
     if args.policy in ("student", "both"):
-        obs = simtrack.build_student_obs(state, zero.frames[:window], model, window)
+        obs = simtrack.build_student_obs(state, [frame] * window, model, window)
         sections.append("# student\n" + obs.layout_csv())
     _write_text(args.out, "".join(sections))
     return 0

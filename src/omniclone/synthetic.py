@@ -68,24 +68,6 @@ def constant_velocity_clip(
     return derive_body_kinematics(clip, model) if with_bodies else clip
 
 
-def static_clip(
-    model: HumanoidModel,
-    n_frames: int = 90,
-    fps: float = 30.0,
-    root_z: float = DEFAULT_ROOT_Z,
-) -> MotionClip:
-    return constant_velocity_clip(
-        model,
-        speed=0.0,
-        n_frames=n_frames,
-        fps=fps,
-        root_z=root_z,
-        name="static",
-        category="manip",
-        level="medium",
-    )
-
-
 def benchmark_suite(
     model: HumanoidModel,
     clips_per_stratum: int = 10,

@@ -22,8 +22,8 @@ and helpers that only tests use, which the package does not ship:
 save_model, save_subject_stream (with subject_frame_to_dict),
 save_mapping, save_chunks, parse_report_csv, quat_normalize,
 stratum_row, obs_block, quat_distance, packets_equal,
-decoded_frames_canonical, sine_joint_clip, identity_pose and
-derive_joint_velocities.
+decoded_frames_canonical, sine_joint_clip, static_clip, identity_pose
+and derive_joint_velocities.
 per_packet_fault_schedule keeps the fault model's scalar draws, one
 generator call per draw, which the package's one-block schedule must
 reproduce bit for bit. eager_decode_frames keeps the codec's earlier
@@ -78,7 +78,7 @@ from omniclone.rotations import IDENTITY_QUAT, quat_from_axis_angle, quat_from_y
 from omniclone.simtrack import track_clip
 from omniclone.stream import PacketFrame, StreamPacket
 from omniclone.stream.faults import DUPLICATE_DELAY_MS, REORDER_EXTRA_MS
-from omniclone.synthetic import DEFAULT_ROOT_Z
+from omniclone.synthetic import DEFAULT_ROOT_Z, constant_velocity_clip
 from tables import DRConfig
 
 
@@ -412,6 +412,14 @@ def sine_joint_clip(
         root_ang_vel=np.zeros((n_frames, 3)),
         joint_pos=joint_pos,
         joint_vel=joint_vel,
+    )
+
+
+def static_clip(model, n_frames=90, fps=30.0, root_z=DEFAULT_ROOT_Z):
+    """A still clip with key bodies: zero joints, the root at root_z."""
+    return constant_velocity_clip(
+        model, speed=0.0, n_frames=n_frames, fps=fps, root_z=root_z,
+        name="static", category="manip", level="medium",
     )
 
 

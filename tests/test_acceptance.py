@@ -25,6 +25,7 @@ from oracles import (
     reference_encode,
     sorted_mean,
     sorted_percentile,
+    static_clip,
     stratum_row,
 )
 
@@ -46,7 +47,7 @@ from omniclone.stream import (
     measure_latency,
     simulate_stream,
 )
-from omniclone.synthetic import SUITE_SPEEDS, benchmark_suite, constant_velocity_clip, static_clip
+from omniclone.synthetic import SUITE_SPEEDS, benchmark_suite, constant_velocity_clip
 from omniclone.vlabridge import ActionChunk, chunk_executor
 
 from tables import DEFAULT_REWARD_WEIGHTS, TRACKING_TERMS, default_system_config, reward, sample_dr

@@ -10,6 +10,14 @@ and neither does a name that the enclosing function or lambda binds itself
 Methods are matched by name alone, as functions are, so a method whose name
 other code also uses passes. Names kept on purpose sit in KEPT with a
 reason.
+
+BENCHMARK_ONLY lists, exactly, the names whose only callers outside tests/
+are in perfbench/, with what perfbench uses each for: a change to the
+benchmark that moves off one may delete it. The scan cannot see two more
+that perfbench keeps: MotionClip.frames, whose only caller outside tests/
+is perfbench (StreamPacket.frames shares the name), and MotionClip's
+constructor from a Frame sequence (a constructor has no name), whose one
+other caller is retarget.retargeted_clip.
 """
 import ast
 import copy
@@ -21,6 +29,16 @@ SCANNED = ("src", "scripts", "perfbench")
 KEPT = {
     "echo_latency": "the README sends users of a remote server to it",
     "discrepancy_report": "the retarget error report that ROADMAP item 2 extends",
+}
+
+BENCHMARK_ONLY = {
+    "parse_report_json": "reads back the report of each eval pass to check it",
+    "track_clip": "the traced eval run's shadow span simtrack.track_clip",
+    "packet_frame_from_motion": "the teleop and VLA paths' Frame-to-wire step",
+    "joint_pos_array": "a clip's joints, for the reference pd report and the traced FK shadow",
+    "root_pos_array": "a clip's roots, for the reference pd report and the traced FK shadow",
+    "root_quat_array": "a clip's root orientations, for the same two",
+    "body_pos_array": "a clip's key bodies, for the reference pd report",
 }
 
 
@@ -70,8 +88,10 @@ def _units(stmt) -> list[tuple[set[str], set[str]]]:
 
 
 def _scan():
+    """(defined, named): each public src/ name with its file, and the names
+    that each of SCANNED uses."""
     defined: dict[str, str] = {}
-    named: set[str] = set()
+    named: dict[str, set[str]] = {top: set() for top in SCANNED}
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -80,12 +100,13 @@ def _scan():
                     if top == "src":
                         public = (o for o in owners if not o.startswith("_"))
                         defined.update(dict.fromkeys(public, str(path.relative_to(ROOT))))
-                    named |= names - owners
+                    named[top] |= names - owners
     return defined, named
 
 
 def test_every_public_name_has_a_caller():
     defined, named = _scan()
+    named = set().union(*named.values())
     uncalled = sorted(
         f"{path}: {name}"
         for name, path in defined.items()
@@ -96,5 +117,13 @@ def test_every_public_name_has_a_caller():
 
 def test_kept_names_are_still_defined_and_uncalled():
     defined, named = _scan()
+    named = set().union(*named.values())
     stale = sorted(name for name in KEPT if name not in defined or name in named)
     assert not stale, f"drop these from KEPT: {stale}"
+
+
+def test_benchmark_only_names_are_exact():
+    defined, named = _scan()
+    outside = named["src"] | named["scripts"]
+    only = {name for name in defined if name in named["perfbench"] and name not in outside}
+    assert only == set(BENCHMARK_ONLY)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import write_moving_suite
-from oracles import double_loop_mpjpe, episode_oracle, first_failure_loop, parse_report_csv, stratum_row
+from oracles import double_loop_mpjpe, episode_oracle, first_failure_loop, parse_report_csv, static_clip, stratum_row
 
 from omniclone.bench import (
     BenchReport,
@@ -37,7 +37,7 @@ from omniclone.motion import (
     save_clip,
 )
 from omniclone.simtrack import RobotState, TrackerSpec, parse_tracker, track_clip
-from omniclone.synthetic import constant_velocity_clip, static_clip
+from omniclone.synthetic import constant_velocity_clip
 
 
 def episode(category, level, mpjpe_mm, success=True, name="ep"):

@@ -449,7 +449,7 @@ class TestStreamTestCommand:
     def test_window_below_one_is_an_error_even_when_nothing_arrives(self, drop, capsys):
         assert cli.main(["stream-test", "--packets", "20", "--window", "0", "--drop", drop]) == 1
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: queue capacity must be >= 1\n")
+        assert (captured.out, captured.err) == ("", "error: --window must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("jitter", ["abc", "0:x"])
     def test_non_numeric_jitter_is_an_error(self, jitter, capsys):
@@ -802,6 +802,16 @@ class TestServeRelayLive:
         assert captured.out == ""
         assert captured.err == f"error: --duration must be finite and >= 0, got {float(duration)}\n"
 
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_serve_policy_window_below_one_is_an_error(self, monkeypatch, capsys, window):
+        def no_run(*args):
+            raise AssertionError("the server ran")
+
+        monkeypatch.setattr(cli.PolicyServer, "run", no_run)
+        assert cli.main(["serve-policy", "--listen", "127.0.0.1:0", "--window", window]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --window must be >= 1, got {window}\n")
+
     def test_relay_listen_forwards_datagrams(self, capsys):
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
             probe.bind(("127.0.0.1", 0))
@@ -965,6 +975,45 @@ class TestRunConfig:
         rule = "must be positive and finite" if key == "rate_hz" else "must be >= 1"
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: run config: {key!r} {rule}, got 0\n")
+
+    @pytest.mark.parametrize("setting, value, key", [
+        ("seed", "-1", "seed"),
+        ("rate", "-50", "rate_hz"),
+        ("window", "0", "window"),
+        ("duration", "-1", None),
+        ("execute_len", "0", None),
+        ("ticks", "0", None),
+    ])
+    def test_each_rule_names_its_flag_or_key(self, tmp_path, capsys, setting, value, key):
+        # one command per rule of the setting table: a bad flag names the
+        # flag, and a bad run-config value names the key
+        save_chunks([ActionChunk(np.zeros((8, 29)))], tmp_path / "chunks.json")
+        flag, rule = {
+            "seed": ("--seed", ">= 0"),
+            "rate": ("--rate", "positive and finite"),
+            "window": ("--window", ">= 1"),
+            "duration": ("--duration", "finite and >= 0"),
+            "execute_len": ("--execute-len", ">= 1"),
+            "ticks": ("--ticks", ">= 1"),
+        }[setting]
+        argv = {
+            "seed": ["stream-test", "--packets", "20"],
+            "rate": ["vla-replay", "--chunks", str(tmp_path / "chunks.json")],
+            "window": ["print-layout"],
+            "duration": ["relay", "--listen", "127.0.0.1:0", "--forward", "127.0.0.1:9"],
+            "execute_len": ["vla-replay", "--chunks", str(tmp_path / "chunks.json")],
+            "ticks": ["vla-replay", "--chunks", str(tmp_path / "chunks.json")],
+        }[setting]
+        got = float(value) if setting in ("rate", "duration") else value
+        runs = [(argv + [flag, value], f"error: {flag} must be {rule}, got {got}\n")]
+        if key is not None:
+            (tmp_path / "run.json").write_text(json.dumps({key: int(value)}), encoding="utf-8")
+            runs.append((["--run-config", str(tmp_path / "run.json"), *argv],
+                         f"error: run config: {key!r} must be {rule}, got {value}\n"))
+        for run, message in runs:
+            assert cli.main(run) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", message)
 
     def test_int_for_float_and_null_for_default_accepted(self, tmp_path):
         path = tmp_path / "run.json"

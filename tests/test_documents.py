@@ -1,7 +1,7 @@
 """The bytes of each JSON document a row type writes, pinned on a small
 fixed input. Each writer takes its rows' keys from the row type's fields,
 so renaming, adding or reordering a field changes its file format; these
-tests make that change visible."""
+tests make that change visible. The markdown report is pinned beside them."""
 import json
 import pathlib
 import sys
@@ -14,6 +14,7 @@ from omniclone.bench import (
     ManifestEntry,
     StratumRow,
     report_to_json,
+    report_to_markdown,
     results_to_json,
     save_manifest,
 )
@@ -66,6 +67,26 @@ REPORT = """\
   }
  ]
 }
+"""
+
+# a stratum outside the six benchmark categories gets its own table
+MARKDOWN = """\
+**Method: pd**
+
+_Partial run: some strata are missing._
+
+### Agile motion (by intensity / jump height)
+
+| Category | Level | SR (%) | MPJPE (mm) |
+| --- | --- | --- | --- |
+| Walk | Slow | 50 | 12.5 |
+
+### Other strata
+
+| Category | Level | SR (%) | MPJPE (mm) |
+| --- | --- | --- | --- |
+| Other | - | 100 | 7.5 |
+
 """
 
 STATS = """\
@@ -218,6 +239,11 @@ def test_results_document():
 def test_report_document():
     rows = (StratumRow("walk", "slow", 50.0, 12.5, 2), StratumRow("run", "fast", 0.0, None, 1))
     assert report_to_json(BenchReport(rows=rows, method="pd", partial=True)) == REPORT
+
+
+def test_markdown_report():
+    rows = (StratumRow("walk", "slow", 50.0, 12.5, 2), StratumRow("other", "none", 100.0, 7.5, 1))
+    assert report_to_markdown(BenchReport(rows=rows, method="pd", partial=True)) == MARKDOWN
 
 
 def test_stats_document():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import derive_joint_velocities, rows_clip_doc, sine_joint_clip, sorted_mean, sorted_percentile
+from oracles import derive_joint_velocities, rows_clip_doc, sine_joint_clip, sorted_mean, sorted_percentile, static_clip
 
 from omniclone.errors import ClipParseError, ConfigError, InputError
 from omniclone.kinematics import _QUAT_TOL, RigidPose
@@ -37,7 +37,7 @@ from omniclone.motion import (
     stats_label,
 )
 from omniclone.rotations import IDENTITY_QUAT
-from omniclone.synthetic import constant_velocity_clip, static_clip
+from omniclone.synthetic import constant_velocity_clip
 
 
 def simple_clip(n_frames=3, fps=30.0, n=2, category="other", level="none", **kwargs):

@@ -21,13 +21,14 @@ from omniclone.simtrack import (
     student_obs_length,
     track_clip,
 )
-from omniclone.synthetic import constant_velocity_clip, static_clip
+from omniclone.synthetic import constant_velocity_clip
 from oracles import (
     derive_joint_velocities,
     obs_block,
     per_field_dr,
     quat_normalize,
     sine_joint_clip,
+    static_clip,
     stepped_tracker,
     student_obs_blocks,
     teacher_obs_length,
